@@ -2,20 +2,18 @@
 // BENCH_telemetry.json acceptance sweep.
 //
 // The BM_TelemetryCollect ladder prices one collector poll cycle over
-// 1/16/256/1024 in-memory agents, full-snapshot fetches versus
-// steady-state delta polls, and the cross-enclave merge serially
-// versus the pairwise tree. The sweep after the benchmarks measures
-// the two gates:
+// 1/16/256/1024 in-memory agents, agents answering every poll with a
+// full snapshot versus steady-state delta polls. The sweep after the
+// benchmarks measures the two gates:
 //
 //  * delta steady-state payload bytes <= 10% of the full snapshot, and
 //  * 1024-agent tree collect >= 4x the serial collect on 4 threads.
 //
-// "Serial" is the pre-collector discipline (Controller::
-// collect_telemetry): every snapshot merges into one accumulated
-// aggregate, one session at a time, so snapshot i pays for the i
-// enclaves already funneled through the accumulator. The tree
-// aggregates 4 contiguous chunks independently and folds the 4
-// partials pairwise. On the shared 1-core CI builder 4 threads
+// "Serial" funnels every snapshot into one accumulated aggregate, one
+// agent at a time, so snapshot i pays for the i enclaves already
+// funneled through the accumulator. The tree is the collector's chunk
+// fold: it aggregates 4 contiguous chunks independently and folds the
+// 4 partials pairwise. On the shared 1-core CI builder 4 threads
 // timeslice instead of running concurrently, so — same normalization
 // as the PR5/PR6 data-plane sweeps — the tree's cost is reported as
 // its critical path: the largest contention-free chunk time plus the
@@ -115,37 +113,14 @@ void advance_snapshot(EnclaveTelemetry& e, std::uint64_t step) {
   e.host_series[0].second = static_cast<double>((step * 31) % 128);
 }
 
-// Agent-side half of the delta protocol, the same cursor discipline as
-// core::wire::TelemetryCursor over a hand-held snapshot.
+// One in-memory agent: a hand-held snapshot behind the agent-side
+// delta encoder.
 struct FakeAgent {
   EnclaveTelemetry state;
-  EnclaveTelemetry prev;
-  std::uint64_t epoch = 0, seq = 0;
-  std::uint64_t next_epoch = 1;
-  bool primed = false;
+  telemetry::DeltaEncoder encoder;
 
-  std::string poll(std::uint64_t epoch_in, std::uint64_t seq_in) {
-    telemetry::DeltaPayload p;
-    if (primed && epoch_in == epoch && seq_in == seq) {
-      if (auto d = telemetry::delta_between(prev, state)) {
-        ++seq;
-        p.full = false;
-        p.epoch = epoch;
-        p.seq = seq;
-        if (!telemetry::delta_is_empty(*d)) p.enclaves.push_back(*std::move(d));
-        prev = state;
-        return telemetry::encode_delta_payload(p);
-      }
-    }
-    epoch = next_epoch++;
-    seq = 1;
-    primed = true;
-    p.full = true;
-    p.epoch = epoch;
-    p.seq = seq;
-    p.enclaves.push_back(state);
-    prev = state;
-    return telemetry::encode_delta_payload(p);
+  std::string poll(std::uint64_t epoch, std::uint64_t seq) {
+    return encoder.encode(state, epoch, seq);
   }
 };
 
@@ -158,7 +133,6 @@ struct Fleet {
     for (std::size_t i = 0; i < n; ++i) {
       auto a = std::make_unique<FakeAgent>();
       a->state = fleet_snapshot(i);
-      a->next_epoch = 100 + i;
       agents.push_back(std::move(a));
     }
   }
@@ -179,8 +153,11 @@ struct Fleet {
           return a->poll(e, q);
         };
       } else {
-        s.fetch_full = [a]() {
-          return telemetry::to_json(telemetry::aggregate({a->state}));
+        // Ignores the echo: every reply is a full snapshot.
+        s.fetch_delta = [a](std::uint64_t, std::uint64_t) {
+          telemetry::DeltaPayload p;
+          p.enclaves.push_back(a->state);
+          return telemetry::encode_delta_payload(p);
         };
       }
       out.push_back(std::move(s));
@@ -229,7 +206,7 @@ std::vector<EnclaveTelemetry> fleet_snapshots(std::size_t n) {
 }
 
 // The serial funnel: every snapshot merges into the one accumulated
-// aggregate (Controller::collect_telemetry's discipline).
+// aggregate, one agent at a time.
 AggregateTelemetry serial_collect(const std::vector<EnclaveTelemetry>& all) {
   AggregateTelemetry acc;
   for (const EnclaveTelemetry& e : all) {
@@ -245,14 +222,6 @@ void BM_TelemetryMerge_Serial(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TelemetryMerge_Serial)->Arg(16)->Arg(256)->Arg(1024);
-
-void BM_TelemetryMerge_Tree(benchmark::State& state) {
-  const auto snaps = fleet_snapshots(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(telemetry::aggregate_tree(snaps, 4).packets);
-  }
-}
-BENCHMARK(BM_TelemetryMerge_Tree)->Arg(16)->Arg(256)->Arg(1024);
 
 // --- Acceptance sweep ---------------------------------------------------
 
@@ -291,7 +260,7 @@ SweepRow run_sweep_row(std::size_t n, int reps) {
   SweepRow row;
   row.agents = n;
 
-  // Payload bytes, measured on the agent-side cursor: one full resync,
+  // Payload bytes, measured on the agent-side encoder: one full resync,
   // then steady-state deltas with the usual couple of moving counters.
   FakeAgent agent;
   agent.state = fleet_snapshot(0);
@@ -301,8 +270,8 @@ SweepRow run_sweep_row(std::size_t n, int reps) {
   const int delta_polls = 16;
   for (int i = 0; i < delta_polls; ++i) {
     advance_snapshot(agent.state, static_cast<std::uint64_t>(i) + 1);
-    delta_total +=
-        static_cast<double>(agent.poll(agent.epoch, agent.seq).size());
+    delta_total += static_cast<double>(
+        agent.poll(agent.encoder.epoch(), agent.encoder.seq()).size());
   }
   row.delta_bytes = delta_total / delta_polls;
   row.delta_ratio = row.delta_bytes / row.full_bytes;

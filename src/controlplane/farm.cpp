@@ -191,7 +191,7 @@ bool AgentFarm::killed(std::size_t i) const { return slot(i).killed; }
 void AgentFarm::restart(std::size_t i) {
   Slot& s = slot(i);
   s.agent->detach();
-  attach_agent(s);  // new boot id, new telemetry cursor
+  attach_agent(s);  // new boot id, new telemetry delta encoder
   telemetry::FlightRecorder::instance().record(
       telemetry::FlightEventType::agent_restart, s.name,
       static_cast<std::int64_t>(i),

@@ -77,7 +77,7 @@ class AgentFarm {
   void revive(std::size_t i);
   bool killed(std::size_t i) const;
   // Agent restart: fresh EnclaveAgent (new boot id, new telemetry
-  // cursor), so the next delta poll is a full resync under a fresh
+  // delta encoder), so the next delta poll is a full resync under a fresh
   // epoch and the session records agent_restarts_seen.
   void restart(std::size_t i);
 

@@ -38,6 +38,7 @@
 #include "controlplane/frame.h"
 #include "controlplane/transport.h"
 #include "core/wire.h"
+#include "telemetry/delta.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/span.h"
@@ -64,14 +65,11 @@ class EnclaveAgent {
 
   // Host-series hook for get_telemetry_delta polls: fills
   // EnclaveTelemetry::host_series with host-level gauges the enclave
-  // cannot see (data-plane ring depth, pool exhaustion, ...). The
-  // cursor — and with it the delta epoch — is per-agent, so a new
+  // cannot see (data-plane ring depth, pool exhaustion, ...). The delta
+  // encoder — and with it the delta epoch — is per-agent, so a new
   // agent (= restarted host) always resyncs the controller in full.
-  void set_host_series(core::wire::TelemetryCursor::HostSeriesFn fn) {
-    telemetry_cursor_.set_host_series(std::move(fn));
-  }
-  const core::wire::TelemetryCursor& telemetry_cursor() const {
-    return telemetry_cursor_;
+  void set_host_series(telemetry::DeltaEncoder::HostSeriesFn fn) {
+    telemetry_encoder_.set_host_series(std::move(fn));
   }
 
   struct Stats {
@@ -99,7 +97,7 @@ class EnclaveAgent {
   // meant atomically — and a repeat means a duplicated delivery; both
   // are stream corruption: close and let the controller resync.
   std::uint64_t expected_request_id_ = 1;
-  core::wire::TelemetryCursor telemetry_cursor_;
+  telemetry::DeltaEncoder telemetry_encoder_;
   Stats stats_;
 };
 
@@ -202,11 +200,13 @@ class EnclaveSession {
   // the event queue drains without one). Empty string when the session
   // is not ready or the reply never came — callers treat that as
   // "unreachable".
-  std::string fetch_telemetry_json(PipePump& pump);
+  //
+  // Lifecycle spans: the agent host's span collector as Chrome
+  // trace_event JSON.
   std::string fetch_spans_json(PipePump& pump);
   // Delta poll: echoes (epoch, seq) — normally a DeltaDecoder's
   // epoch()/seq() — and returns the agent's telemetry::DeltaPayload
-  // JSON (empty on not-ready/timeout, like the fetches above).
+  // JSON. Echoing (0, 0) always earns a full snapshot.
   std::string fetch_telemetry_delta_json(PipePump& pump, std::uint64_t epoch,
                                          std::uint64_t seq);
 

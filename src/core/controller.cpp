@@ -1,10 +1,8 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "lang/compiler.h"
-#include "telemetry/json.h"
 
 namespace eden::core {
 
@@ -96,141 +94,19 @@ std::vector<std::int64_t> Controller::priority_thresholds(
   return thresholds;
 }
 
-telemetry::AggregateTelemetry Controller::collect_telemetry(
-    std::vector<std::string>* unreachable) const {
-  std::vector<telemetry::EnclaveTelemetry> snapshots;
-  snapshots.reserve(enclaves_.size());
-  for (const Enclave* enclave : enclaves_) {
-    snapshots.push_back(enclave->telemetry_snapshot());
-  }
-  std::vector<telemetry::SessionTelemetry> sessions;
-  for (const RemoteEnclaveSource& remote : remotes_) {
-    const std::string json =
-        remote.fetch_telemetry_json ? remote.fetch_telemetry_json() : "";
-    if (json.empty()) {
-      if (unreachable != nullptr) unreachable->push_back(remote.name);
-      continue;
-    }
-    try {
-      telemetry::ParsedDump dump = telemetry::parse_telemetry_json(json);
-      for (telemetry::EnclaveTelemetry& e : dump.enclaves) {
-        snapshots.push_back(std::move(e));
-      }
-      for (telemetry::SessionTelemetry& s : dump.sessions) {
-        sessions.push_back(std::move(s));
-      }
-    } catch (const std::runtime_error&) {
-      // A reply that does not parse is as useless as no reply.
-      if (unreachable != nullptr) unreachable->push_back(remote.name);
-    }
-  }
-  telemetry::AggregateTelemetry agg =
-      telemetry::aggregate(std::move(snapshots));
-  agg.sessions = std::move(sessions);
-  return agg;
-}
-
-namespace {
-
-// Cuts `events` — the comma-joined contents of a traceEvents array —
-// after `max` top-level objects (string-aware brace scan, so braces
-// inside event labels cannot fool it). Returns true when event text
-// was actually dropped.
-bool truncate_events(std::string& events, std::size_t max) {
-  if (max == 0) return false;
-  std::size_t count = 0;
-  int depth = 0;
-  bool in_str = false;
-  bool esc = false;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const char c = events[i];
-    if (in_str) {
-      if (esc) {
-        esc = false;
-      } else if (c == '\\') {
-        esc = true;
-      } else if (c == '"') {
-        in_str = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_str = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}' && --depth == 0 && ++count == max) {
-      if (events.find_first_not_of(" \n\r\t,", i + 1) == std::string::npos) {
-        return false;  // nothing but trailing separators past the cap
-      }
-      events.erase(i + 1);
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string Controller::collect_spans_json(
-    std::vector<std::string>* unreachable,
-    std::size_t max_spans_per_agent) const {
-  std::string out = telemetry::to_trace_event_json(
-      telemetry::SpanCollector::instance().snapshot());
-  bool truncated = false;
-  for (const RemoteEnclaveSource& remote : remotes_) {
-    if (!remote.fetch_spans_json) continue;
-    const std::string json = remote.fetch_spans_json();
-    // Splice the remote's traceEvents into ours. The format is
-    // machine-written ({"traceEvents":[...]}), so bracket positions
-    // are reliable.
-    const std::size_t open = json.find('[');
-    const std::size_t close = json.rfind(']');
-    if (json.empty() || open == std::string::npos || close <= open) {
-      if (unreachable != nullptr) unreachable->push_back(remote.name);
-      continue;
-    }
-    std::string events = json.substr(open + 1, close - open - 1);
-    if (events.find_first_not_of(" \n\r\t") == std::string::npos) continue;
-    truncated = truncate_events(events, max_spans_per_agent) || truncated;
-    const std::size_t local_close = out.rfind(']');
-    if (local_close == std::string::npos) continue;
-    const std::size_t last_nonspace =
-        out.find_last_not_of(" \n\r\t", local_close - 1);
-    const bool local_empty = last_nonspace == std::string::npos ||
-                             out[last_nonspace] == '[';
-    out.insert(local_close, (local_empty ? "" : ",\n") + events);
-  }
-  if (truncated) {
-    // Explicit marker so consumers know the dump is bounded, not
-    // complete.
-    const std::size_t end = out.rfind('}');
-    if (end != std::string::npos) out.insert(end, ",\"truncated\":true");
-  }
-  return out;
-}
-
 std::vector<telemetry::CollectorSource> Controller::telemetry_sources()
     const {
   std::vector<telemetry::CollectorSource> sources;
-  sources.reserve(enclaves_.size() + remotes_.size());
+  sources.reserve(enclaves_.size());
   for (Enclave* enclave : enclaves_) {
     telemetry::CollectorSource s;
     s.name = "local" + std::to_string(sources.size());
-    s.fetch_full = [enclave]() {
-      return telemetry::to_json(
-          telemetry::aggregate({enclave->telemetry_snapshot()}));
+    // The closure owns its encoder, the per-connection state a remote
+    // agent holds.
+    s.fetch_delta = [enclave, encoder = telemetry::DeltaEncoder{}](
+                        std::uint64_t epoch, std::uint64_t seq) mutable {
+      return encoder.encode(enclave->telemetry_snapshot(), epoch, seq);
     };
-    sources.push_back(std::move(s));
-  }
-  for (const RemoteEnclaveSource& remote : remotes_) {
-    telemetry::CollectorSource s;
-    s.name = remote.name;
-    if (remote.fetch_telemetry_delta_json) {
-      s.fetch_delta = remote.fetch_telemetry_delta_json;
-    } else {
-      s.fetch_full = remote.fetch_telemetry_json;
-    }
-    s.session = remote.session;
     sources.push_back(std::move(s));
   }
   return sources;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,28 +36,6 @@ class Controller {
   void register_stage(Stage& stage) { stages_.push_back(&stage); }
   void register_enclave(Enclave& enclave) { enclaves_.push_back(&enclave); }
 
-  // An enclave reached over a control-plane session rather than a
-  // local pointer. The fetchers return the remote's JSON dump, or an
-  // empty string when the session is down / the reply never came
-  // (e.g. controlplane::EnclaveSession::fetch_telemetry_json). Kept as
-  // std::function so core does not depend on the session layer.
-  struct RemoteEnclaveSource {
-    std::string name;
-    std::function<std::string()> fetch_telemetry_json;
-    std::function<std::string()> fetch_spans_json;  // optional
-    // Optional delta poll (controlplane::EnclaveSession::
-    // fetch_telemetry_delta_json): echoes (epoch, seq), returns a
-    // telemetry::DeltaPayload JSON. When set, telemetry_sources()
-    // builds delta-polling collector sources from this.
-    std::function<std::string(std::uint64_t, std::uint64_t)>
-        fetch_telemetry_delta_json;
-    // Optional controller-side session health sample.
-    std::function<telemetry::SessionTelemetry()> session;
-  };
-  void register_remote(RemoteEnclaveSource source) {
-    remotes_.push_back(std::move(source));
-  }
-
   Stage* stage(const std::string& name) const;
   const std::vector<Enclave*>& enclaves() const { return enclaves_; }
 
@@ -83,35 +60,14 @@ class Controller {
 
   // --- Telemetry ----------------------------------------------------------
 
-  // Pulls a telemetry snapshot from every registered enclave and merges
-  // them by action / class name: the stats read-back half of the
-  // enclave API, giving the controller the global visibility the paper
-  // assumes (Section 3.2). Remote enclaves whose session is down are
-  // skipped — a dead host must not block the deployment-wide view —
-  // and their names are appended to `unreachable` when given. Render
-  // with telemetry::to_json / telemetry::to_prometheus.
-  telemetry::AggregateTelemetry collect_telemetry(
-      std::vector<std::string>* unreachable = nullptr) const;
-
-  // Lifecycle spans (telemetry/span.h) rendered as Chrome trace_event
-  // JSON — load the result in Perfetto / chrome://tracing. The span
-  // collector is process-global, so this covers every traced local
-  // hop; remote sources' events are spliced in, and unreachable
-  // remotes are skipped and reported like collect_telemetry does.
-  // `max_spans_per_agent` bounds the events spliced from each remote
-  // (0 = unlimited) so a thousand-agent sweep cannot build an
-  // unbounded string; if anything was cut the dump carries a
-  // top-level "truncated": true marker.
-  std::string collect_spans_json(std::vector<std::string>* unreachable =
-                                     nullptr,
-                                 std::size_t max_spans_per_agent = 0) const;
-
-  // The registered enclaves — local and remote alike — as collector
-  // sources (telemetry/collector.h). Remote sources poll with the
-  // delta protocol when fetch_telemetry_delta_json is set, falling
-  // back to full-snapshot fetches; local enclaves snapshot in-process.
-  // This is the scale-out replacement for collect_telemetry: feed the
-  // result to a TelemetryCollector and poll.
+  // The stats read-back half of the enclave API, giving the controller
+  // the global visibility the paper assumes (Section 3.2): every
+  // registered enclave as a collector source (telemetry/collector.h).
+  // Each source answers the delta protocol in-process through its own
+  // telemetry::DeltaEncoder, exactly as a remote agent does, so feed
+  // the result — plus any remote sessions' sources — to one
+  // TelemetryCollector and poll. Render the merged view with
+  // telemetry::to_json / telemetry::to_prometheus.
   std::vector<telemetry::CollectorSource> telemetry_sources() const;
 
   // --- Control-plane computations -----------------------------------------
@@ -134,7 +90,6 @@ class Controller {
   ClassRegistry& registry_;
   std::vector<Stage*> stages_;
   std::vector<Enclave*> enclaves_;
-  std::vector<RemoteEnclaveSource> remotes_;
 };
 
 }  // namespace eden::core

@@ -1,7 +1,5 @@
 #include "core/wire.h"
 
-#include <atomic>
-
 #include "lang/source_loc.h"
 #include "telemetry/delta.h"
 #include "telemetry/span.h"
@@ -320,7 +318,7 @@ Response ok(std::uint64_t value = 0) {
 }
 
 Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
-                       TelemetryCursor* cursor) {
+                       telemetry::DeltaEncoder* encoder) {
   ByteReader r(frame);
   if (r.u32() != kMagic) return fail(Status::bad_request, "bad magic");
   const std::uint8_t raw_cmd = r.u8();
@@ -382,8 +380,11 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       const std::string pattern = r.str();
       const auto id = resolve_action(r.str());
       if (!id) return fail(Status::unknown_action, "no such action");
+      // Parsed outside the try below: a malformed pattern throws
+      // invalid_argument, which apply() reports as rejected.
+      const ClassPattern parsed(pattern);
       try {
-        return ok(enclave.add_rule(table, ClassPattern(pattern), *id));
+        return ok(enclave.add_rule(table, parsed, *id));
       } catch (const std::invalid_argument& e) {
         return fail(Status::unknown_table, e.what());
       }
@@ -492,10 +493,11 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       const std::string pattern = r.str();
       const auto id = resolve_action(r.str());
       if (!id) return fail(Status::unknown_action, "no such action");
+      const ClassPattern parsed(pattern);  // malformed: rejected, as above
       const auto table = enclave.find_table_id(table_name);
       if (!table) return fail(Status::unknown_table, "no such table");
       try {
-        return ok(enclave.add_rule(*table, ClassPattern(pattern), *id));
+        return ok(enclave.add_rule(*table, parsed, *id));
       } catch (const std::invalid_argument& e) {
         return fail(Status::unknown_table, e.what());
       }
@@ -515,8 +517,8 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       const std::uint64_t epoch = r.u64();
       const std::uint64_t seq = r.u64();
       std::string json;
-      if (cursor != nullptr) {
-        json = cursor->handle(enclave, epoch, seq);
+      if (encoder != nullptr) {
+        json = encoder->encode(enclave.telemetry_snapshot(), epoch, seq);
       } else {
         // No per-connection state: degrade to a stateless full payload
         // under epoch 0 (the decoder adopts fulls unconditionally).
@@ -532,52 +534,12 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
   return fail(Status::bad_request, "unhandled command");
 }
 
-// Process-global epoch allocator: every full resync — from any cursor
-// in the process — gets a distinct stamp, so a controller that decoded
-// a pre-restart full can never mistake a post-restart delta stream for
-// its own.
-std::uint64_t next_telemetry_epoch() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
 
-std::string TelemetryCursor::handle(Enclave& enclave, std::uint64_t epoch,
-                                    std::uint64_t seq) {
-  telemetry::EnclaveTelemetry now = enclave.telemetry_snapshot();
-  if (host_series_) now.host_series = host_series_();
-  telemetry::DeltaPayload p;
-  if (primed_ && epoch == epoch_ && seq == seq_) {
-    if (auto d = telemetry::delta_between(prev_, now)) {
-      ++seq_;
-      p.full = false;
-      p.epoch = epoch_;
-      p.seq = seq_;
-      if (!telemetry::delta_is_empty(*d)) {
-        p.enclaves.push_back(*std::move(d));
-      }
-      prev_ = std::move(now);
-      return telemetry::encode_delta_payload(p);
-    }
-    // A counter went backwards (action reinstalled after a reset, ...):
-    // fall through to the full-resync arm.
-  }
-  epoch_ = next_telemetry_epoch();
-  seq_ = 1;
-  primed_ = true;
-  p.full = true;
-  p.epoch = epoch_;
-  p.seq = seq_;
-  p.enclaves.push_back(now);
-  prev_ = std::move(now);
-  return telemetry::encode_delta_payload(p);
-}
-
 Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
-               TelemetryCursor* cursor) {
+               telemetry::DeltaEncoder* encoder) {
   try {
-    return apply_checked(enclave, frame, cursor);
+    return apply_checked(enclave, frame, encoder);
   } catch (const util::ByteStreamError& e) {
     return fail(Status::bad_request, e.what());
   } catch (const std::invalid_argument& e) {
@@ -589,10 +551,6 @@ Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
   } catch (const std::bad_alloc&) {
     return fail(Status::bad_request, "frame implies oversized allocation");
   }
-}
-
-Response apply(Enclave& enclave, std::span<const std::uint8_t> frame) {
-  return apply(enclave, frame, nullptr);
 }
 
 namespace {
@@ -666,139 +624,6 @@ Response apply_stage(Stage& stage, std::span<const std::uint8_t> frame) {
   } catch (const std::bad_alloc&) {
     return fail(Status::bad_request, "frame implies oversized allocation");
   }
-}
-
-// --- RemoteEnclave -------------------------------------------------------------
-
-Response RemoteEnclave::roundtrip(std::vector<std::uint8_t> frame) {
-  return decode_response(transport_(std::move(frame)));
-}
-
-Response RemoteEnclave::install_action(
-    const std::string& name, const lang::CompiledProgram& program,
-    std::span<const lang::FieldDef> global_fields) {
-  return roundtrip(encode_install_action(name, program, global_fields));
-}
-Response RemoteEnclave::remove_action(const std::string& name) {
-  return roundtrip(encode_remove_action(name));
-}
-Response RemoteEnclave::create_table(const std::string& name) {
-  return roundtrip(encode_create_table(name));
-}
-Response RemoteEnclave::delete_table(TableId table) {
-  return roundtrip(encode_delete_table(table));
-}
-Response RemoteEnclave::add_rule(TableId table, const std::string& pattern,
-                                 const std::string& action_name) {
-  return roundtrip(encode_add_rule(table, pattern, action_name));
-}
-Response RemoteEnclave::remove_rule(TableId table, MatchRuleId rule) {
-  return roundtrip(encode_remove_rule(table, rule));
-}
-Response RemoteEnclave::set_global_scalar(const std::string& action_name,
-                                          const std::string& field,
-                                          std::int64_t value) {
-  return roundtrip(encode_set_global_scalar(action_name, field, value));
-}
-Response RemoteEnclave::set_global_array(const std::string& action_name,
-                                         const std::string& field,
-                                         std::span<const std::int64_t> data) {
-  return roundtrip(encode_set_global_array(action_name, field, data));
-}
-Response RemoteEnclave::add_flow_rule(const FlowClassifierRule& rule,
-                                      const std::string& class_name) {
-  return roundtrip(encode_add_flow_rule(rule, class_name));
-}
-Response RemoteEnclave::read_global_scalar(const std::string& action_name,
-                                           const std::string& field) {
-  return roundtrip(encode_read_global_scalar(action_name, field));
-}
-
-Response RemoteEnclave::get_telemetry() {
-  return roundtrip(encode_get_telemetry());
-}
-
-std::string RemoteEnclave::get_telemetry_json() {
-  const Response r = get_telemetry();
-  if (r.status != Status::ok) return {};
-  return std::string(r.payload.begin(), r.payload.end());
-}
-
-Response RemoteEnclave::get_telemetry_delta(std::uint64_t epoch,
-                                            std::uint64_t seq) {
-  return roundtrip(encode_get_telemetry_delta(epoch, seq));
-}
-
-std::string RemoteEnclave::get_telemetry_delta_json(std::uint64_t epoch,
-                                                    std::uint64_t seq) {
-  const Response r = get_telemetry_delta(epoch, seq);
-  if (r.status != Status::ok) return {};
-  return std::string(r.payload.begin(), r.payload.end());
-}
-
-Response RemoteEnclave::get_spans() { return roundtrip(encode_get_spans()); }
-
-Response RemoteEnclave::begin_txn() { return roundtrip(encode_begin_txn()); }
-Response RemoteEnclave::commit_txn() { return roundtrip(encode_commit_txn()); }
-Response RemoteEnclave::abort_txn() { return roundtrip(encode_abort_txn()); }
-Response RemoteEnclave::reset_state() {
-  return roundtrip(encode_reset_state());
-}
-Response RemoteEnclave::add_rule_named(const std::string& table_name,
-                                       const std::string& pattern,
-                                       const std::string& action_name) {
-  return roundtrip(encode_add_rule_named(table_name, pattern, action_name));
-}
-Response RemoteEnclave::remove_rule_named(const std::string& table_name,
-                                          MatchRuleId rule) {
-  return roundtrip(encode_remove_rule_named(table_name, rule));
-}
-Response RemoteEnclave::get_ruleset_version() {
-  return roundtrip(encode_get_ruleset_version());
-}
-
-std::string RemoteEnclave::get_spans_json() {
-  const Response r = get_spans();
-  if (r.status != Status::ok) return {};
-  return std::string(r.payload.begin(), r.payload.end());
-}
-
-std::optional<StageInfo> RemoteStage::get_stage_info() {
-  const Response r = decode_response(transport_(encode_get_stage_info()));
-  if (r.status != Status::ok) return std::nullopt;
-  return decode_stage_info(r.payload);
-}
-
-Response RemoteStage::create_rule(const std::string& rule_set,
-                                  const Classifier& classifier,
-                                  const std::string& class_name,
-                                  MetaFieldMask meta_mask) {
-  return decode_response(transport_(
-      encode_create_stage_rule(rule_set, classifier, class_name, meta_mask)));
-}
-
-Response RemoteStage::remove_rule(const std::string& rule_set, RuleId rule) {
-  return decode_response(transport_(encode_remove_stage_rule(rule_set, rule)));
-}
-
-RemoteEnclave::Transport loopback_transport(Enclave& enclave) {
-  return [&enclave](std::vector<std::uint8_t> frame) {
-    // Qualified: ADL on std::vector would otherwise drag in std::apply.
-    return encode_response(eden::core::wire::apply(enclave, frame));
-  };
-}
-
-RemoteEnclave::Transport loopback_transport(Enclave& enclave,
-                                            TelemetryCursor& cursor) {
-  return [&enclave, &cursor](std::vector<std::uint8_t> frame) {
-    return encode_response(eden::core::wire::apply(enclave, frame, &cursor));
-  };
-}
-
-RemoteStage::Transport loopback_stage_transport(Stage& stage) {
-  return [&stage](std::vector<std::uint8_t> frame) {
-    return encode_response(eden::core::wire::apply_stage(stage, frame));
-  };
 }
 
 }  // namespace eden::core::wire

@@ -3,21 +3,24 @@
 // The paper's controller is logically centralized and programs enclaves
 // remotely through the enclave API (Section 3.4.5). This module gives
 // that API a concrete wire form: each API call encodes to a compact
-// binary command, the enclave-side agent applies decoded commands to a
-// local Enclave, and a RemoteEnclave client mirrors the Enclave API over
-// any byte transport (in tests and examples, a simple in-process
-// channel).
+// binary command and the enclave-side agent applies decoded commands to
+// a local Enclave. The codec is transport-free; the control-plane
+// session layer (controlplane/session.h) is the one client that carries
+// these frames between controller and agent.
 //
 // Commands carry the action-function bytecode exactly as
 // CompiledProgram::serialize() emits it, so the same artifact the
 // compiler produces is what crosses the wire to OS and NIC enclaves.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "core/enclave.h"
 #include "core/stage.h"
+
+namespace eden::telemetry {
+class DeltaEncoder;
+}  // namespace eden::telemetry
 
 namespace eden::core::wire {
 
@@ -61,10 +64,10 @@ enum class Command : std::uint8_t {
   remove_rule_named,
   get_ruleset_version,  // value = committed rule-set version
   // Incremental stats read-back: the request echoes the (epoch, seq)
-  // the controller last decoded; the agent's TelemetryCursor answers
-  // with a telemetry::DeltaPayload JSON — a delta when the echo matches
-  // its cursor, a full snapshot under a fresh epoch otherwise. Appended
-  // last so every existing frame keeps its numbering.
+  // the controller last decoded; the agent's telemetry::DeltaEncoder
+  // answers with a telemetry::DeltaPayload JSON — a delta when the echo
+  // matches its state, a full snapshot under a fresh epoch otherwise.
+  // Appended last so every existing frame keeps its numbering.
   get_telemetry_delta,
 };
 
@@ -132,42 +135,6 @@ std::vector<std::uint8_t> encode_remove_stage_rule(const std::string& rule_set,
 
 // --- Agents ------------------------------------------------------------------
 
-// Agent-side state behind get_telemetry_delta: the snapshot as last
-// reported on this connection plus the (epoch, seq) stamp the
-// controller must echo to earn a delta. One cursor per connection —
-// the control-plane agent owns one and a reconnect or agent restart
-// gets a new cursor, whose first reply is necessarily a full snapshot
-// under a fresh process-global epoch (so a stale controller echo can
-// never alias a new cursor's stamps). Epoch/seq semantics and the
-// payload format live in telemetry/delta.h.
-class TelemetryCursor {
- public:
-  // Optional hook filling EnclaveTelemetry::host_series with
-  // host-level gauges/counters the enclave cannot see (data-plane ring
-  // depth, pool exhaustion, ...). Called once per poll, before
-  // diffing, so host series ride the same delta machinery.
-  using HostSeriesFn =
-      std::function<std::vector<std::pair<std::string, double>>()>;
-  void set_host_series(HostSeriesFn fn) { host_series_ = std::move(fn); }
-
-  // Answers one get_telemetry_delta request: takes a fresh snapshot,
-  // replies with a delta when (epoch, seq) matches the cursor (and no
-  // counter regressed), else a full snapshot under a fresh epoch.
-  // Returns the encoded telemetry::DeltaPayload JSON.
-  std::string handle(Enclave& enclave, std::uint64_t epoch,
-                     std::uint64_t seq);
-
-  std::uint64_t epoch() const { return epoch_; }
-  std::uint64_t seq() const { return seq_; }
-
- private:
-  std::uint64_t epoch_ = 0;
-  std::uint64_t seq_ = 0;
-  bool primed_ = false;  // prev_ holds the last reported snapshot
-  telemetry::EnclaveTelemetry prev_;
-  HostSeriesFn host_series_;
-};
-
 // Reads the opcode off an encoded command frame without decoding the
 // rest (the opcode sits right after the magic). nullopt on frames too
 // short, with a bad magic, or with an out-of-range opcode. Tracing uses
@@ -176,11 +143,11 @@ std::optional<Command> peek_command(std::span<const std::uint8_t> frame);
 
 // Decodes one command frame and applies it to `enclave`. Never throws:
 // malformed frames and failed validations come back as a Response.
-// `cursor` (may be null) answers get_telemetry_delta; without one the
-// command degrades to stateless full snapshots.
+// `encoder` (the connection's telemetry::DeltaEncoder, may be null)
+// answers get_telemetry_delta; without one the command degrades to
+// stateless full snapshots.
 Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
-               TelemetryCursor* cursor);
-Response apply(Enclave& enclave, std::span<const std::uint8_t> frame);
+               telemetry::DeltaEncoder* encoder = nullptr);
 
 // Stage-side agent: applies stage commands to an application's stage.
 Response apply_stage(Stage& stage, std::span<const std::uint8_t> frame);
@@ -191,101 +158,5 @@ Response decode_response(std::span<const std::uint8_t> frame);
 // Decodes the payload of a get_stage_info response.
 std::optional<StageInfo> decode_stage_info(
     std::span<const std::uint8_t> payload);
-
-// --- Controller-side client ---------------------------------------------
-
-// Mirrors the Enclave API over a request/response byte transport.
-class RemoteEnclave {
- public:
-  // The transport sends one command frame and returns the response
-  // frame (e.g. wire over TCP; in tests, a direct call to apply()).
-  using Transport =
-      std::function<std::vector<std::uint8_t>(std::vector<std::uint8_t>)>;
-
-  explicit RemoteEnclave(Transport transport)
-      : transport_(std::move(transport)) {}
-
-  Response install_action(const std::string& name,
-                          const lang::CompiledProgram& program,
-                          std::span<const lang::FieldDef> global_fields);
-  Response remove_action(const std::string& name);
-  Response create_table(const std::string& name);
-  Response delete_table(TableId table);
-  Response add_rule(TableId table, const std::string& pattern,
-                    const std::string& action_name);
-  Response remove_rule(TableId table, MatchRuleId rule);
-  Response set_global_scalar(const std::string& action_name,
-                             const std::string& field, std::int64_t value);
-  Response set_global_array(const std::string& action_name,
-                            const std::string& field,
-                            std::span<const std::int64_t> data);
-  Response add_flow_rule(const FlowClassifierRule& rule,
-                         const std::string& class_name);
-  Response read_global_scalar(const std::string& action_name,
-                              const std::string& field);
-  // Stats read-back (the telemetry half of the enclave API): the
-  // enclave's telemetry snapshot as JSON in Response::payload. The
-  // string overload returns the JSON directly, empty on failure.
-  Response get_telemetry();
-  std::string get_telemetry_json();
-  // Incremental read-back: the telemetry::DeltaPayload JSON for the
-  // echoed (epoch, seq) — empty string on failure. Feed the result to
-  // a telemetry::DeltaDecoder and echo its epoch()/seq() next poll.
-  Response get_telemetry_delta(std::uint64_t epoch, std::uint64_t seq);
-  std::string get_telemetry_delta_json(std::uint64_t epoch,
-                                       std::uint64_t seq);
-  // Lifecycle spans as Chrome trace_event JSON (empty on failure). The
-  // collector is process-global on the enclave side, so one query per
-  // host suffices regardless of how many enclaves it runs.
-  Response get_spans();
-  std::string get_spans_json();
-  // Transactions and resync (the control-plane session layer drives
-  // these; exposed here so tests and single-process controllers can use
-  // the same commands over a synchronous transport).
-  Response begin_txn();
-  Response commit_txn();
-  Response abort_txn();
-  Response reset_state();
-  Response add_rule_named(const std::string& table_name,
-                          const std::string& pattern,
-                          const std::string& action_name);
-  Response remove_rule_named(const std::string& table_name, MatchRuleId rule);
-  Response get_ruleset_version();
-
- private:
-  Response roundtrip(std::vector<std::uint8_t> frame);
-  Transport transport_;
-};
-
-// Controller-side client for a remote stage (the Table 3 API).
-class RemoteStage {
- public:
-  using Transport = RemoteEnclave::Transport;
-
-  explicit RemoteStage(Transport transport)
-      : transport_(std::move(transport)) {}
-
-  // S0: returns nullopt if the remote side failed.
-  std::optional<StageInfo> get_stage_info();
-  // S1: returns the rule id in Response::value.
-  Response create_rule(const std::string& rule_set,
-                       const Classifier& classifier,
-                       const std::string& class_name,
-                       MetaFieldMask meta_mask = kMetaIdAndSize);
-  // S2.
-  Response remove_rule(const std::string& rule_set, RuleId rule);
-
- private:
-  Transport transport_;
-};
-
-// Convenience: transports bound directly to local components (tests,
-// single-process deployments).
-RemoteEnclave::Transport loopback_transport(Enclave& enclave);
-// Loopback with delta support: the referenced cursor must outlive the
-// transport (it plays the role of the agent's per-connection state).
-RemoteEnclave::Transport loopback_transport(Enclave& enclave,
-                                            TelemetryCursor& cursor);
-RemoteStage::Transport loopback_stage_transport(Stage& stage);
 
 }  // namespace eden::core::wire

@@ -2,6 +2,7 @@
 
 #include "experiments/testbed.h"
 #include "functions/wcmp.h"
+#include "telemetry/collector.h"
 
 namespace eden::experiments {
 
@@ -114,8 +115,12 @@ Fig10Result run_fig10(const Fig10Config& config) {
   result.interpreted_packets =
       sender_host.enclave->action_stats(action).executions;
   if (config.telemetry.enabled) {
-    result.telemetry_json =
-        telemetry::to_json(bed.controller().collect_telemetry());
+    telemetry::TelemetryCollector collector({},
+                                            [] { return std::uint64_t{0}; });
+    for (telemetry::CollectorSource& s : bed.controller().telemetry_sources()) {
+      collector.add_source(std::move(s));
+    }
+    result.telemetry_json = telemetry::to_json(collector.poll());
   }
   return result;
 }

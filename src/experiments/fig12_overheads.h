@@ -8,10 +8,11 @@
 //   enclave     — match-action lookup, state marshalling, message state;
 //   interpreter — executing the action function as bytecode rather than
 //                 native code.
-// We measure each layer's per-packet nanoseconds over many batches and
-// report average and 95th percentile, plus the overhead relative to the
-// vanilla baseline, and the Section 5.4 footprint numbers (operand
-// stack / heap bytes used by the program).
+// We measure each layer's per-packet nanoseconds over many batches, in
+// interleaved rounds, and report the average and 95th percentile of the
+// layer's cheapest round, plus the overhead relative to the vanilla
+// baseline, and the Section 5.4 footprint numbers (operand stack / heap
+// bytes used by the program).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,7 @@ struct LayerCost {
 struct Fig12Config {
   std::uint64_t packets = 200000;   // measured packets per layer
   std::uint64_t batch = 256;        // packets per timing sample
-  std::uint64_t warmup_packets = 20000;
+  std::uint64_t warmup_packets = 20000;  // unmeasured, before each round
   bool use_pias = false;            // measure PIAS instead of SFF
   // Enclave telemetry knobs. Note: fig12 measures per-packet cost, so
   // enabling histograms perturbs the enclave/interpreter layers by the

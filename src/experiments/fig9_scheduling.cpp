@@ -5,6 +5,7 @@
 #include "apps/workload.h"
 #include "experiments/testbed.h"
 #include "functions/scheduling.h"
+#include "telemetry/collector.h"
 
 namespace eden::experiments {
 
@@ -231,8 +232,12 @@ Fig9Result run_fig9(const Fig9Config& config) {
         worker_host.enclave->action_stats(sender_actions[0]).errors;
   }
   if (config.telemetry.enabled) {
-    result.telemetry_json =
-        telemetry::to_json(bed.controller().collect_telemetry());
+    telemetry::TelemetryCollector collector({},
+                                            [] { return std::uint64_t{0}; });
+    for (telemetry::CollectorSource& s : bed.controller().telemetry_sources()) {
+      collector.add_source(std::move(s));
+    }
+    result.telemetry_json = telemetry::to_json(collector.poll());
   }
   return result;
 }

@@ -1,11 +1,7 @@
 #include "telemetry/collector.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
 #include <utility>
-
-#include "telemetry/json.h"
 
 namespace eden::telemetry {
 
@@ -95,34 +91,15 @@ void TelemetryCollector::record_series(SourceState& s, std::uint64_t now) {
 void TelemetryCollector::poll_source(SourceState& s, std::uint64_t now) {
   s.status.last_attempt_ns = now;
   ++s.status.polls;
-  std::string payload;
-  bool advanced = false;
-  bool got_payload = false;
-  if (s.source.fetch_delta) {
-    payload = s.source.fetch_delta(s.decoder.epoch(), s.decoder.seq());
-    got_payload = !payload.empty();
-    if (got_payload) {
-      advanced = s.decoder.apply_json(payload);
-      if (advanced) s.snapshots = s.decoder.snapshots();
-    }
-    const DeltaDecoder::Stats& ds = s.decoder.stats();
-    s.status.full_resyncs = ds.full_resyncs;
-    s.status.deltas_applied = ds.deltas_applied;
-    s.status.rejected_payloads = ds.rejected;
-  } else if (s.source.fetch_full) {
-    payload = s.source.fetch_full();
-    got_payload = !payload.empty();
-    if (got_payload) {
-      try {
-        ParsedDump dump = parse_telemetry_json(payload);
-        s.snapshots = std::move(dump.enclaves);
-        ++s.status.full_resyncs;
-        advanced = true;
-      } catch (const std::runtime_error&) {
-        ++s.status.rejected_payloads;
-      }
-    }
-  }
+  const std::string payload =
+      s.source.fetch_delta(s.decoder.epoch(), s.decoder.seq());
+  const bool got_payload = !payload.empty();
+  const bool advanced = got_payload && s.decoder.apply_json(payload);
+  if (advanced) s.snapshots = s.decoder.snapshots();
+  const DeltaDecoder::Stats& ds = s.decoder.stats();
+  s.status.full_resyncs = ds.full_resyncs;
+  s.status.deltas_applied = ds.deltas_applied;
+  s.status.rejected_payloads = ds.rejected;
   s.status.last_payload_bytes = payload.size();
   s.status.payload_bytes_total += payload.size();
   if (advanced) {

@@ -1,16 +1,17 @@
-// Fleet-scale telemetry collection for the controller.
+// Fleet-scale telemetry collection: the controller's one read path.
 //
-// Controller::collect_telemetry serializes over sessions — fetch,
-// parse, merge, one at a time — which is fine for a handful of
-// enclaves and hopeless for a thousand. The TelemetryCollector is the
-// scale-out replacement: sources are split into contiguous chunks,
-// one per pool worker, and each worker fetches + decodes its chunk
-// and builds a chunk-local partial aggregate; the main thread then
-// folds the partials pairwise (merge_aggregates), so no snapshot ever
-// funnels through a single per-session map. Fetches use the delta
-// protocol (telemetry/delta.h) by default — each source owns a
-// DeltaDecoder whose (epoch, seq) is echoed in the next request — so
-// a steady-state poll moves O(changed series) bytes per agent.
+// Polling one enclave at a time — fetch, parse, merge — is fine for a
+// handful of enclaves and hopeless for a thousand. The
+// TelemetryCollector splits its sources into contiguous chunks, one
+// per pool worker; each worker fetches + decodes its chunk and builds
+// a chunk-local partial aggregate, and the main thread then folds the
+// partials pairwise (merge_aggregates), so no snapshot ever funnels
+// through a single per-session map. Every source speaks the delta
+// protocol (telemetry/delta.h) — each owns a DeltaDecoder whose
+// (epoch, seq) is echoed in the next request — so a steady-state poll
+// moves O(changed series) bytes per agent. Local enclaves
+// (core::Controller::telemetry_sources) and remote sessions answer the
+// same way.
 //
 // A source that stops answering never blocks the cycle: its fetch
 // returns empty, the collector keeps its last-known snapshot in the
@@ -44,8 +45,8 @@
 
 namespace eden::telemetry {
 
-// One polled agent. The fetch callbacks return the payload text, empty
-// on unreachable; they are invoked from a pool worker, but always the
+// One polled agent. The fetch callback returns the payload text, empty
+// on unreachable; it is invoked from a pool worker, but always the
 // same worker per cycle, so a closure over a single-threaded session
 // (controlplane::EnclaveSession + its pump) is safe.
 struct CollectorSource {
@@ -53,10 +54,6 @@ struct CollectorSource {
   // Delta poll: echoes (epoch, seq), returns DeltaPayload JSON.
   std::function<std::string(std::uint64_t epoch, std::uint64_t seq)>
       fetch_delta;
-  // Fallback full-snapshot poll (to_json dump); used when fetch_delta
-  // is absent (the payload is parsed with parse_telemetry_json and
-  // adopted wholesale).
-  std::function<std::string()> fetch_full;
   // Optional session-health hook, sampled once per cycle on the
   // source's worker.
   std::function<SessionTelemetry()> session;
@@ -142,8 +139,7 @@ class TelemetryCollector {
     DeltaDecoder decoder;
     AgentStatus status;
     // Snapshots currently contributing to the aggregate: the decoder's
-    // materialized view, or the last parsed full dump for
-    // fetch_full-only sources.
+    // materialized view as of the last payload it accepted.
     std::vector<EnclaveTelemetry> snapshots;
     bool has_session = false;
     SessionTelemetry session;

@@ -1,6 +1,7 @@
 #include "telemetry/delta.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -314,6 +315,46 @@ DeltaPayload parse_delta_payload(const std::string& text) {
     }
   }
   return p;
+}
+
+namespace {
+
+// Process-global epoch allocator: every full resync — from any encoder
+// in the process — gets a distinct stamp, so a controller that decoded
+// a pre-restart full can never mistake a post-restart delta stream for
+// its own.
+std::uint64_t next_epoch() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+std::string DeltaEncoder::encode(EnclaveTelemetry now, std::uint64_t epoch,
+                                 std::uint64_t seq) {
+  if (host_series_) now.host_series = host_series_();
+  DeltaPayload p;
+  if (primed_ && epoch == epoch_ && seq == seq_) {
+    if (auto d = delta_between(prev_, now)) {
+      ++seq_;
+      p.full = false;
+      p.epoch = epoch_;
+      p.seq = seq_;
+      if (!delta_is_empty(*d)) p.enclaves.push_back(*std::move(d));
+      prev_ = std::move(now);
+      return encode_delta_payload(p);
+    }
+    // A counter went backwards (action reinstalled after a reset, ...):
+    // fall through to the full-resync arm.
+  }
+  epoch_ = next_epoch();
+  seq_ = 1;
+  primed_ = true;
+  p.epoch = epoch_;
+  p.seq = seq_;
+  p.enclaves.push_back(now);
+  prev_ = std::move(now);
+  return encode_delta_payload(p);
 }
 
 bool DeltaDecoder::apply(const DeltaPayload& p) {

@@ -2,23 +2,23 @@
 //
 // A full telemetry snapshot for a busy enclave is dominated by series
 // that never change between polls. The delta protocol ships only what
-// moved: the agent keeps the previous snapshot it reported on this
-// connection (core/wire.h TelemetryCursor), diffs the fresh snapshot
-// against it, and replies with counter increments, bucket-wise
-// histogram increments and changed host-series values. The controller
-// side (DeltaDecoder) folds each delta into its last-known snapshot,
-// so aggregate()/aggregate_tree() run over materialized snapshots and
-// never need to know deltas exist.
+// moved: the agent side (DeltaEncoder) keeps the previous snapshot it
+// reported on this connection, diffs the fresh snapshot against it,
+// and replies with counter increments, bucket-wise histogram
+// increments and changed host-series values. The controller side
+// (DeltaDecoder) folds each delta into its last-known snapshot, so
+// aggregate() runs over materialized snapshots and never needs to know
+// deltas exist.
 //
 // Epoch/seq handshake — the request echoes the (epoch, seq) the
-// controller last decoded; the agent compares it against its cursor:
+// controller last decoded; the agent compares it against its encoder:
 //
-//   match    -> delta against the cursor's snapshot, seq advances by 1
+//   match    -> delta against the encoder's snapshot, seq advances by 1
 //   mismatch -> full snapshot stamped with a fresh process-global
 //               epoch; the controller adopts it wholesale
 //
 // Any divergence — dropped response, duplicated request, agent restart
-// (a new agent means a new cursor), counter regression after a
+// (a new agent means a new encoder), counter regression after a
 // clear_all + reinstall — lands in the mismatch arm on the next poll,
 // so the protocol self-heals with one full resync and needs no acks.
 // Deltas never carry trace rings or bytecode profiles; those refresh
@@ -27,8 +27,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/snapshot.h"
@@ -76,6 +78,40 @@ std::string encode_delta_payload(const DeltaPayload& p);
 // Parses an encoded payload. Throws std::runtime_error on malformed
 // JSON (same contract as parse_telemetry_json).
 DeltaPayload parse_delta_payload(const std::string& text);
+
+// Agent-side half of the protocol, DeltaDecoder's partner: the snapshot
+// as last reported on one connection plus the (epoch, seq) stamp the
+// controller must echo to earn a delta. One encoder per connection — a reconnect
+// or agent restart gets a new encoder, whose first reply is
+// necessarily a full snapshot under a fresh process-global epoch (so a
+// stale controller echo can never alias a new encoder's stamps).
+class DeltaEncoder {
+ public:
+  // Optional hook filling EnclaveTelemetry::host_series with host-level
+  // gauges/counters the enclave cannot see (data-plane ring depth, pool
+  // exhaustion, ...). Called once per poll, before diffing, so host
+  // series ride the same delta machinery.
+  using HostSeriesFn =
+      std::function<std::vector<std::pair<std::string, double>>()>;
+  void set_host_series(HostSeriesFn fn) { host_series_ = std::move(fn); }
+
+  // Answers one get_telemetry_delta request with `now`, a fresh
+  // snapshot: a delta when (epoch, seq) matches the encoder (and no
+  // counter regressed), else a full snapshot under a fresh epoch.
+  // Returns the encoded DeltaPayload JSON.
+  std::string encode(EnclaveTelemetry now, std::uint64_t epoch,
+                     std::uint64_t seq);
+
+  std::uint64_t epoch() const { return epoch_; }
+  std::uint64_t seq() const { return seq_; }
+
+ private:
+  std::uint64_t epoch_ = 0;
+  std::uint64_t seq_ = 0;
+  bool primed_ = false;  // prev_ holds the last reported snapshot
+  EnclaveTelemetry prev_;
+  HostSeriesFn host_series_;
+};
 
 // Controller-side reassembly: one DeltaDecoder per agent connection.
 // Feed every get_telemetry_delta reply through apply(); snapshots()

@@ -5,8 +5,8 @@
 // subset our own emitter produces (it is the inverse of snapshot.cpp,
 // not a general JSON library); numbers keep their source text so
 // 64-bit counters round-trip without double precision loss. Shared by
-// eden-stat's file mode and the controller's remote-session read-back,
-// which both consume machine-written dumps.
+// eden-stat's file mode and the delta-payload decoder
+// (telemetry/delta.h), which both consume machine-written dumps.
 #pragma once
 
 #include <cstdint>

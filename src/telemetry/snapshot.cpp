@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <map>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 namespace eden::telemetry {
@@ -353,43 +352,6 @@ AggregateTelemetry merge_aggregates(AggregateTelemetry a,
                                t.dropped += x.dropped;
                              });
   return out;
-}
-
-AggregateTelemetry aggregate_tree(std::vector<EnclaveTelemetry> enclaves,
-                                  std::size_t threads) {
-  const std::size_t chunks =
-      std::min(threads == 0 ? std::size_t{1} : threads, enclaves.size());
-  if (chunks <= 1) return aggregate(std::move(enclaves));
-
-  // Contiguous slices keep the concatenated enclave order identical to
-  // the serial walk.
-  std::vector<AggregateTelemetry> partials(chunks);
-  std::vector<std::thread> workers;
-  workers.reserve(chunks);
-  const std::size_t per = (enclaves.size() + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = std::min(c * per, enclaves.size());
-    const std::size_t hi = std::min(lo + per, enclaves.size());
-    workers.emplace_back([&enclaves, &partials, c, lo, hi]() {
-      std::vector<EnclaveTelemetry> chunk(
-          std::make_move_iterator(enclaves.begin() +
-                                  static_cast<std::ptrdiff_t>(lo)),
-          std::make_move_iterator(enclaves.begin() +
-                                  static_cast<std::ptrdiff_t>(hi)));
-      partials[c] = aggregate(std::move(chunk));
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  // Pairwise fold, log2(chunks) levels. The partials are few (one per
-  // thread), so this tail is cheap relative to the leaf aggregation.
-  for (std::size_t stride = 1; stride < partials.size(); stride *= 2) {
-    for (std::size_t i = 0; i + stride < partials.size(); i += 2 * stride) {
-      partials[i] = merge_aggregates(std::move(partials[i]),
-                                     std::move(partials[i + stride]));
-    }
-  }
-  return std::move(partials[0]);
 }
 
 void append_enclave_json(std::string& out, const EnclaveTelemetry& e) {

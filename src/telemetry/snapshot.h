@@ -132,7 +132,7 @@ struct EnclaveTelemetry {
   // Host-level series riding along with the enclave snapshot: gauges
   // and counters the enclave itself cannot see (data-plane ring depth,
   // backpressure, pool exhaustion, ...), filled by the agent's
-  // host-series hook (core/wire.h TelemetryCursor). Name -> value;
+  // host-series hook (telemetry/delta.h DeltaEncoder). Name -> value;
   // *_total names are counters, everything else is a gauge. The health
   // watchdog evaluates threshold rules over these per agent.
   std::vector<std::pair<std::string, double>> host_series;
@@ -168,13 +168,6 @@ AggregateTelemetry aggregate(std::vector<EnclaveTelemetry> enclaves);
 // in a tree instead of serializing every snapshot through one map.
 AggregateTelemetry merge_aggregates(AggregateTelemetry a,
                                     AggregateTelemetry b);
-
-// Parallel tree aggregation: splits the snapshots into up to `threads`
-// chunks, aggregates each chunk on its own thread, then folds the
-// partials pairwise. Equivalent to aggregate() (enclave order and the
-// name-sorted merges are preserved); threads <= 1 degrades to it.
-AggregateTelemetry aggregate_tree(std::vector<EnclaveTelemetry> enclaves,
-                                  std::size_t threads);
 
 // Prometheus text exposition (per-enclave series; histograms with
 // cumulative le= buckets).

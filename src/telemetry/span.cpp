@@ -194,9 +194,6 @@ std::string to_trace_event_json(const std::vector<SpanEvent>& events) {
     out += buf;
     out += i + 1 < events.size() ? ",\n" : "\n";
   }
-  // schema_version trails the array: Controller::collect_spans_json
-  // splices remote dumps by the first '[' / last ']', so new top-level
-  // fields must not introduce brackets or precede the array.
   out += "],\"displayTimeUnit\":\"ns\",\"schema_version\":";
   out += std::to_string(kSpanSchemaVersion);
   out += "}\n";

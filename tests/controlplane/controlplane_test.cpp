@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "controlplane/fault.h"
 #include "core/controller.h"
+#include "telemetry/delta.h"
 #include "telemetry/json.h"
+#include "telemetry/span.h"
 
 namespace eden::controlplane {
 namespace {
@@ -646,16 +649,47 @@ TEST_F(SessionTest, RemoveBeforeAddResponseIsDeferredNotLost) {
 TEST_F(SessionTest, FetchTelemetryJsonRoundTripsAndFailsClosed) {
   make_session();
   // Not connected yet: reads fail closed with an empty reply.
-  EXPECT_TRUE(session_->fetch_telemetry_json(pump_).empty());
+  EXPECT_TRUE(session_->fetch_telemetry_delta_json(pump_, 0, 0).empty());
 
   ASSERT_TRUE(settle());
   processed_priority();
-  const std::string json = session_->fetch_telemetry_json(pump_);
+  // Echoing (0, 0) earns a full snapshot.
+  const std::string json = session_->fetch_telemetry_delta_json(pump_, 0, 0);
   ASSERT_FALSE(json.empty());
-  const telemetry::ParsedDump dump = telemetry::parse_telemetry_json(json);
-  ASSERT_EQ(dump.enclaves.size(), 1u);
-  EXPECT_EQ(dump.enclaves[0].enclave, "remote");
-  EXPECT_GE(dump.enclaves[0].packets, 1u);
+  const telemetry::DeltaPayload payload = telemetry::parse_delta_payload(json);
+  EXPECT_TRUE(payload.full);
+  ASSERT_EQ(payload.enclaves.size(), 1u);
+  EXPECT_EQ(payload.enclaves[0].enclave, "remote");
+  EXPECT_GE(payload.enclaves[0].packets, 1u);
+}
+
+TEST_F(SessionTest, FetchSpansJsonCarriesTheAgentHostsEvents) {
+  make_session();
+  EXPECT_TRUE(session_->fetch_spans_json(pump_).empty());  // fails closed
+  ASSERT_TRUE(settle());
+
+  telemetry::SpanCollector& spans = telemetry::SpanCollector::instance();
+  spans.reset();
+  const std::int64_t trace = spans.start_trace();
+  spans.record_now(trace, telemetry::Hop::stage_classify, 11);
+  spans.record(trace, telemetry::Hop::action_exec, spans.now_ns(), 500, 22);
+  const std::string json = session_->fetch_spans_json(pump_);
+  spans.reset();
+
+  ASSERT_FALSE(json.empty());
+  const telemetry::Json root = telemetry::JsonParser(json).parse();
+  const telemetry::Json* events = root.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<std::string, std::int64_t> aux_by_hop;
+  for (const telemetry::Json& e : events->items) {
+    EXPECT_EQ(e.i64("tid"), trace);
+    const telemetry::Json* args = e.get("args");
+    ASSERT_NE(args, nullptr);
+    aux_by_hop[e.str("name")] = args->i64("aux");
+  }
+  EXPECT_EQ(aux_by_hop, (std::map<std::string, std::int64_t>{
+                            {"action_exec", 22}, {"stage_classify", 11}}));
+  EXPECT_EQ(root.i64("schema_version"), telemetry::kSpanSchemaVersion);
 }
 
 TEST_F(SessionTest, SessionTelemetryRendersInAggregateExports) {

@@ -1,10 +1,11 @@
 // Controller-side logic: compilation against the enclave schema,
-// program distribution, and the control-plane computations (path
-// weights, priority thresholds).
+// program distribution, telemetry read-back, and the control-plane
+// computations (path weights, priority thresholds).
 #include "core/controller.h"
 
 #include <gtest/gtest.h>
 
+#include "functions/scheduling.h"
 #include "lang/source_loc.h"
 
 namespace eden::core {
@@ -133,72 +134,82 @@ TEST(Controller, CollectTelemetrySkipsAndReportsUnreachableRemotes) {
   p.size_bytes = 100;
   local.process(p);
 
-  // A healthy remote hands back a full dump for another enclave; a dead
-  // session replies empty, a confused one replies garbage. The dead ones
-  // must be reported, not take down the deployment-wide view.
+  // A healthy remote answers the delta protocol for another enclave; a
+  // dead session replies empty, a confused one replies garbage. The dead
+  // ones must be reported, not take down the deployment-wide view.
   Enclave far("far", registry);
   far.process(p);
   far.process(p);
-  controller.register_remote({"far",
-                              [&far]() {
-                                return telemetry::to_json(telemetry::aggregate(
-                                    {far.telemetry_snapshot()}));
-                              },
-                              {}});
-  controller.register_remote({"dead", []() { return std::string{}; }, {}});
-  controller.register_remote(
-      {"garbled", []() { return std::string{"{]not json"}; }, {}});
+  telemetry::DeltaEncoder far_agent;
+  telemetry::TelemetryCollector collector({}, [] { return std::uint64_t{0}; });
+  for (telemetry::CollectorSource& s : controller.telemetry_sources()) {
+    collector.add_source(std::move(s));
+  }
+  collector.add_source({"far", [&](std::uint64_t epoch, std::uint64_t seq) {
+                          return far_agent.encode(far.telemetry_snapshot(),
+                                                  epoch, seq);
+                        }, {}});
+  collector.add_source(
+      {"dead", [](std::uint64_t, std::uint64_t) { return std::string{}; },
+       {}});
+  collector.add_source({"garbled", [](std::uint64_t, std::uint64_t) {
+                          return std::string{"{]not json"};
+                        }, {}});
 
+  const telemetry::AggregateTelemetry& agg = collector.poll();
   std::vector<std::string> unreachable;
-  const telemetry::AggregateTelemetry agg =
-      controller.collect_telemetry(&unreachable);
+  for (const telemetry::AgentStatus& status : collector.statuses()) {
+    if (status.consecutive_failures > 0) unreachable.push_back(status.name);
+  }
   ASSERT_EQ(unreachable.size(), 2u);
   EXPECT_EQ(unreachable[0], "dead");
   EXPECT_EQ(unreachable[1], "garbled");
+  EXPECT_EQ(collector.status(3).rejected_payloads, 1u);
   ASSERT_EQ(agg.enclaves.size(), 2u);
   EXPECT_EQ(agg.enclaves[0].enclave, "local");
   EXPECT_EQ(agg.enclaves[1].enclave, "far");
   EXPECT_EQ(agg.packets, 3u);  // 1 local + 2 merged from the remote
 }
 
-TEST(Controller, CollectSpansReportsUnreachableRemotes) {
+TEST(Controller, TelemetrySourcesPollMatchesTheEnclaveSnapshot) {
+  // The one read path loses nothing a direct snapshot holds: a collector
+  // poll over telemetry_sources() renders the same dump as aggregating
+  // the enclave's own snapshot, with every optional section on (1-in-1
+  // histograms, the trace ring, bytecode profiles, message state).
   ClassRegistry registry;
   Controller controller(registry);
-  controller.register_remote({"mute", {}, []() { return std::string{}; }});
+  EnclaveConfig config;
+  config.telemetry.enabled = true;
+  config.telemetry.histogram_sample_every = 1;
+  config.telemetry.trace_sample_every = 1;
+  config.telemetry.profile_actions = true;
+  Enclave enclave("host0", registry, config);
+  controller.register_enclave(enclave);
 
-  std::vector<std::string> unreachable;
-  const std::string trace = controller.collect_spans_json(&unreachable);
-  EXPECT_NE(trace.find("traceEvents"), std::string::npos);
-  ASSERT_EQ(unreachable.size(), 1u);
-  EXPECT_EQ(unreachable[0], "mute");
-}
+  const functions::PiasFunction pias;  // keeps per-message state
+  const ActionId action =
+      enclave.install_action("pias", pias.compile(), pias.global_fields());
+  enclave.set_global_array(action, "priorities", {10240, 7, 1048576, 5});
+  enclave.add_rule(enclave.create_table("t"), ClassPattern("*"), action);
+  for (std::int64_t i = 0; i < 200; ++i) {
+    netsim::Packet packet;
+    packet.size_bytes = 1000;
+    packet.meta.msg_id = i % 16 + 1;
+    enclave.process(packet);
+  }
 
-TEST(Controller, CollectSpansCapsPerAgentAndMarksTruncation) {
-  ClassRegistry registry;
-  Controller controller(registry);
-  // A remote whose trace dump holds five events, one with braces and a
-  // bracket inside a string to try to confuse the scanner.
-  const std::string remote_dump =
-      R"({"traceEvents":[{"name":"a","args":{"x":1}},)"
-      R"({"name":"b{}]tricky"},{"name":"c"},{"name":"d"},{"name":"e"}]})";
-  controller.register_remote(
-      {"busy", {}, [remote_dump]() { return remote_dump; }});
-
-  std::vector<std::string> unreachable;
-  const std::string capped =
-      controller.collect_spans_json(&unreachable, /*max_spans_per_agent=*/2);
-  EXPECT_TRUE(unreachable.empty());
-  EXPECT_NE(capped.find("\"name\":\"a\""), std::string::npos);
-  EXPECT_NE(capped.find("b{}]tricky"), std::string::npos);
-  EXPECT_EQ(capped.find("\"name\":\"c\""), std::string::npos);
-  EXPECT_EQ(capped.find("\"name\":\"e\""), std::string::npos);
-  EXPECT_NE(capped.find("\"truncated\":true"), std::string::npos);
-
-  // A cap wider than the dump keeps everything and adds no marker.
-  const std::string uncapped =
-      controller.collect_spans_json(&unreachable, /*max_spans_per_agent=*/50);
-  EXPECT_NE(uncapped.find("\"name\":\"e\""), std::string::npos);
-  EXPECT_EQ(uncapped.find("\"truncated\""), std::string::npos);
+  telemetry::TelemetryCollector collector({}, [] { return std::uint64_t{0}; });
+  for (telemetry::CollectorSource& s : controller.telemetry_sources()) {
+    collector.add_source(std::move(s));
+  }
+  const std::string polled = telemetry::to_json(collector.poll());
+  EXPECT_EQ(polled, telemetry::to_json(
+                        telemetry::aggregate({enclave.telemetry_snapshot()})));
+  EXPECT_EQ(collector.status(0).full_resyncs, 1u);
+  for (const char* section :
+       {"\"latency_ns\"", "\"hotspots\"", "\"state\"", "\"trace\""}) {
+    EXPECT_NE(polled.find(section), std::string::npos) << section;
+  }
 }
 
 }  // namespace

@@ -1015,7 +1015,11 @@ TEST(EnclaveTelemetryTest, ControllerCollectsAndAggregates) {
   for (int i = 0; i < 2; ++i) a.process(packet);
   for (int i = 0; i < 3; ++i) b.process(packet);
 
-  const telemetry::AggregateTelemetry agg = controller.collect_telemetry();
+  telemetry::TelemetryCollector collector({}, [] { return std::uint64_t{0}; });
+  for (telemetry::CollectorSource& s : controller.telemetry_sources()) {
+    collector.add_source(std::move(s));
+  }
+  const telemetry::AggregateTelemetry& agg = collector.poll();
   EXPECT_EQ(agg.enclaves.size(), 2u);
   EXPECT_EQ(agg.packets, 5u);
   EXPECT_EQ(agg.matched, 5u);

@@ -12,12 +12,31 @@
 namespace eden::core::wire {
 namespace {
 
+// One command frame applied as the agent applies it, with the reply
+// sent back through the response codec, so every round trip exercises
+// both halves of the wire format.
+Response roundtrip(Enclave& enclave, std::span<const std::uint8_t> frame,
+                   telemetry::DeltaEncoder* encoder = nullptr) {
+  return decode_response(encode_response(wire::apply(enclave, frame, encoder)));
+}
+
+Response roundtrip_stage(Stage& stage, std::span<const std::uint8_t> frame) {
+  return decode_response(encode_response(apply_stage(stage, frame)));
+}
+
+std::string payload_text(const Response& r) {
+  return std::string(r.payload.begin(), r.payload.end());
+}
+
 class WireTest : public ::testing::Test {
  protected:
+  Response send(std::span<const std::uint8_t> frame) {
+    return roundtrip(enclave_, frame);
+  }
+
   ClassRegistry registry_;
   Enclave enclave_{"remote", registry_};
   Controller controller_{registry_};
-  RemoteEnclave remote_{loopback_transport(enclave_)};
 };
 
 TEST_F(WireTest, InstallAndDriveActionRemotely) {
@@ -31,15 +50,15 @@ TEST_F(WireTest, InstallAndDriveActionRemotely) {
       "fun(p, m, g) -> p.priority <- (if p.size <= g.cutoff then 7 else 1)",
       {{cutoff}});
 
-  Response r = remote_.install_action("express", program, {{cutoff}});
+  Response r = send(encode_install_action("express", program, {{cutoff}}));
   ASSERT_EQ(r.status, Status::ok);
 
-  r = remote_.create_table("main");
+  r = send(encode_create_table("main"));
   ASSERT_EQ(r.status, Status::ok);
   const auto table = static_cast<TableId>(r.value);
 
-  ASSERT_EQ(remote_.add_rule(table, "*", "express").status, Status::ok);
-  ASSERT_EQ(remote_.set_global_scalar("express", "cutoff", 500).status,
+  ASSERT_EQ(send(encode_add_rule(table, "*", "express")).status, Status::ok);
+  ASSERT_EQ(send(encode_set_global_scalar("express", "cutoff", 500)).status,
             Status::ok);
 
   netsim::Packet small;
@@ -52,7 +71,7 @@ TEST_F(WireTest, InstallAndDriveActionRemotely) {
   enclave_.process(big);
   EXPECT_EQ(big.priority, 1);
 
-  const Response read = remote_.read_global_scalar("express", "cutoff");
+  const Response read = send(encode_read_global_scalar("express", "cutoff"));
   EXPECT_EQ(read.status, Status::ok);
   EXPECT_EQ(read.value, 500u);
 }
@@ -60,15 +79,15 @@ TEST_F(WireTest, InstallAndDriveActionRemotely) {
 TEST_F(WireTest, GlobalArrayRoundTrip) {
   const functions::PiasFunction pias;
   const auto fields = pias.global_fields();
-  ASSERT_EQ(remote_.install_action("pias", pias.compile(), fields).status,
+  ASSERT_EQ(send(encode_install_action("pias", pias.compile(), fields)).status,
             Status::ok);
   const std::int64_t data[] = {10240, 7, 1048576, 5};
-  EXPECT_EQ(remote_.set_global_array("pias", "priorities", data).status,
+  EXPECT_EQ(send(encode_set_global_array("pias", "priorities", data)).status,
             Status::ok);
   // Misaligned record data is rejected by the enclave, reported over
   // the wire.
   const std::int64_t bad[] = {1, 2, 3};
-  EXPECT_EQ(remote_.set_global_array("pias", "priorities", bad).status,
+  EXPECT_EQ(send(encode_set_global_array("pias", "priorities", bad)).status,
             Status::rejected);
 }
 
@@ -83,7 +102,7 @@ TEST_F(WireTest, KeyPartitionedFlagSurvivesTheWire) {
   counts.key_partitioned = true;
   const auto program = controller_.compile(
       "sharded", "fun(p, m, g) -> g.counts[p.msg_id] <- 1", {{counts}});
-  ASSERT_EQ(remote_.install_action("sharded", program, {{counts}}).status,
+  ASSERT_EQ(send(encode_install_action("sharded", program, {{counts}})).status,
             Status::ok);
   const auto id = enclave_.find_action("sharded");
   ASSERT_TRUE(id.has_value());
@@ -91,45 +110,62 @@ TEST_F(WireTest, KeyPartitionedFlagSurvivesTheWire) {
 }
 
 TEST_F(WireTest, UnknownActionReported) {
-  EXPECT_EQ(remote_.set_global_scalar("ghost", "x", 1).status,
+  EXPECT_EQ(send(encode_set_global_scalar("ghost", "x", 1)).status,
             Status::unknown_action);
-  EXPECT_EQ(remote_.remove_action("ghost").status, Status::unknown_action);
-  EXPECT_EQ(remote_.read_global_scalar("ghost", "x").status,
+  EXPECT_EQ(send(encode_remove_action("ghost")).status, Status::unknown_action);
+  EXPECT_EQ(send(encode_read_global_scalar("ghost", "x")).status,
             Status::unknown_action);
 }
 
 TEST_F(WireTest, UnknownTableAndRuleReported) {
   const auto program = controller_.compile("noop", "fun(p, m, g) -> 0", {});
-  remote_.install_action("noop", program, {});
-  EXPECT_EQ(remote_.add_rule(99, "*", "noop").status, Status::unknown_table);
-  EXPECT_EQ(remote_.remove_rule(99, 1).status, Status::unknown_table);
+  send(encode_install_action("noop", program, {}));
+  EXPECT_EQ(send(encode_add_rule(99, "*", "noop")).status,
+            Status::unknown_table);
+  EXPECT_EQ(send(encode_remove_rule(99, 1)).status, Status::unknown_table);
+}
+
+TEST_F(WireTest, MalformedClassPatternRejected) {
+  // A pattern that does not parse is a validation failure, not a
+  // missing table, on both rule-add commands.
+  const auto program = controller_.compile("noop", "fun(p, m, g) -> 0", {});
+  ASSERT_EQ(send(encode_install_action("noop", program, {})).status,
+            Status::ok);
+  const Response t = send(encode_create_table("t"));
+  ASSERT_EQ(t.status, Status::ok);
+  const auto table = static_cast<TableId>(t.value);
+  const Response by_id = send(encode_add_rule(table, "not-a-class", "noop"));
+  EXPECT_EQ(by_id.status, Status::rejected);
+  EXPECT_NE(by_id.error.find("malformed class pattern"), std::string::npos);
+  EXPECT_EQ(send(encode_add_rule_named("t", "not-a-class", "noop")).status,
+            Status::rejected);
+  EXPECT_EQ(enclave_.rule_count(table), 0u);
 }
 
 TEST_F(WireTest, RemoveActionAndRuleLifecycle) {
   const auto program =
       controller_.compile("p3", "fun(p, m, g) -> p.priority <- 3", {});
-  remote_.install_action("p3", program, {});
-  const auto table =
-      static_cast<TableId>(remote_.create_table("t").value);
-  const Response rule = remote_.add_rule(table, "*", "p3");
+  send(encode_install_action("p3", program, {}));
+  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
+  const Response rule = send(encode_add_rule(table, "*", "p3"));
   ASSERT_EQ(rule.status, Status::ok);
-  EXPECT_EQ(remote_.remove_rule(table, rule.value).status, Status::ok);
-  EXPECT_EQ(remote_.remove_rule(table, rule.value).status,
+  EXPECT_EQ(send(encode_remove_rule(table, rule.value)).status, Status::ok);
+  EXPECT_EQ(send(encode_remove_rule(table, rule.value)).status,
             Status::unknown_table);
-  EXPECT_EQ(remote_.remove_action("p3").status, Status::ok);
-  EXPECT_EQ(remote_.remove_action("p3").status, Status::unknown_action);
+  EXPECT_EQ(send(encode_remove_action("p3")).status, Status::ok);
+  EXPECT_EQ(send(encode_remove_action("p3")).status, Status::unknown_action);
 }
 
 TEST_F(WireTest, FlowRulesOverTheWire) {
   const auto program = controller_.compile(
       "p6", "fun(p, m, g) -> p.priority <- 6", {});
-  remote_.install_action("p6", program, {});
-  const auto table = static_cast<TableId>(remote_.create_table("t").value);
-  remote_.add_rule(table, "enclave.flows.tcp", "p6");
+  send(encode_install_action("p6", program, {}));
+  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
+  send(encode_add_rule(table, "enclave.flows.tcp", "p6"));
 
   FlowClassifierRule rule;
   rule.proto = static_cast<std::int64_t>(netsim::Protocol::tcp);
-  const Response r = remote_.add_flow_rule(rule, "enclave.flows.tcp");
+  const Response r = send(encode_add_flow_rule(rule, "enclave.flows.tcp"));
   ASSERT_EQ(r.status, Status::ok);
 
   netsim::Packet packet;
@@ -139,24 +175,24 @@ TEST_F(WireTest, FlowRulesOverTheWire) {
   EXPECT_EQ(packet.priority, 6);
 
   // Malformed class names are rejected.
-  EXPECT_EQ(remote_.add_flow_rule(rule, "not-a-class").status,
+  EXPECT_EQ(send(encode_add_flow_rule(rule, "not-a-class")).status,
             Status::rejected);
 }
 
 TEST_F(WireTest, TelemetryPullOverTheWire) {
   const auto program = controller_.compile(
       "p6", "fun(p, m, g) -> p.priority <- 6", {});
-  remote_.install_action("p6", program, {});
-  const auto table = static_cast<TableId>(remote_.create_table("t").value);
-  remote_.add_rule(table, "*", "p6");
+  send(encode_install_action("p6", program, {}));
+  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
+  send(encode_add_rule(table, "*", "p6"));
   netsim::Packet packet;
   packet.size_bytes = 100;
   enclave_.process(packet);
   enclave_.process(packet);
 
-  const Response r = remote_.get_telemetry();
+  const Response r = send(encode_get_telemetry());
   ASSERT_EQ(r.status, Status::ok);
-  const std::string json = remote_.get_telemetry_json();
+  const std::string json = payload_text(r);
   EXPECT_NE(json.find("\"name\":\"remote\""), std::string::npos);
   EXPECT_NE(json.find("\"packets\":2"), std::string::npos);
   EXPECT_NE(json.find("\"p6\""), std::string::npos);
@@ -176,9 +212,9 @@ TEST_F(WireTest, PreOptimizedProgramInstallsAndRuns) {
   for (const auto& instr : o1.code) has_fused |= lang::is_fused_op(instr.op);
   ASSERT_TRUE(has_fused);
 
-  ASSERT_EQ(remote_.install_action("express", o1, {}).status, Status::ok);
-  const auto table = static_cast<TableId>(remote_.create_table("t").value);
-  ASSERT_EQ(remote_.add_rule(table, "*", "express").status, Status::ok);
+  ASSERT_EQ(send(encode_install_action("express", o1, {})).status, Status::ok);
+  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
+  ASSERT_EQ(send(encode_add_rule(table, "*", "express")).status, Status::ok);
 
   netsim::Packet small;
   small.size_bytes = 100;
@@ -198,7 +234,7 @@ TEST_F(WireTest, StructurallyInvalidProgramRejected) {
   lang::CompiledProgram bad;
   bad.code = {{lang::Op::jmp, 1000, 0}, {lang::Op::halt, 0, 0}};
   bad.functions.push_back({"main", 0, 0, 0});
-  const Response r = remote_.install_action("bad", bad, {});
+  const Response r = send(encode_install_action("bad", bad, {}));
   EXPECT_EQ(r.status, Status::rejected);
   EXPECT_FALSE(enclave_.find_action("bad").has_value());
 }
@@ -230,17 +266,20 @@ TEST_F(WireTest, StageApiOverTheWire) {
   // stage.
   Stage stage("memcached", {"msg_type", "key"}, {"msg_id", "msg_size"},
               registry_);
-  RemoteStage remote_stage{loopback_stage_transport(stage)};
 
-  const auto info = remote_stage.get_stage_info();
+  const Response got = roundtrip_stage(stage, encode_get_stage_info());
+  ASSERT_EQ(got.status, Status::ok);
+  const auto info = decode_stage_info(got.payload);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->name, "memcached");
   EXPECT_EQ(info->classifier_fields,
             (std::vector<std::string>{"msg_type", "key"}));
   EXPECT_EQ(info->meta_fields.size(), 2u);
 
-  const Response rule = remote_stage.create_rule(
-      "r1", {FieldPattern::exact("GET"), FieldPattern::any()}, "GET");
+  const Response rule = roundtrip_stage(
+      stage, encode_create_stage_rule(
+                 "r1", {FieldPattern::exact("GET"), FieldPattern::any()},
+                 "GET", kMetaIdAndSize));
   ASSERT_EQ(rule.status, Status::ok);
   EXPECT_EQ(stage.rule_count(), 1u);
   EXPECT_NE(registry_.find("memcached.r1.GET"), kInvalidClass);
@@ -249,17 +288,21 @@ TEST_F(WireTest, StageApiOverTheWire) {
   const Classification c = stage.classify({"GET", "k"}, {});
   EXPECT_TRUE(c.classes.contains(registry_.find("memcached.r1.GET")));
 
-  EXPECT_EQ(remote_stage.remove_rule("r1", rule.value).status, Status::ok);
-  EXPECT_EQ(remote_stage.remove_rule("r1", rule.value).status,
-            Status::rejected);
+  EXPECT_EQ(
+      roundtrip_stage(stage, encode_remove_stage_rule("r1", rule.value)).status,
+      Status::ok);
+  EXPECT_EQ(
+      roundtrip_stage(stage, encode_remove_stage_rule("r1", rule.value)).status,
+      Status::rejected);
   EXPECT_EQ(stage.rule_count(), 0u);
 }
 
 TEST_F(WireTest, StageRejectsBadArity) {
   Stage stage("s", {"one_field"}, {}, registry_);
-  RemoteStage remote_stage{loopback_stage_transport(stage)};
-  const Response r = remote_stage.create_rule(
-      "r1", {FieldPattern::any(), FieldPattern::any()}, "X");
+  const Response r = roundtrip_stage(
+      stage, encode_create_stage_rule(
+                 "r1", {FieldPattern::any(), FieldPattern::any()}, "X",
+                 kMetaIdAndSize));
   EXPECT_EQ(r.status, Status::rejected);
 }
 
@@ -290,37 +333,37 @@ TEST_F(WireTest, TransactionCommandsOverTheWire) {
   const auto program =
       controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
 
-  ASSERT_EQ(remote_.begin_txn().status, Status::ok);
+  ASSERT_EQ(send(encode_begin_txn()).status, Status::ok);
   // A second begin while one is open is rejected, not fatal.
-  EXPECT_EQ(remote_.begin_txn().status, Status::rejected);
+  EXPECT_EQ(send(encode_begin_txn()).status, Status::rejected);
 
-  ASSERT_EQ(remote_.install_action("tag", program, {}).status, Status::ok);
-  ASSERT_EQ(remote_.add_rule_named("t", "*", "tag").status,
+  ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", "*", "tag")).status,
             Status::unknown_table);
-  ASSERT_EQ(remote_.create_table("t").status, Status::ok);
-  ASSERT_EQ(remote_.add_rule_named("t", "*", "tag").status, Status::ok);
+  ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", "*", "tag")).status, Status::ok);
 
   // Staged, not visible: the data path still runs the empty rule set.
   netsim::Packet staged;
   enclave_.process(staged);
   EXPECT_EQ(staged.priority, 0);
-  const std::uint64_t before = remote_.get_ruleset_version().value;
+  const std::uint64_t before = send(encode_get_ruleset_version()).value;
 
-  const Response commit = remote_.commit_txn();
+  const Response commit = send(encode_commit_txn());
   ASSERT_EQ(commit.status, Status::ok);
   EXPECT_GT(commit.value, before);
-  EXPECT_EQ(remote_.get_ruleset_version().value, commit.value);
+  EXPECT_EQ(send(encode_get_ruleset_version()).value, commit.value);
 
   netsim::Packet committed;
   enclave_.process(committed);
   EXPECT_EQ(committed.priority, 3);
 
   // Commit without an open transaction is rejected; abort is idempotent.
-  EXPECT_EQ(remote_.commit_txn().status, Status::rejected);
-  EXPECT_EQ(remote_.abort_txn().status, Status::ok);
+  EXPECT_EQ(send(encode_commit_txn()).status, Status::rejected);
+  EXPECT_EQ(send(encode_abort_txn()).status, Status::ok);
 
   // reset_state wipes everything in one atomic swap.
-  ASSERT_EQ(remote_.reset_state().status, Status::ok);
+  ASSERT_EQ(send(encode_reset_state()).status, Status::ok);
   netsim::Packet after_reset;
   enclave_.process(after_reset);
   EXPECT_EQ(after_reset.priority, 0);
@@ -329,16 +372,17 @@ TEST_F(WireTest, TransactionCommandsOverTheWire) {
 TEST_F(WireTest, AbortDropsStagedMutations) {
   const auto program =
       controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
-  ASSERT_EQ(remote_.install_action("tag", program, {}).status, Status::ok);
-  const Response table = remote_.create_table("t");
+  ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
+  const Response table = send(encode_create_table("t"));
   ASSERT_EQ(table.status, Status::ok);
-  ASSERT_EQ(remote_.add_rule(static_cast<TableId>(table.value), "*", "tag")
-                .status,
-            Status::ok);
+  ASSERT_EQ(
+      send(encode_add_rule(static_cast<TableId>(table.value), "*", "tag"))
+          .status,
+      Status::ok);
 
-  ASSERT_EQ(remote_.begin_txn().status, Status::ok);
-  ASSERT_EQ(remote_.reset_state().status, Status::ok);
-  ASSERT_EQ(remote_.abort_txn().status, Status::ok);
+  ASSERT_EQ(send(encode_begin_txn()).status, Status::ok);
+  ASSERT_EQ(send(encode_reset_state()).status, Status::ok);
+  ASSERT_EQ(send(encode_abort_txn()).status, Status::ok);
 
   // The staged wipe never published.
   netsim::Packet p;
@@ -349,17 +393,16 @@ TEST_F(WireTest, AbortDropsStagedMutations) {
 TEST_F(WireTest, RemoveRuleNamedOverTheWire) {
   const auto program =
       controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
-  ASSERT_EQ(remote_.install_action("tag", program, {}).status, Status::ok);
-  ASSERT_EQ(remote_.create_table("t").status, Status::ok);
-  const Response added = remote_.add_rule_named("t", "*", "tag");
+  ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
+  ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
+  const Response added = send(encode_add_rule_named("t", "*", "tag"));
   ASSERT_EQ(added.status, Status::ok);
 
-  EXPECT_EQ(remote_
-                .remove_rule_named("t",
-                                   static_cast<MatchRuleId>(added.value))
+  EXPECT_EQ(send(encode_remove_rule_named(
+                     "t", static_cast<MatchRuleId>(added.value)))
                 .status,
             Status::ok);
-  EXPECT_EQ(remote_.remove_rule_named("nope", 1).status,
+  EXPECT_EQ(send(encode_remove_rule_named("nope", 1)).status,
             Status::unknown_table);
 
   netsim::Packet p;
@@ -464,10 +507,11 @@ class WireDeltaTest : public ::testing::Test {
   void install_and_drive(std::uint64_t packets) {
     const auto program =
         controller_.compile("mark", "fun(p, m, g) -> p.path <- 1", {});
-    ASSERT_EQ(remote_.install_action("mark", program, {}).status, Status::ok);
-    const Response t = remote_.create_table("main");
+    ASSERT_EQ(send(encode_install_action("mark", program, {})).status,
+              Status::ok);
+    const Response t = send(encode_create_table("main"));
     ASSERT_EQ(t.status, Status::ok);
-    ASSERT_EQ(remote_.add_rule(static_cast<TableId>(t.value), "*", "mark")
+    ASSERT_EQ(send(encode_add_rule(static_cast<TableId>(t.value), "*", "mark"))
                   .status,
               Status::ok);
     drive(packets);
@@ -481,22 +525,25 @@ class WireDeltaTest : public ::testing::Test {
     }
   }
 
+  Response send(std::span<const std::uint8_t> frame) {
+    return roundtrip(enclave_, frame, &encoder_);
+  }
+
   telemetry::DeltaPayload fetch(std::uint64_t epoch, std::uint64_t seq) {
-    const std::string json = remote_.get_telemetry_delta_json(epoch, seq);
-    return telemetry::parse_delta_payload(json);
+    const Response r = send(encode_get_telemetry_delta(epoch, seq));
+    return telemetry::parse_delta_payload(payload_text(r));
   }
 
   ClassRegistry registry_;
   Enclave enclave_{"remote", registry_};
   Controller controller_{registry_};
-  TelemetryCursor cursor_;
-  RemoteEnclave remote_{loopback_transport(enclave_, cursor_)};
+  telemetry::DeltaEncoder encoder_;
 };
 
 TEST_F(WireDeltaTest, SteadyStatePollsShipOnlyChanges) {
   install_and_drive(10);
 
-  // First poll: the cursor has never seen this controller, so the
+  // First poll: the encoder has never seen this controller, so the
   // reply is a full snapshot under a fresh epoch.
   const telemetry::DeltaPayload full = fetch(0, 0);
   EXPECT_TRUE(full.full);
@@ -535,7 +582,7 @@ TEST_F(WireDeltaTest, StaleEchoForcesFullResync) {
   ASSERT_TRUE(full.full);
 
   // The controller echoes a seq the agent never issued (its response
-  // was dropped): the cursor cannot prove continuity, so it resyncs
+  // was dropped): the encoder cannot prove continuity, so it resyncs
   // under a brand-new epoch.
   const telemetry::DeltaPayload resync = fetch(full.epoch, full.seq + 5);
   EXPECT_TRUE(resync.full);
@@ -551,7 +598,7 @@ TEST_F(WireDeltaTest, CounterRegressionForcesFullResync) {
   ASSERT_TRUE(full.full);
 
   // clear_all wipes action/class counters; a blind diff would go
-  // negative, so the cursor detects the regression and falls back to a
+  // negative, so the encoder detects the regression and falls back to a
   // full snapshot under a new epoch.
   enclave_.clear_all();
   install_and_drive(3);
@@ -562,7 +609,7 @@ TEST_F(WireDeltaTest, CounterRegressionForcesFullResync) {
 
 TEST_F(WireDeltaTest, HostSeriesRideTheDeltaStream) {
   double depth = 48;
-  cursor_.set_host_series([&]() {
+  encoder_.set_host_series([&]() {
     return std::vector<std::pair<std::string, double>>{
         {"dataplane_ring_depth", depth}};
   });
@@ -584,13 +631,12 @@ TEST_F(WireDeltaTest, HostSeriesRideTheDeltaStream) {
 }
 
 TEST_F(WireDeltaTest, CursorlessAgentAnswersWithStatelessFulls) {
-  // The 2-arg apply() (no cursor) still answers the command — every
-  // poll is a full snapshot under epoch 0, so a decoder never tries to
-  // fold deltas against it.
+  // apply() without an encoder still answers the command — every poll
+  // is a full snapshot under epoch 0, so a decoder never tries to fold
+  // deltas against it.
   Enclave bare{"bare", registry_};
-  RemoteEnclave remote{loopback_transport(bare)};
-  const telemetry::DeltaPayload p =
-      telemetry::parse_delta_payload(remote.get_telemetry_delta_json(5, 9));
+  const telemetry::DeltaPayload p = telemetry::parse_delta_payload(
+      payload_text(roundtrip(bare, encode_get_telemetry_delta(5, 9))));
   EXPECT_TRUE(p.full);
   EXPECT_EQ(p.epoch, 0u);
 }

@@ -1,5 +1,5 @@
-// The fleet telemetry collector (telemetry/collector.h), the parallel
-// aggregation tree (merge_aggregates / aggregate_tree) and the health
+// The fleet telemetry collector (telemetry/collector.h), its parallel
+// aggregation tree (merge_aggregates over pooled chunks) and the health
 // watchdog (telemetry/health.h). Histogram-merge behaviour is pinned
 // here too: merging snapshots must preserve count/sum and yield the
 // same quantiles as one histogram fed the union stream.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,32 @@ EnclaveTelemetry snapshot_for(const std::string& name, std::uint64_t seed,
   return e;
 }
 
+// One agent over a hand-held counter state, answering polls through the
+// agent-side DeltaEncoder. An agent restart is a fresh encoder.
+struct FakeAgent {
+  EnclaveTelemetry state;
+  DeltaEncoder encoder;
+  bool dead = false;     // replies nothing
+  bool garbled = false;  // replies with a payload that does not parse
+
+  explicit FakeAgent(std::string name) { state.enclave = std::move(name); }
+
+  std::string poll(std::uint64_t epoch, std::uint64_t seq) {
+    if (dead) return {};
+    if (garbled) return "{]not json";
+    return encoder.encode(state, epoch, seq);
+  }
+
+  CollectorSource source() {
+    CollectorSource s;
+    s.name = state.enclave;
+    s.fetch_delta = [this](std::uint64_t e, std::uint64_t q) {
+      return poll(e, q);
+    };
+    return s;
+  }
+};
+
 TEST(AggregateTreeTest, AggregatePreservesHistogramTotalsAcrossEnclaves) {
   const AggregateTelemetry agg = aggregate(
       {snapshot_for("h0", 3, 1000), snapshot_for("h1", 5, 2000)});
@@ -136,68 +163,25 @@ TEST(AggregateTreeTest, TreeMatchesSerialForAnyThreadCount) {
   }
   const std::string serial = to_json(aggregate(all));
   for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u, 16u}) {
-    EXPECT_EQ(to_json(aggregate_tree(all, threads)), serial)
-        << "threads=" << threads;
+    // One agent per snapshot; the pool splits them into contiguous
+    // chunks and folds the chunk aggregates pairwise.
+    std::vector<std::unique_ptr<FakeAgent>> agents;
+    CollectorConfig config;
+    config.threads = threads;
+    TelemetryCollector collector(config, [] { return std::uint64_t{0}; });
+    for (const EnclaveTelemetry& e : all) {
+      agents.push_back(std::make_unique<FakeAgent>(e.enclave));
+      agents.back()->state = e;
+      collector.add_source(agents.back()->source());
+    }
+    EXPECT_EQ(to_json(collector.poll()), serial) << "threads=" << threads;
   }
 }
 
 // --- Collector ---------------------------------------------------------
 
-// Agent-side half of the delta protocol, same discipline as
-// core::wire::TelemetryCursor, over a hand-held counter state.
-struct FakeAgent {
-  EnclaveTelemetry state;
-  EnclaveTelemetry prev;
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;
-  bool primed = false;
-  std::uint64_t next_epoch;
-  std::uint64_t polls = 0;
-  bool dead = false;
-
-  explicit FakeAgent(std::string name, std::uint64_t first_epoch)
-      : next_epoch(first_epoch) {
-    state.enclave = std::move(name);
-  }
-
-  std::string poll(std::uint64_t epoch_in, std::uint64_t seq_in) {
-    if (dead) return {};
-    ++polls;
-    DeltaPayload p;
-    if (primed && epoch_in == epoch && seq_in == seq) {
-      if (auto d = delta_between(prev, state)) {
-        ++seq;
-        p.full = false;
-        p.epoch = epoch;
-        p.seq = seq;
-        if (!delta_is_empty(*d)) p.enclaves.push_back(*std::move(d));
-        prev = state;
-        return encode_delta_payload(p);
-      }
-    }
-    epoch = next_epoch++;
-    seq = 1;
-    primed = true;
-    p.full = true;
-    p.epoch = epoch;
-    p.seq = seq;
-    p.enclaves.push_back(state);
-    prev = state;
-    return encode_delta_payload(p);
-  }
-
-  CollectorSource source() {
-    CollectorSource s;
-    s.name = state.enclave;
-    s.fetch_delta = [this](std::uint64_t e, std::uint64_t q) {
-      return poll(e, q);
-    };
-    return s;
-  }
-};
-
 TEST(CollectorTest, DeltaPollingTracksGroundTruth) {
-  FakeAgent a0("a0", 100), a1("a1", 200);
+  FakeAgent a0("a0"), a1("a1");
   a0.state = snapshot_for("a0", 2, 500);
   a1.state = snapshot_for("a1", 3, 700);
 
@@ -245,7 +229,7 @@ TEST(CollectorTest, DeltaPollingTracksGroundTruth) {
 }
 
 TEST(CollectorTest, AgentRestartForcesFullResync) {
-  FakeAgent agent("a0", 100);
+  FakeAgent agent("a0");
   agent.state = snapshot_for("a0", 2, 100);
 
   std::uint64_t now = 0;
@@ -260,10 +244,9 @@ TEST(CollectorTest, AgentRestartForcesFullResync) {
   collector.poll();
   EXPECT_EQ(collector.status(0).deltas_applied, 1u);
 
-  // Restart: fresh cursor, counters reset under the collector.
-  agent.primed = false;
+  // Restart: fresh encoder, counters reset under the collector.
+  agent.encoder = DeltaEncoder{};
   agent.state = snapshot_for("a0", 1, 50);
-  agent.prev = {};
   now += 1'000'000'000;
   collector.poll();
   EXPECT_EQ(collector.status(0).full_resyncs, 2u);
@@ -271,8 +254,11 @@ TEST(CollectorTest, AgentRestartForcesFullResync) {
 }
 
 TEST(CollectorTest, UnreachableSourceGoesStaleButKeepsLastSnapshot) {
-  FakeAgent agent("a0", 100);
+  // A dead agent replies nothing and a confused one replies garbage;
+  // neither takes down the fleet view.
+  FakeAgent agent("a0"), confused("a1");
   agent.state = snapshot_for("a0", 4, 100);
+  confused.state = snapshot_for("a1", 5, 100);
 
   std::uint64_t now = 1'000'000'000;
   CollectorConfig config;
@@ -280,23 +266,30 @@ TEST(CollectorTest, UnreachableSourceGoesStaleButKeepsLastSnapshot) {
   config.stale_after_ns = 3'000'000'000;
   TelemetryCollector collector(config, [&]() { return now; });
   collector.add_source(agent.source());
+  collector.add_source(confused.source());
 
   const std::uint64_t before = collector.poll().packets;
+  EXPECT_EQ(before, agent.state.packets + confused.state.packets);
   EXPECT_TRUE(collector.status(0).reachable);
   EXPECT_FALSE(collector.status(0).stale);
 
   agent.dead = true;
+  confused.garbled = true;
   now += 2'000'000'000;
   collector.poll();
   EXPECT_FALSE(collector.status(0).reachable);
   EXPECT_FALSE(collector.status(0).stale);  // within the window
+  EXPECT_EQ(collector.status(1).rejected_payloads, 1u);
+  EXPECT_EQ(collector.status(1).consecutive_failures, 1u);
   EXPECT_EQ(collector.latest().packets, before);
 
   now += 2'000'000'000;
   collector.poll();
   EXPECT_TRUE(collector.status(0).stale);
   EXPECT_EQ(collector.status(0).consecutive_failures, 2u);
-  EXPECT_EQ(collector.latest().packets, before);  // last known view
+  EXPECT_EQ(collector.status(1).rejected_payloads, 2u);
+  EXPECT_EQ(collector.status(1).consecutive_failures, 2u);
+  EXPECT_EQ(collector.latest().packets, before);  // last known views
 
   const auto stale_series = collector.latest_value(0, "collector.stale");
   ASSERT_TRUE(stale_series.has_value());
@@ -311,7 +304,7 @@ TEST(CollectorTest, UnreachableSourceGoesStaleButKeepsLastSnapshot) {
 // --- Health watchdog ---------------------------------------------------
 
 TEST(HealthWatchdogTest, ThresholdTransitionsAndEventLog) {
-  FakeAgent agent("a0", 100);
+  FakeAgent agent("a0");
   agent.state = snapshot_for("a0", 2, 10);
   agent.state.host_series[0].second = 10.0;
 
@@ -379,7 +372,7 @@ TEST(HealthWatchdogTest, ThresholdTransitionsAndEventLog) {
 // events_total row keeps counting transitions monotonically (it is NOT
 // the retained-log size).
 TEST(HealthWatchdogTest, EventLogIsCappedAndCountsDrops) {
-  FakeAgent agent("a0", 100);
+  FakeAgent agent("a0");
   agent.state = snapshot_for("a0", 2, 10);
   agent.state.host_series[0].second = 10.0;
 
@@ -419,7 +412,7 @@ TEST(HealthWatchdogTest, EventLogIsCappedAndCountsDrops) {
 }
 
 TEST(HealthWatchdogTest, RateRulesAndFleetScopeUseSummedSeries) {
-  FakeAgent a0("a0", 100), a1("a1", 200);
+  FakeAgent a0("a0"), a1("a1");
   a0.state.enclave = "a0";
   a1.state.enclave = "a1";
 
@@ -459,7 +452,7 @@ TEST(HealthWatchdogTest, RateRulesAndFleetScopeUseSummedSeries) {
 }
 
 TEST(HealthWatchdogTest, StalenessRuleFiresViaDefaultRules) {
-  FakeAgent agent("a0", 100);
+  FakeAgent agent("a0");
   agent.state = snapshot_for("a0", 1, 10);
 
   std::uint64_t now = 1'000'000'000;

@@ -5,12 +5,13 @@
 // Live mode spins up a two-host testbed (client -> switch -> server),
 // classifies the client's traffic into named classes with enclave flow
 // rules, runs PIAS over those classes plus a random ~3% dropper on the
-// background class, drives TCP traffic for a while, then pulls the
-// controller-side aggregate and renders it. It also drives a
-// control-plane session demo: a third "demo" enclave programmed over a
-// FaultyTransport (drops, delays, duplicates, truncations), so the
-// session table shows reconnects, resyncs and transaction commits
-// riding over a lossy link. File mode parses the JSON dump back into
+// background class, drives TCP traffic for a while, then polls every
+// enclave with one TelemetryCollector and renders the aggregate. It
+// also drives a control-plane session demo: a third "demo" enclave
+// programmed over a FaultyTransport (drops, delays, duplicates,
+// truncations) and polled over that session, so the session table
+// shows reconnects, resyncs and transaction commits riding over a
+// lossy link. File mode parses the JSON dump back into
 // the same structures, so every rendering (tables, --prom, --json
 // round-trip) works on saved snapshots too.
 //
@@ -605,16 +606,22 @@ int main(int argc, char** argv) {
   // Session demo: program a third enclave over a lossy control channel.
   SessionDemo demo(bed.registry());
   demo.run();
-  bed.controller().register_remote(
-      {"demo", [&]() { return demo.session->fetch_telemetry_json(demo.pump); },
-       {}});
 
-  std::vector<std::string> unreachable;
-  telemetry::AggregateTelemetry agg =
-      bed.controller().collect_telemetry(&unreachable);
-  // The controller-side view of the demo session rides along with the
-  // enclave snapshots, same as a real deployment's exporter would.
-  agg.sessions.push_back(demo.session->telemetry());
+  // One collector poll over the testbed's enclaves plus the demo
+  // session, whose controller-side view rides along with the enclave
+  // snapshots, same as a real deployment's exporter would.
+  telemetry::TelemetryCollector collector({}, [] { return std::uint64_t{0}; });
+  for (telemetry::CollectorSource& s : bed.controller().telemetry_sources()) {
+    collector.add_source(std::move(s));
+  }
+  telemetry::CollectorSource remote;
+  remote.name = "demo";
+  remote.fetch_delta = [&demo](std::uint64_t epoch, std::uint64_t seq) {
+    return demo.session->fetch_telemetry_delta_json(demo.pump, epoch, seq);
+  };
+  remote.session = [&demo]() { return demo.session->telemetry(); };
+  collector.add_source(std::move(remote));
+  const telemetry::AggregateTelemetry& agg = collector.poll();
 
   if (as_json) {
     std::fputs((telemetry::to_json(agg) + "\n").c_str(), stdout);
@@ -624,9 +631,10 @@ int main(int argc, char** argv) {
     std::printf("eden-stat: %ld ms of simulated traffic, 2 hosts, PIAS + "
                 "random dropper, session demo over a faulty link\n\n",
                 sim_ms);
-    for (const std::string& name : unreachable) {
-      std::printf("warning: remote enclave %s unreachable; skipped\n\n",
-                  name.c_str());
+    for (const telemetry::AgentStatus& status : collector.statuses()) {
+      if (status.consecutive_failures == 0) continue;
+      std::printf("warning: enclave %s unreachable; skipped\n\n",
+                  status.name.c_str());
     }
     print_tables(agg, with_trace);
   }

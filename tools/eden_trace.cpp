@@ -14,10 +14,11 @@
 // stage -> host stack -> enclave -> NIC.
 //
 // Merge mode stitches span dumps from different processes — the
-// controller's collect_spans_json output and agent-side get_spans
-// dumps — into one Perfetto timeline. Trace and span ids come from one
-// process-wide allocator, so events from different dumps that share a
-// tid really are one operation:
+// controller's own dump and agent-side get_spans dumps (as
+// EnclaveSession::fetch_spans_json returns them) — into one Perfetto
+// timeline. Trace and span ids come from one process-wide allocator,
+// so events from different dumps that share a tid really are one
+// operation:
 //
 //   eden-trace merge --out=MERGED.json controller.json agent0.json ...
 #include <algorithm>
