@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     cfg.num_flows = static_cast<int>(flows);
     cfg.duration = sim_ms * netsim::kMillisecond;
     cfg.telemetry.enabled = telemetry;
-    cfg.telemetry.trace_sample_every = 64;
     cfg.telemetry.span_sample_every = static_cast<std::uint32_t>(
         bench::int_arg(argc, argv, "--trace-sample-every", 0));
     const Fig10Result r = run_fig10(cfg);

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
     cfg.use_native = use_native;
     cfg.duration = sim_ms * netsim::kMillisecond;
     cfg.telemetry.enabled = telemetry;
-    cfg.telemetry.trace_sample_every = 64;
     cfg.telemetry.span_sample_every = static_cast<std::uint32_t>(
         bench::int_arg(argc, argv, "--trace-sample-every", 0));
     const Fig11Result r = run_fig11(cfg);

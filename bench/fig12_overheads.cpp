@@ -21,12 +21,13 @@ int main(int argc, char** argv) {
     cfg.packets = 50000;
     cfg.warmup_packets = 5000;
   }
-  // Counters and trace only by default: latency histograms would add
-  // their (sampled) instrumentation cost to the very layers this figure
+  // Counters only by default: latency histograms would add their
+  // (sampled) instrumentation cost to the very layers this figure
   // measures. Opt in with --telemetry-hist to see that cost.
   cfg.telemetry.enabled = !bench::has_flag(argc, argv, "--no-telemetry");
-  cfg.telemetry.histograms = bench::has_flag(argc, argv, "--telemetry-hist");
-  cfg.telemetry.trace_sample_every = 64;
+  if (!bench::has_flag(argc, argv, "--telemetry-hist")) {
+    cfg.telemetry.histogram_sample_every = 0;
+  }
   cfg.telemetry.span_sample_every = static_cast<std::uint32_t>(
       bench::int_arg(argc, argv, "--trace-sample-every", 0));
   const std::string telemetry_path = bench::str_arg(
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
   if (!r.telemetry_json.empty() &&
       bench::write_text_file(telemetry_path, r.telemetry_json + "\n")) {
     std::printf("\nWrote enclave telemetry to %s%s\n", telemetry_path.c_str(),
-                cfg.telemetry.histograms
+                cfg.telemetry.histogram_sample_every != 0
                     ? " (histograms on: enclave/interpreter rows include"
                       " sampled instrumentation cost)"
                     : "");

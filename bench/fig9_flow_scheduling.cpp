@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
       cfg.rng_seed = 1 + static_cast<std::uint64_t>(rep);
       // Snapshot the last repetition of each case.
       cfg.telemetry.enabled = telemetry && rep == reps - 1;
-      cfg.telemetry.trace_sample_every = 64;
       cfg.telemetry.span_sample_every = static_cast<std::uint32_t>(trace_every);
       const Fig9Result r = run_fig9(cfg);
       if (!r.telemetry_json.empty()) {

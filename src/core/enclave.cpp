@@ -63,10 +63,9 @@ struct ThreadState {
   lang::StateBlock message_block;       // scratch copy; committed on success
   lang::StateBlock message_checkpoint;  // last good state within a batch
   util::Rng rng;
-  // Per-thread trace and histogram pacing (1-in-N executions); plain
-  // countdowns here are cheaper than the ring's shared atomic ticket or
-  // a thread_local on the per-packet path — ThreadState is already hot.
-  std::uint32_t trace_countdown = 1;
+  // Per-thread histogram pacing (1-in-N executions); a plain countdown
+  // here is cheaper than a thread_local on the per-packet path —
+  // ThreadState is already hot.
   std::uint32_t hist_countdown = 1;
   // Paces the data path's opportunistic timer-wheel advance (idle
   // expiry + epoch reclaim) to one sweep per ~kExpiryPacePackets
@@ -76,20 +75,19 @@ struct ThreadState {
   std::uint64_t cached_epoch = ~0ull;
 
   // process_batch scratch, reused so a steady-state batch allocates
-  // nothing: matched packets tagged with their (action, message) group
-  // plus their arrival index (the sort tiebreak that keeps per-message
-  // order), one contiguous per-group packet list, and the matched
-  // per-class counter slots for post-run drop attribution.
+  // nothing: matched packets tagged with their (action, message) group,
+  // their arrival index (the sort tiebreak that keeps per-message
+  // order) and their per-class counter slot for post-run drop
+  // attribution, plus one contiguous per-group packet list.
   struct BatchItem {
     Enclave::ActionEntry* entry;
     std::int64_t key;
     std::uint32_t order;
     netsim::Packet* pkt;
+    Enclave::ClassCounters* cls;
   };
   std::vector<BatchItem> batch_items;
   std::vector<netsim::Packet*> batch_group;
-  std::vector<std::pair<netsim::Packet*, Enclave::ClassCounters*>>
-      batch_classes;
 
   ThreadState(const EnclaveConfig& config, const lang::StateSchema& schema)
       : interp(config.exec_limits, config.rng_seed),
@@ -110,6 +108,15 @@ std::atomic<std::uint64_t> g_enclave_instance_counter{1};
 // thread. A sweep with nothing due is a handful of loads per shard, so
 // the amortized data-path cost is negligible.
 constexpr std::uint32_t kExpiryPacePackets = 1024;
+
+// Per-class match/drop counter slots; classes interned past this bound
+// share the overflow slot.
+constexpr std::size_t kMaxClasses = 1024;
+
+// Profiled executions attribute cycles to one in this many fetches.
+constexpr std::uint32_t kProfileCycleSampleEvery = 64;
+
+static_assert(kInvalidClass == telemetry::kNoSpanClass);
 
 // Key-sharded global serialization is sound exactly when the schema
 // proves every global write disjoint by message key: all read_write
@@ -262,18 +269,10 @@ Enclave::Enclave(std::string name, ClassRegistry& registry,
       instance_id_(g_enclave_instance_counter.fetch_add(1)),
       rules_(std::make_shared<RuleState>()) {
   if (config_.telemetry.enabled) {
-    if (config_.telemetry.max_classes > 0) {
-      // +2: an "unclassified" slot and an overflow slot past max_classes.
-      class_counters_ = std::make_unique<ClassCounters[]>(
-          config_.telemetry.max_classes + 2);
-    }
-    if (config_.telemetry.trace_sample_every > 0) {
-      trace_ = std::make_unique<telemetry::TraceRing>(
-          config_.telemetry.trace_capacity,
-          config_.telemetry.trace_sample_every);
-    }
+    // +2: an "unclassified" slot and an overflow slot past kMaxClasses.
+    class_counters_ = std::make_unique<ClassCounters[]>(kMaxClasses + 2);
     // Calibrate the latency tick clock now, not inside a timed region.
-    if (config_.telemetry.histograms) telemetry::warm_clock();
+    if (config_.telemetry.histogram_sample_every != 0) telemetry::warm_clock();
   }
   // Lifecycle span tracing rendezvouses in the process-global collector;
   // enabling is idempotent, so every enclave configured for spans just
@@ -521,7 +520,10 @@ ActionId Enclave::install_native_action(
 // the data path records through raw pointers (null = histograms off).
 // Reinstalling an action under the same name reuses its series.
 void Enclave::attach_instruments(ActionEntry& entry) {
-  if (!config_.telemetry.enabled || !config_.telemetry.histograms) return;
+  if (!config_.telemetry.enabled ||
+      config_.telemetry.histogram_sample_every == 0) {
+    return;
+  }
   const telemetry::Labels labels{{"enclave", name_}, {"action", entry.name}};
   entry.latency_hist = &metrics_.histogram("eden_action_latency_ns", labels);
   if (!entry.native) {
@@ -826,10 +828,10 @@ Enclave::TableMatch Enclave::match_in_table(
 }
 
 // Per-class counter slot, or null when per-class telemetry is off.
-// Classes interned past max_classes share the overflow slot.
+// Classes interned past kMaxClasses share the overflow slot.
 Enclave::ClassCounters* Enclave::class_counter(ClassId cls) {
   if (class_counters_ == nullptr) return nullptr;
-  const std::size_t n = config_.telemetry.max_classes;
+  const std::size_t n = kMaxClasses;
   const std::size_t idx = cls == kInvalidClass ? n : (cls < n ? cls : n + 1);
   return &class_counters_[idx];
 }
@@ -925,7 +927,6 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
   // no allocation; the arrival-index tiebreak preserves order within
   // each message.
   ts.batch_items.clear();
-  ts.batch_classes.clear();
   const bool span_start = config_.telemetry.span_sample_every != 0;
   std::uint32_t order = 0;
   for (std::size_t bi = 0; bi < batch.size(); ++bi) {
@@ -956,9 +957,9 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     }
     // Sole matched/dropped accounting when per-class telemetry is on
     // (stats() folds the slots back into the totals).
-    if (ClassCounters* cls = class_counter(hit.cls); cls != nullptr) {
+    ClassCounters* cls = class_counter(hit.cls);
+    if (cls != nullptr) {
       cls->matched.fetch_add(1, std::memory_order_relaxed);
-      ts.batch_classes.emplace_back(p.get(), cls);
     } else {
       counters_.matched.fetch_add(1, std::memory_order_relaxed);
     }
@@ -968,7 +969,7 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     const std::int64_t key = entry->touches_message || entry->global_sharded
                                  ? message_key(*p)
                                  : 0;
-    ts.batch_items.push_back({entry, key, order++, p.get()});
+    ts.batch_items.push_back({entry, key, order++, p.get(), cls});
   }
   std::sort(ts.batch_items.begin(), ts.batch_items.end(),
             [](const ThreadState::BatchItem& a,
@@ -1029,21 +1030,21 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     i = j;
   }
 
-  std::size_t kept = 0;
-  for (const netsim::PacketPtr& p : batch) {
-    if (!p->drop_mark) {
-      ++kept;
+  // Only an action drops a packet, so the matched items are the only
+  // candidates; each drop is attributed exactly as process_one does.
+  std::size_t kept = batch.size();
+  for (const ThreadState::BatchItem& it : ts.batch_items) {
+    if (!it.pkt->drop_mark) continue;
+    --kept;
+    if (it.cls != nullptr) {
+      it.cls->dropped.fetch_add(1, std::memory_order_relaxed);
     } else {
-      if (class_counters_ == nullptr) {
-        counters_.dropped_by_action.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (p->meta.trace_id != 0) {
-        spans_.record_now(p->meta.trace_id, telemetry::Hop::enclave_drop);
-      }
+      counters_.dropped_by_action.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  for (const auto& [p, cls] : ts.batch_classes) {
-    if (p->drop_mark) cls->dropped.fetch_add(1, std::memory_order_relaxed);
+    if (it.pkt->meta.trace_id != 0) {
+      spans_.record_now(it.pkt->meta.trace_id, telemetry::Hop::enclave_drop,
+                        it.entry->id);
+    }
   }
   return kept;
 }
@@ -1126,8 +1127,7 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
   std::unique_lock<std::mutex> profile_lock;
   if (!entry.native && entry.profile != nullptr) {
     profile_lock = std::unique_lock(entry.profile_mutex);
-    ts.interp.set_profile(entry.profile.get(),
-                          config_.telemetry.profile_cycle_sample_every);
+    ts.interp.set_profile(entry.profile.get(), kProfileCycleSampleEvery);
   }
   bool msg_dirty = false;
 
@@ -1138,7 +1138,6 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
   const std::uint32_t hist_every =
       entry.latency_hist != nullptr ? config_.telemetry.histogram_sample_every
                                     : 0;
-  telemetry::TraceRing* ring = trace_.get();
 
   for (std::size_t pi = 0; pi < packets.size(); ++pi) {
     netsim::Packet* packet = packets[pi];
@@ -1178,26 +1177,13 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
     }
     if (span_id != 0) {
       const std::int64_t now = spans_.now_ns();
-      spans_.record(span_id, telemetry::Hop::action_exec, now, now - span_t0,
-                    entry.id);
+      spans_.record(
+          span_id, telemetry::Hop::action_exec, now, now - span_t0, entry.id,
+          /*span_id=*/0, /*parent_id=*/0,
+          packet->classes.size() > 0 ? packet->classes[0] : kInvalidClass,
+          static_cast<std::uint8_t>(status), steps);
     }
     entry.counters.executions.fetch_add(1, std::memory_order_relaxed);
-
-    if (ring != nullptr && --ts.trace_countdown == 0) {
-      ts.trace_countdown = ring->sample_every();
-      telemetry::TraceRecord rec;
-      rec.ts_ns = clock_fn_ != nullptr
-                      ? clock_fn_(clock_ctx_)
-                      : static_cast<std::int64_t>(
-                            telemetry::ticks_to_ns(telemetry::now_ticks()));
-      rec.class_id =
-          packet->classes.size() > 0 ? packet->classes[0] : kInvalidClass;
-      rec.action_id = entry.id;
-      rec.status = static_cast<std::uint8_t>(status);
-      rec.steps = steps;
-      rec.meta = packet->meta;
-      ring->push(rec);
-    }
 
     if (status != lang::ExecStatus::ok) {
       // A faulty execution terminates without touching the packet or
@@ -1235,8 +1221,7 @@ EnclaveStats Enclave::stats() const {
   // slots (the data path increments exactly one counter per packet
   // either way); fold them back into the totals here.
   if (class_counters_ != nullptr) {
-    const std::size_t n = config_.telemetry.max_classes;
-    for (std::size_t i = 0; i < n + 2; ++i) {
+    for (std::size_t i = 0; i < kMaxClasses + 2; ++i) {
       s.matched += class_counters_[i].matched.load(std::memory_order_relaxed);
       s.dropped_by_action +=
           class_counters_[i].dropped.load(std::memory_order_relaxed);
@@ -1354,7 +1339,7 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
   }
 
   if (class_counters_ != nullptr) {
-    const std::size_t n = config_.telemetry.max_classes;
+    const std::size_t n = kMaxClasses;
     for (std::size_t i = 0; i < n + 2; ++i) {
       const std::uint64_t matched =
           class_counters_[i].matched.load(std::memory_order_relaxed);
@@ -1375,24 +1360,6 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
     }
   }
 
-  if (trace_ != nullptr) {
-    t.trace_sampled = trace_->total_recorded();
-    t.trace_sample_every = trace_->sample_every();
-    for (const telemetry::TraceRecord& r : trace_->snapshot()) {
-      telemetry::TraceEntry e;
-      e.ts_ns = r.ts_ns;
-      e.class_name = class_display_name(r.class_id);
-      const bool live = r.action_id < rules->actions.size() &&
-                        rules->actions[r.action_id] != nullptr;
-      e.action = live ? rules->actions[r.action_id]->name
-                      : "#" + std::to_string(r.action_id);
-      e.status = std::string(
-          lang::exec_status_name(static_cast<lang::ExecStatus>(r.status)));
-      e.steps = r.steps;
-      e.meta = r.meta;
-      t.trace.push_back(std::move(e));
-    }
-  }
   return t;
 }
 

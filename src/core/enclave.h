@@ -39,7 +39,6 @@
 #include "telemetry/profile.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/span.h"
-#include "telemetry/trace_ring.h"
 #include "util/rng.h"
 
 namespace eden::core {
@@ -97,42 +96,35 @@ struct EnclaveStats {
 // Hot-path telemetry knobs (src/telemetry). Off by default: the
 // always-on ActionStats / EnclaveStats counters are separate and cost a
 // relaxed atomic add each. With `enabled` set, the enclave keeps
-// per-class match/drop counters, per-action latency and steps
-// histograms (sampled), and optionally a bounded sampling packet trace.
+// per-class match/drop counters (1,024 class slots plus a shared
+// overflow slot) and sampled per-action latency and steps histograms.
 struct TelemetryConfig {
   bool enabled = false;
   // Per-action execution-latency and weighted-steps histograms,
   // recorded for one in `histogram_sample_every` executions (1 = every
-  // execution). Sampling keeps the hot-path cost to a per-thread
-  // countdown for the packets that are not timed; the default keeps the
-  // measured overhead of histograms-on under 5% of enclave ns/packet
-  // even for the cheapest Table-1 functions (see bench/micro_interpreter
-  // and the BM_Process_Telemetry cost ladder in bench/micro_enclave).
-  bool histograms = true;
+  // execution, 0 = no histograms). Sampling keeps the hot-path cost to
+  // a per-thread countdown for the packets that are not timed; the
+  // default keeps the measured overhead of histograms-on under 5% of
+  // enclave ns/packet even for the cheapest Table-1 functions (see
+  // bench/micro_interpreter and the BM_Process_Telemetry cost ladder in
+  // bench/micro_enclave).
   std::uint32_t histogram_sample_every = 64;
-  // Sampling packet trace: record one in `trace_sample_every` action
-  // executions into a bounded ring (0 = tracing off).
-  std::uint32_t trace_sample_every = 0;
-  std::size_t trace_capacity = 1024;
   // Cross-layer lifecycle span tracing (telemetry/span.h): a non-zero
   // value enables the process-global SpanCollector at 1-in-N message
   // sampling and makes this enclave record match/exec/drop hops for
   // packets whose meta carries a trace id — starting a trace itself for
   // packets that arrive unstamped (direct process() callers without a
-  // stage in front). Works independently of `enabled`: spans are paced
-  // by their own countdown and cost one branch per hop when a packet is
-  // untraced.
+  // stage in front). A traced packet's action_exec hop carries its
+  // class, the execution status and the weighted steps. Works
+  // independently of `enabled`: spans are paced by their own countdown
+  // and cost one branch per hop when a packet is untraced.
   std::uint32_t span_sample_every = 0;
   // Per-action bytecode hot-spot profiles (telemetry/profile.h):
-  // per-pc execution counts plus cycle attribution sampled every
-  // `profile_cycle_sample_every` fetches. Opt-in diagnostics — profiled
-  // executions of the same action serialize on the profile, so leave
-  // this off on production data paths.
+  // per-pc execution counts plus cycle attribution sampled every 64th
+  // fetch. Opt-in diagnostics — profiled executions of the same action
+  // serialize on the profile, so leave this off on production data
+  // paths.
   bool profile_actions = false;
-  std::uint32_t profile_cycle_sample_every = 64;
-  // Slots for per-class match/drop counters; classes interned past this
-  // bound land in a shared overflow slot.
-  std::size_t max_classes = 1024;
 };
 
 struct EnclaveConfig {
@@ -339,8 +331,8 @@ class Enclave {
   state::FlowStoreStats message_store_stats(ActionId id) const;
 
   // Full telemetry snapshot (counters, per-class match/drop, sampled
-  // latency/steps histograms, trace ring) with ids resolved to names.
-  // Always valid; histogram/trace/class sections are empty unless
+  // latency/steps histograms, profiles) with ids resolved to names.
+  // Always valid; histogram/class/profile sections are empty unless
   // config.telemetry enabled them.
   telemetry::EnclaveTelemetry telemetry_snapshot() const;
 
@@ -520,11 +512,10 @@ class Enclave {
 
   EnclaveCounters counters_;
   // Allocated in the constructor when config.telemetry.enabled: slots
-  // [0, max_classes) by ClassId, then one "unclassified" and one
+  // [0, kMaxClasses) by ClassId, then one "unclassified" and one
   // overflow slot.
   std::unique_ptr<ClassCounters[]> class_counters_;
   telemetry::MetricsRegistry metrics_;
-  std::unique_ptr<telemetry::TraceRing> trace_;
 };
 
 // Number of per-enclave ThreadState blocks the calling thread currently

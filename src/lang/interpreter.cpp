@@ -4,17 +4,6 @@
 
 #include "telemetry/metrics.h"  // now_ticks(): header-inline, no link dep
 
-// Threaded (computed-goto) dispatch on GCC/Clang; portable switch
-// fallback elsewhere or with -DEDEN_NO_COMPUTED_GOTO. Both paths share
-// the same opcode bodies via the EDEN_CASE / EDEN_NEXT macros below, so
-// they cannot drift apart semantically.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(EDEN_NO_COMPUTED_GOTO)
-#define EDEN_THREADED 1
-#else
-#define EDEN_THREADED 0
-#endif
-
 namespace eden::lang {
 
 std::string_view exec_status_name(ExecStatus status) {
@@ -222,7 +211,9 @@ ExecResult Interpreter::execute_impl(const CompiledProgram& program,
     steps += kOpStepCost[opb];                                            \
   } while (0)
 
-#if EDEN_THREADED
+// Threaded (computed-goto) dispatch: every opcode body ends by fetching
+// the next instruction and jumping straight to its label. GCC and Clang,
+// the only compilers that build this tree, both support it.
 #define EDEN_CASE(name) L_##name:
 #define EDEN_NEXT()                \
   do {                             \
@@ -237,14 +228,6 @@ ExecResult Interpreter::execute_impl(const CompiledProgram& program,
   };
   static_assert(sizeof(jump_table) / sizeof(jump_table[0]) == kNumOpcodes);
   EDEN_NEXT();
-#else
-#define EDEN_CASE(name) case Op::name:
-#define EDEN_NEXT() break
-
-  for (;;) {
-    EDEN_FETCH();
-    switch (instr.op) {
-#endif
 
       EDEN_CASE(push) {
         EDEN_PUSH(instr.imm);
@@ -744,13 +727,6 @@ ExecResult Interpreter::execute_impl(const CompiledProgram& program,
                        static_cast<std::uint64_t>(instr.imm) &
                        0xffffffffull)))
 #undef EDEN_ARRAY_LOAD_IDX
-
-#if !EDEN_THREADED
-      default:
-        EDEN_FAIL(invalid_program);
-    }
-  }
-#endif
 
 exec_done:
   if constexpr (Profiled) {

@@ -102,15 +102,13 @@ class Interpreter {
   // program.usage); a program touching a null scope fails with
   // bad_state_slot.
   //
-  // Dispatch is threaded (computed goto) on GCC/Clang with a portable
-  // switch fallback (-DEDEN_NO_COMPUTED_GOTO forces the fallback), with
-  // the top of the operand stack cached in a register. If
-  // program.preverified is set (install-time verify_program passed
-  // against this interpreter's limits and the blocks' schema), the
-  // per-dispatch structural checks — pc bounds, opcode range, state
-  // scope, function index — are skipped; all data-dependent safety
-  // checks (array bounds, stack/locals/depth limits, fuel, null state
-  // blocks) always stay on.
+  // Dispatch is threaded (computed goto), with the top of the operand
+  // stack cached in a register. If program.preverified is set
+  // (install-time verify_program passed against this interpreter's
+  // limits and the blocks' schema), the per-dispatch structural checks —
+  // pc bounds, opcode range, state scope, function index — are skipped;
+  // all data-dependent safety checks (array bounds, stack/locals/depth
+  // limits, fuel, null state blocks) always stay on.
   ExecResult execute(const CompiledProgram& program, StateBlock* packet,
                      StateBlock* message, StateBlock* global);
 

@@ -117,8 +117,7 @@ std::optional<EnclaveTelemetry> delta_between(const EnclaveTelemetry& prev,
       now.dropped_by_action < prev.dropped_by_action ||
       now.message_entries_created < prev.message_entries_created ||
       now.message_entries_evicted < prev.message_entries_evicted ||
-      now.message_entries_expired < prev.message_entries_expired ||
-      now.trace_sampled < prev.trace_sampled) {
+      now.message_entries_expired < prev.message_entries_expired) {
     return std::nullopt;
   }
   EnclaveTelemetry d;
@@ -133,8 +132,6 @@ std::optional<EnclaveTelemetry> delta_between(const EnclaveTelemetry& prev,
       now.message_entries_evicted - prev.message_entries_evicted;
   d.message_entries_expired =
       now.message_entries_expired - prev.message_entries_expired;
-  d.trace_sampled = now.trace_sampled - prev.trace_sampled;
-  d.trace_sample_every = now.trace_sample_every;
 
   // State section: counters diff, `live` is a gauge and ships absolute.
   // A probe histogram going backwards means the stores were replaced —
@@ -217,8 +214,7 @@ bool delta_is_empty(const EnclaveTelemetry& d) {
   return d.packets == 0 && d.matched == 0 && d.dropped_by_action == 0 &&
          d.message_entries_created == 0 && d.message_entries_evicted == 0 &&
          d.message_entries_expired == 0 && !d.state.present &&
-         d.trace_sampled == 0 && d.actions.empty() && d.classes.empty() &&
-         d.host_series.empty();
+         d.actions.empty() && d.classes.empty() && d.host_series.empty();
 }
 
 void apply_delta(EnclaveTelemetry& base, const EnclaveTelemetry& delta) {
@@ -237,10 +233,6 @@ void apply_delta(EnclaveTelemetry& base, const EnclaveTelemetry& delta) {
     base.state.evicted += delta.state.evicted;
     base.state.resizes += delta.state.resizes;
     base.state.probe_len.merge(delta.state.probe_len);
-  }
-  base.trace_sampled += delta.trace_sampled;
-  if (delta.trace_sample_every != 0) {
-    base.trace_sample_every = delta.trace_sample_every;
   }
   for (const ActionTelemetry& a : delta.actions) {
     ActionTelemetry* t = find_by_name(base.actions, a.name);
@@ -378,7 +370,7 @@ bool DeltaDecoder::apply(const DeltaPayload& p) {
     if (it == snapshots_.end()) {
       // An enclave we have never seen whole: adopt the delta as its
       // baseline (it diffs against zero on the agent, so this is the
-      // true cumulative state minus trace/profile detail).
+      // true cumulative state minus profile detail).
       snapshots_.push_back(d);
     } else {
       apply_delta(*it, d);

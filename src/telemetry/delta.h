@@ -21,9 +21,9 @@
 // (a new agent means a new encoder), counter regression after a
 // clear_all + reinstall — lands in the mismatch arm on the next poll,
 // so the protocol self-heals with one full resync and needs no acks.
-// Deltas never carry trace rings or bytecode profiles; those refresh
-// only on full snapshots (they are bounded and sampled, not
-// per-series counters, so diffing them buys nothing).
+// Deltas never carry bytecode profiles; those refresh only on full
+// snapshots (they are bounded and sampled, not per-series counters, so
+// diffing them buys nothing).
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,7 @@ bool delta_is_empty(const EnclaveTelemetry& delta);
 // Folds a delta (as produced by delta_between) into the last-known
 // snapshot: counters add, histograms merge bucket-wise, actions and
 // classes accumulate by name (new names append), host_series values
-// replace. Trace ring and profiles keep the base's contents.
+// replace. Profiles keep the base's contents.
 void apply_delta(EnclaveTelemetry& base, const EnclaveTelemetry& delta);
 
 std::string encode_delta_payload(const DeltaPayload& p);

@@ -245,26 +245,6 @@ ActionTelemetry action_from_json(const Json& j) {
   return a;
 }
 
-TraceEntry trace_entry_from_json(const Json& j) {
-  TraceEntry t;
-  t.ts_ns = j.i64("ts_ns");
-  t.class_name = j.str("class");
-  t.action = j.str("action");
-  t.status = j.str("status");
-  t.steps = j.u64("steps");
-  if (const Json* m = j.get("meta")) {
-    t.meta.msg_id = m->i64("msg_id");
-    t.meta.msg_type = m->i64("msg_type");
-    t.meta.msg_size = m->i64("msg_size");
-    t.meta.tenant = m->i64("tenant");
-    t.meta.key_hash = m->i64("key_hash");
-    t.meta.flow_size = m->i64("flow_size");
-    t.meta.app_priority = m->i64("app_priority");
-    t.meta.trace_id = m->i64("trace_id");
-  }
-  return t;
-}
-
 EnclaveTelemetry enclave_from_json(const Json& j) {
   EnclaveTelemetry e;
   e.enclave = j.str("name");
@@ -305,13 +285,6 @@ EnclaveTelemetry enclave_from_json(const Json& j) {
       if (value.kind != Json::Kind::number) continue;
       e.host_series.emplace_back(name, std::strtod(value.text.c_str(),
                                                    nullptr));
-    }
-  }
-  e.trace_sampled = j.u64("trace_sampled");
-  e.trace_sample_every = static_cast<std::uint32_t>(j.u64("trace_sample_every"));
-  if (const Json* trace = j.get("trace")) {
-    for (const Json& tj : trace->items) {
-      e.trace.push_back(trace_entry_from_json(tj));
     }
   }
   return e;

@@ -56,7 +56,6 @@ class JsonParser {
 
 HistogramSnapshot histogram_from_json(const Json& j);
 ActionTelemetry action_from_json(const Json& j);
-TraceEntry trace_entry_from_json(const Json& j);
 EnclaveTelemetry enclave_from_json(const Json& j);
 SessionTelemetry session_from_json(const Json& j);
 

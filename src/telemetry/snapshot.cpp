@@ -224,36 +224,6 @@ void append_class_json(std::string& out, const ClassTelemetry& c) {
   out += '}';
 }
 
-void append_trace_json(std::string& out, const TraceEntry& t) {
-  out += "{\"ts_ns\":";
-  out += std::to_string(t.ts_ns);
-  out += ",\"class\":\"";
-  out += json_escape(t.class_name);
-  out += "\",\"action\":\"";
-  out += json_escape(t.action);
-  out += "\",\"status\":\"";
-  out += json_escape(t.status);
-  out += "\",\"steps\":";
-  out += std::to_string(t.steps);
-  out += ",\"meta\":{\"msg_id\":";
-  out += std::to_string(t.meta.msg_id);
-  out += ",\"msg_type\":";
-  out += std::to_string(t.meta.msg_type);
-  out += ",\"msg_size\":";
-  out += std::to_string(t.meta.msg_size);
-  out += ",\"tenant\":";
-  out += std::to_string(t.meta.tenant);
-  out += ",\"key_hash\":";
-  out += std::to_string(t.meta.key_hash);
-  out += ",\"flow_size\":";
-  out += std::to_string(t.meta.flow_size);
-  out += ",\"app_priority\":";
-  out += std::to_string(t.meta.app_priority);
-  out += ",\"trace_id\":";
-  out += std::to_string(t.meta.trace_id);
-  out += "}}";
-}
-
 void append_session_json(std::string& out, const SessionTelemetry& s) {
   out += "{\"name\":\"";
   out += json_escape(s.name);
@@ -407,14 +377,6 @@ void append_enclave_json(std::string& out, const EnclaveTelemetry& e) {
     }
     out += '}';
   }
-  out += ",\"trace_sampled\":";
-  out += std::to_string(e.trace_sampled);
-  out += ",\"trace_sample_every\":";
-  out += std::to_string(e.trace_sample_every);
-  out += ",\"trace\":";
-  append_array(out, e.trace, [](std::string& o, const TraceEntry& t) {
-    append_trace_json(o, t);
-  });
   out += '}';
 }
 

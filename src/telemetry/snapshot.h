@@ -1,6 +1,6 @@
 // Structured telemetry snapshots and their exposition formats.
 //
-// The enclave serializes its counters, histograms and trace ring into
+// The enclave serializes its counters, histograms and profiles into
 // an EnclaveTelemetry value (names already resolved — class ids become
 // "stage.ruleset.class" strings, statuses become their lang names), the
 // controller pulls one from every registered enclave, and aggregate()
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "lang/interpreter.h"
-#include "netsim/packet.h"
 #include "telemetry/metrics.h"
 #include "telemetry/profile.h"
 
@@ -73,16 +72,6 @@ struct ClassTelemetry {
   std::uint64_t dropped = 0;
 };
 
-// One trace-ring record with ids resolved to names.
-struct TraceEntry {
-  std::int64_t ts_ns = 0;
-  std::string class_name;
-  std::string action;
-  std::string status;
-  std::uint64_t steps = 0;
-  netsim::PacketMeta meta;
-};
-
 // Control-plane session health, exported by the session layer
 // (src/controlplane). One entry per controller->enclave session;
 // counters mirror controlplane::SessionStats.
@@ -136,10 +125,6 @@ struct EnclaveTelemetry {
   // *_total names are counters, everything else is a gauge. The health
   // watchdog evaluates threshold rules over these per agent.
   std::vector<std::pair<std::string, double>> host_series;
-
-  std::vector<TraceEntry> trace;       // oldest to newest
-  std::uint64_t trace_sampled = 0;     // records ever pushed to the ring
-  std::uint32_t trace_sample_every = 0;
 };
 
 // Deployment-wide view: the per-enclave snapshots plus cross-enclave

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "lang/interpreter.h"
 #include "telemetry/metrics.h"
 
 namespace eden::telemetry {
@@ -48,6 +49,7 @@ SpanCollector& SpanCollector::instance() {
 
 void SpanCollector::enable(std::uint32_t sample_every,
                            std::size_t lane_capacity) {
+  warm_clock();
   {
     std::lock_guard<std::mutex> lock(lanes_mutex_);
     if (lane_capacity != 0 && lane_capacity != lane_capacity_) {
@@ -74,21 +76,40 @@ std::int64_t SpanCollector::now_ns() const {
   return static_cast<std::int64_t>(ticks_to_ns(now_ticks()));
 }
 
-SpanCollector::Lane& SpanCollector::lane_for_this_thread() {
-  thread_local Lane* lane = nullptr;
-  if (lane == nullptr) {
-    std::lock_guard<std::mutex> lock(lanes_mutex_);
-    lanes_.push_back(std::make_unique<Lane>());
-    lanes_.back()->ring.assign(lane_capacity_, SpanEvent{});
-    lane = lanes_.back().get();
+struct SpanCollector::LaneHolder {
+  Lane* lane = nullptr;
+  LaneHolder() = default;
+  LaneHolder(const LaneHolder&) = delete;
+  LaneHolder& operator=(const LaneHolder&) = delete;
+  ~LaneHolder() {
+    if (lane == nullptr) return;
+    SpanCollector& c = instance();
+    std::lock_guard<std::mutex> lock(c.lanes_mutex_);
+    c.free_lanes_.push_back(lane);
   }
-  return *lane;
+};
+
+SpanCollector::Lane& SpanCollector::lane_for_this_thread() {
+  thread_local LaneHolder holder;
+  if (holder.lane == nullptr) {
+    std::lock_guard<std::mutex> lock(lanes_mutex_);
+    if (free_lanes_.empty()) {
+      lanes_.push_back(std::make_unique<Lane>());
+      lanes_.back()->ring.assign(lane_capacity_, SpanEvent{});
+      holder.lane = lanes_.back().get();
+    } else {
+      holder.lane = free_lanes_.back();
+      free_lanes_.pop_back();
+    }
+  }
+  return *holder.lane;
 }
 
 void SpanCollector::record(std::int64_t trace_id, Hop hop,
                            std::int64_t ts_ns, std::int64_t dur_ns,
                            std::int64_t aux, std::int64_t span_id,
-                           std::int64_t parent_id) {
+                           std::int64_t parent_id, std::uint32_t class_id,
+                           std::uint8_t status, std::uint64_t steps) {
   if (trace_id == 0) return;
   Lane& lane = lane_for_this_thread();
   const std::uint64_t n = lane.count.load(std::memory_order_relaxed);
@@ -99,9 +120,12 @@ void SpanCollector::record(std::int64_t trace_id, Hop hop,
   slot.aux = aux;
   slot.span_id = span_id;
   slot.parent_id = parent_id;
+  slot.steps = steps;
   slot.hop = hop;
   slot.lane = static_cast<std::uint8_t>(
       std::min<std::size_t>(internal::thread_slot(), 255));
+  slot.status = status;
+  slot.class_id = class_id;
   lane.count.store(n + 1, std::memory_order_release);
 }
 
@@ -155,17 +179,26 @@ void SpanCollector::reset() {
 
 std::string to_trace_event_json(const std::vector<SpanEvent>& events) {
   std::string out = "{\"traceEvents\":[\n";
-  char buf[384];
-  char links[96];
+  char buf[512];
+  char args[192];
   for (std::size_t i = 0; i < events.size(); ++i) {
     const SpanEvent& e = events[i];
-    // Causal links only appear when set, so data-plane dumps look
-    // exactly as they did before the control plane learned to trace.
-    links[0] = '\0';
+    // Causal links and execution results only appear where they apply,
+    // so other hops keep just trace_id and aux.
+    int n = 0;
+    args[0] = '\0';
     if (e.span_id != 0) {
-      std::snprintf(links, sizeof links, ",\"span\":%lld,\"parent\":%lld",
-                    static_cast<long long>(e.span_id),
-                    static_cast<long long>(e.parent_id));
+      n = std::snprintf(args, sizeof args, ",\"span\":%lld,\"parent\":%lld",
+                        static_cast<long long>(e.span_id),
+                        static_cast<long long>(e.parent_id));
+    }
+    if (e.hop == Hop::action_exec) {
+      const std::string_view status =
+          lang::exec_status_name(static_cast<lang::ExecStatus>(e.status));
+      std::snprintf(args + n, sizeof args - static_cast<std::size_t>(n),
+                    ",\"class\":%u,\"status\":\"%.*s\",\"steps\":%llu",
+                    e.class_id, static_cast<int>(status.size()), status.data(),
+                    static_cast<unsigned long long>(e.steps));
     }
     // Chrome trace timestamps are microseconds (doubles, so sub-us
     // resolution survives). Duration slices end at ts_ns; rewind.
@@ -180,7 +213,7 @@ std::string to_trace_event_json(const std::vector<SpanEvent>& events) {
                     hop_name(e.hop), ts_us, dur_us,
                     static_cast<long long>(e.trace_id),
                     static_cast<long long>(e.trace_id),
-                    static_cast<long long>(e.aux), links);
+                    static_cast<long long>(e.aux), args);
     } else {
       std::snprintf(buf, sizeof buf,
                     "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,"
@@ -189,7 +222,7 @@ std::string to_trace_event_json(const std::vector<SpanEvent>& events) {
                     hop_name(e.hop), ts_us,
                     static_cast<long long>(e.trace_id),
                     static_cast<long long>(e.trace_id),
-                    static_cast<long long>(e.aux), links);
+                    static_cast<long long>(e.aux), args);
     }
     out += buf;
     out += i + 1 < events.size() ? ",\n" : "\n";

@@ -13,10 +13,11 @@
 //
 // Events land in lock-free per-thread lanes: each writer thread owns a
 // bounded ring (single writer, no CAS, no locks) and publishes its
-// write cursor with a release store. snapshot() merges the lanes into
-// one timestamp-sorted vector; under concurrent writers it is a
-// best-effort read of everything published so far (exact once writers
-// are quiescent, which is how the exporters use it).
+// write cursor with a release store; an exiting thread's lane passes to
+// the next new writer. snapshot() merges the lanes into one
+// timestamp-sorted vector; under concurrent writers it is a best-effort
+// read of everything published so far (exact once writers are
+// quiescent, which is how the exporters use it).
 //
 // Export is Chrome/Perfetto `trace_event` JSON (catapult format): each
 // traced message becomes its own track (tid = trace id), queueing waits
@@ -46,8 +47,10 @@ enum class Hop : std::uint8_t {
   host_dequeue,        // packet left the post-enclave stack for the NIC
   tb_wait,             // time spent queued in a NIC token bucket
   enclave_match,       // enclave classified + matched the packet
-  action_exec,         // action function ran (aux = action id)
+  action_exec,         // action function ran (aux = action id; also
+                       // class, status and steps)
   enclave_drop,        // action asked for the packet to be dropped
+                       // (aux = action id)
   nic_tx,              // packet handed to the wire
   nic_drop,            // packet dropped at the NIC layer
   // --- Control-plane hops (PR 8) -----------------------------------
@@ -78,11 +81,17 @@ inline constexpr int kSpanSchemaVersion = 2;
 
 const char* hop_name(Hop hop);
 
+// SpanEvent::class_id of a packet that carries no class
+// (core::kInvalidClass).
+inline constexpr std::uint32_t kNoSpanClass = 0xffffffffu;
+
 // One recorded event. dur_ns == 0 means a point event; dur_ns > 0 means
 // a completed slice that *ended* at ts_ns (the renderer rewinds the
 // start so waits display with their real extent). span_id/parent_id
 // carry the causal tree within a trace: 0 means "unlinked" (data-plane
 // hops, which are totally ordered by timestamp, never set them).
+// class_id/status/steps describe an action_exec hop: the packet's first
+// class, how the execution ended and what it cost.
 struct SpanEvent {
   std::int64_t trace_id = 0;
   std::int64_t ts_ns = 0;
@@ -90,8 +99,11 @@ struct SpanEvent {
   std::int64_t aux = 0;  // hop-specific: bytes, action id, queue id, ...
   std::int64_t span_id = 0;    // this event's node in the causal tree
   std::int64_t parent_id = 0;  // span_id of the causing event (0 = root)
+  std::uint64_t steps = 0;     // weighted interpreter steps
   Hop hop = Hop::stage_classify;
-  std::uint8_t lane = 0;  // writer lane (diagnostic)
+  std::uint8_t lane = 0;    // writer lane (diagnostic)
+  std::uint8_t status = 0;  // lang::ExecStatus value
+  std::uint32_t class_id = kNoSpanClass;  // core::ClassId
 };
 
 // Process-global span sink. Global on purpose: a trace crosses layers
@@ -107,7 +119,8 @@ class SpanCollector {
   // Turns tracing on at 1-in-`sample_every` message sampling (0 turns
   // it off). Lanes are (re)sized to `lane_capacity` events only when it
   // changes, so repeated enable() calls from multiple enclaves are
-  // cheap and idempotent.
+  // cheap and idempotent. Also calibrates the tick clock, so the first
+  // traced packet does not pay for it.
   void enable(std::uint32_t sample_every,
               std::size_t lane_capacity = kDefaultLaneCapacity);
   void disable() { sample_every_.store(0, std::memory_order_relaxed); }
@@ -151,10 +164,13 @@ class SpanCollector {
 
   // Records one event on the calling thread's lane. Callers gate on
   // `trace_id != 0` themselves — that branch is the entire per-hop cost
-  // for untraced packets.
+  // for untraced packets. The last three arguments fill the action_exec
+  // fields of SpanEvent.
   void record(std::int64_t trace_id, Hop hop, std::int64_t ts_ns,
               std::int64_t dur_ns = 0, std::int64_t aux = 0,
-              std::int64_t span_id = 0, std::int64_t parent_id = 0);
+              std::int64_t span_id = 0, std::int64_t parent_id = 0,
+              std::uint32_t class_id = kNoSpanClass, std::uint8_t status = 0,
+              std::uint64_t steps = 0);
   void record_now(std::int64_t trace_id, Hop hop, std::int64_t aux = 0) {
     record(trace_id, hop, now_ns(), 0, aux);
   }
@@ -190,6 +206,8 @@ class SpanCollector {
     std::vector<SpanEvent> ring;
     std::atomic<std::uint64_t> count{0};
   };
+  // The calling thread's claim on a lane; hands it back at thread exit.
+  struct LaneHolder;
 
   SpanCollector();
   Lane& lane_for_this_thread();
@@ -199,10 +217,14 @@ class SpanCollector {
   std::atomic<ClockFn> clock_fn_{nullptr};
   std::atomic<void*> clock_ctx_{nullptr};
 
-  // Lane list: stable addresses (unique_ptr), appended under the mutex
-  // on first use per thread, then never moved or freed.
+  // Lane list: stable addresses (unique_ptr), never moved or freed. A
+  // thread's first record takes a lane from free_lanes_ or appends a
+  // new one; its exit puts the lane back on free_lanes_, events intact
+  // (still in snapshots until the next owner overwrites them), so lane
+  // memory is bounded by the peak number of live tracing threads.
   mutable std::mutex lanes_mutex_;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Lane*> free_lanes_;
   std::size_t lane_capacity_ = kDefaultLaneCapacity;
 };
 
@@ -210,9 +232,10 @@ class SpanCollector {
 // pid is 1 ("eden"), tid is the trace id, so Perfetto shows one track
 // per traced message. Events with dur_ns > 0 become "X" complete slices
 // (ts rewound to the start), others "i" instants. Causally-linked
-// events carry "span"/"parent" args; the dump ends with a top-level
-// "schema_version" so older readers of newer dumps warn instead of
-// silently misparsing.
+// events carry "span"/"parent" args, action_exec events "class",
+// "status" (the lang::ExecStatus name) and "steps"; the dump ends with a
+// top-level "schema_version" so older readers of newer dumps warn
+// instead of silently misparsing.
 std::string to_trace_event_json(const std::vector<SpanEvent>& events);
 
 }  // namespace eden::telemetry

@@ -175,13 +175,12 @@ TEST(Controller, TelemetrySourcesPollMatchesTheEnclaveSnapshot) {
   // The one read path loses nothing a direct snapshot holds: a collector
   // poll over telemetry_sources() renders the same dump as aggregating
   // the enclave's own snapshot, with every optional section on (1-in-1
-  // histograms, the trace ring, bytecode profiles, message state).
+  // histograms, bytecode profiles, message state).
   ClassRegistry registry;
   Controller controller(registry);
   EnclaveConfig config;
   config.telemetry.enabled = true;
   config.telemetry.histogram_sample_every = 1;
-  config.telemetry.trace_sample_every = 1;
   config.telemetry.profile_actions = true;
   Enclave enclave("host0", registry, config);
   controller.register_enclave(enclave);
@@ -206,8 +205,7 @@ TEST(Controller, TelemetrySourcesPollMatchesTheEnclaveSnapshot) {
   EXPECT_EQ(polled, telemetry::to_json(
                         telemetry::aggregate({enclave.telemetry_snapshot()})));
   EXPECT_EQ(collector.status(0).full_resyncs, 1u);
-  for (const char* section :
-       {"\"latency_ns\"", "\"hotspots\"", "\"state\"", "\"trace\""}) {
+  for (const char* section : {"\"latency_ns\"", "\"hotspots\"", "\"state\""}) {
     EXPECT_NE(polled.find(section), std::string::npos) << section;
   }
 }

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "core/controller.h"
+#include "telemetry/span.h"
 
 namespace eden::core {
 namespace {
@@ -815,8 +817,6 @@ EnclaveConfig telemetry_config() {
   EnclaveConfig config;
   config.telemetry.enabled = true;
   config.telemetry.histogram_sample_every = 1;
-  config.telemetry.trace_sample_every = 1;
-  config.telemetry.trace_capacity = 4;
   return config;
 }
 
@@ -841,7 +841,6 @@ TEST_F(EnclaveTest, TelemetryOffByDefault) {
   ASSERT_EQ(t.actions.size(), 1u);
   EXPECT_FALSE(t.actions[0].has_histograms);
   EXPECT_TRUE(t.classes.empty());
-  EXPECT_TRUE(t.trace.empty());
 }
 
 TEST(EnclaveTelemetryTest, PerClassCountersAndStatsFold) {
@@ -929,27 +928,137 @@ TEST(EnclaveTelemetryTest, HistogramsRecordEverySampledExecution) {
   EXPECT_GT(a.steps, 0u);
 }
 
-TEST(EnclaveTelemetryTest, TraceRingSamplesAndWraps) {
+// Classes interned past the 1,024 per-class slots share one overflow
+// row instead of growing the counter array.
+TEST(EnclaveTelemetryTest, ClassesPastTheSlotBoundLandInTheOverflowRow) {
   ClassRegistry registry;
   Controller controller(registry);
-  Enclave enclave("tele", registry, telemetry_config());  // capacity 4
-  const ClassId web = registry.intern("enclave.flows.web");
+  Enclave enclave("tele", registry, telemetry_config());
   install_with_rule_in(controller, enclave, "p3",
-                       "fun(p, m, g) -> p.priority <- 3",
-                       ClassPattern("enclave.flows.*"));
-  netsim::Packet packet = tcp_packet();
-  packet.classes.add(web);
-  for (int i = 0; i < 10; ++i) enclave.process(packet);
-  const telemetry::EnclaveTelemetry t = enclave.telemetry_snapshot();
-  EXPECT_EQ(t.trace_sampled, 10u);  // every execution offered and kept
-  EXPECT_EQ(t.trace_sample_every, 1u);
-  ASSERT_EQ(t.trace.size(), 4u);    // ring keeps the most recent 4
-  for (const auto& entry : t.trace) {
-    EXPECT_EQ(entry.action, "p3");
-    EXPECT_EQ(entry.class_name, "enclave.flows.web");
-    EXPECT_EQ(entry.status, "ok");
-    EXPECT_GT(entry.steps, 0u);
+                       "fun(p, m, g) -> p.priority <- 3", ClassPattern("*"));
+  ClassId last = kInvalidClass;
+  for (int i = 0; i <= 1024; ++i) {
+    last = registry.intern("enclave.flows.c" + std::to_string(i));
   }
+  ASSERT_EQ(last, 1024u);  // the first id without a slot of its own
+  netsim::Packet packet = tcp_packet();
+  packet.classes.add(last);
+  EXPECT_TRUE(enclave.process(packet));
+  EXPECT_EQ(enclave.stats().matched, 1u);
+  const telemetry::EnclaveTelemetry t = enclave.telemetry_snapshot();
+  ASSERT_EQ(t.classes.size(), 1u);
+  EXPECT_EQ(t.classes[0].name, "(overflow)");
+  EXPECT_EQ(t.classes[0].matched, 1u);
+}
+
+// The enclave's own hops on both execution paths: a traced packet's
+// action_exec span carries its class, the execution status and the
+// weighted steps its action was billed; an enclave_drop span names the
+// action that dropped the packet.
+TEST(EnclaveTelemetryTest, EnclaveSpansCarryExecResultsAndDropAction) {
+  telemetry::SpanCollector& spans = telemetry::SpanCollector::instance();
+  spans.set_clock(nullptr, nullptr);
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "process_batch" : "process");
+    spans.reset();
+    ClassRegistry registry;
+    Controller controller(registry);
+    EnclaveConfig config;
+    config.telemetry.span_sample_every = 1;  // every packet traced
+    Enclave enclave("spans", registry, config);
+    const ClassId web = registry.intern("enclave.flows.web");
+    const ClassId bulk = registry.intern("enclave.flows.bulk");
+    const ClassId bad = registry.intern("enclave.flows.bad");
+    // One table, so process_batch runs its grouped path. The dropper is
+    // not action 0, so its id cannot pass for a default aux.
+    const TableId table = enclave.create_table("t");
+    const auto add = [&](const char* name, const char* source,
+                         const char* pattern) {
+      const ActionId id = enclave.install_action(
+          name, controller.compile(name, source, {}), {});
+      enclave.add_rule(table, ClassPattern(pattern), id);
+      return id;
+    };
+    const ActionId keep = add("keep", "fun(p, m, g) -> p.priority <- 3",
+                              "enclave.flows.web");
+    const ActionId drop =
+        add("drop", "fun(p, m, g) -> p.drop <- 1", "enclave.flows.bulk");
+    add("div0", "fun(p, m, g) -> p.priority <- 1 / (p.size - p.size)",
+        "enclave.flows.bad");
+    ASSERT_NE(drop, 0u);
+
+    std::vector<netsim::PacketPtr> packets;
+    for (const ClassId cls : {web, bulk, bad}) {
+      packets.push_back(netsim::make_packet());
+      *packets.back() = tcp_packet(1 + static_cast<std::int64_t>(cls));
+      packets.back()->classes.add(cls);
+    }
+    const std::uint64_t steps_before = enclave.action_stats(keep).steps;
+    if (batched) {
+      EXPECT_EQ(enclave.process_batch(packets), 2u);
+    } else {
+      for (const netsim::PacketPtr& p : packets) enclave.process(*p);
+    }
+    const std::uint64_t keep_steps =
+        enclave.action_stats(keep).steps - steps_before;
+    ASSERT_GT(keep_steps, 0u);
+
+    const auto find = [&](const netsim::PacketPtr& p, telemetry::Hop hop) {
+      EXPECT_NE(p->meta.trace_id, 0);
+      std::optional<telemetry::SpanEvent> found;
+      for (const telemetry::SpanEvent& e : spans.snapshot()) {
+        if (e.trace_id == p->meta.trace_id && e.hop == hop) found = e;
+      }
+      return found;
+    };
+    const auto ok = find(packets[0], telemetry::Hop::action_exec);
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(ok->aux, static_cast<std::int64_t>(keep));
+    EXPECT_EQ(ok->class_id, web);
+    EXPECT_EQ(ok->status, static_cast<std::uint8_t>(lang::ExecStatus::ok));
+    EXPECT_EQ(ok->steps, keep_steps);
+
+    const auto trap = find(packets[2], telemetry::Hop::action_exec);
+    ASSERT_TRUE(trap.has_value());
+    EXPECT_EQ(trap->class_id, bad);
+    EXPECT_EQ(trap->status,
+              static_cast<std::uint8_t>(lang::ExecStatus::div_by_zero));
+
+    const auto dropped = find(packets[1], telemetry::Hop::enclave_drop);
+    ASSERT_TRUE(dropped.has_value());
+    EXPECT_EQ(dropped->aux, static_cast<std::int64_t>(drop));
+  }
+  spans.disable();
+  spans.reset();
+}
+
+// Enabling spans calibrates the tick clock up front, so the first
+// traced packet's hops do not include the ~2 ms calibration wait.
+TEST(EnclaveTelemetryTest, FirstTracedPacketSkipsClockCalibration) {
+  telemetry::SpanCollector& spans = telemetry::SpanCollector::instance();
+  spans.set_clock(nullptr, nullptr);
+  spans.reset();
+  ClassRegistry registry;
+  Controller controller(registry);
+  EnclaveConfig config;
+  config.telemetry.span_sample_every = 1;  // spans only, no histograms
+  Enclave enclave("clock", registry, config);
+  install_with_rule_in(controller, enclave, "p3",
+                       "fun(p, m, g) -> p.priority <- 3", ClassPattern("*"));
+  netsim::Packet packet = tcp_packet();
+  enclave.process(packet);
+  ASSERT_NE(packet.meta.trace_id, 0);
+  std::optional<std::int64_t> match_ns;
+  for (const telemetry::SpanEvent& e : spans.snapshot()) {
+    if (e.trace_id == packet.meta.trace_id &&
+        e.hop == telemetry::Hop::enclave_match) {
+      match_ns = e.dur_ns;
+    }
+  }
+  ASSERT_TRUE(match_ns.has_value());
+  EXPECT_LT(*match_ns, 1'000'000);
+  spans.disable();
+  spans.reset();
 }
 
 TEST(EnclaveTelemetryTest, ErrorBreakdownSumsByStatus) {

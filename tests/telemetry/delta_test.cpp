@@ -17,8 +17,6 @@ EnclaveTelemetry base_snapshot() {
   e.packets = 100;
   e.matched = 80;
   e.dropped_by_action = 5;
-  e.trace_sampled = 10;
-  e.trace_sample_every = 16;
 
   ActionTelemetry a;
   a.name = "pias";
@@ -53,7 +51,6 @@ EnclaveTelemetry advanced_snapshot() {
   EnclaveTelemetry e = base_snapshot();
   e.packets += 20;
   e.matched += 15;
-  e.trace_sampled += 2;
   e.actions[0].executions += 15;
   e.actions[0].steps += 150;
   e.actions[0].latency_ns.counts[4] += 15;
@@ -101,7 +98,6 @@ TEST(DeltaTest, ApplyReconstructsTheNewSnapshot) {
   apply_delta(state, *d);
   EXPECT_EQ(state.packets, now.packets);
   EXPECT_EQ(state.matched, now.matched);
-  EXPECT_EQ(state.trace_sampled, now.trace_sampled);
   ASSERT_EQ(state.actions.size(), 2u);
   EXPECT_EQ(state.actions[0].executions, now.actions[0].executions);
   EXPECT_EQ(state.actions[0].steps, now.actions[0].steps);

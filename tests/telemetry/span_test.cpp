@@ -1,11 +1,12 @@
 // Tests for the lifecycle span collector: id allocation under
-// concurrency, lock-free lane wraparound, sampling pacing and the
-// trace_event JSON rendering.
+// concurrency, lock-free lane wraparound and reuse, sampling pacing and
+// the trace_event JSON rendering.
 #include "telemetry/span.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
 #include <set>
 #include <thread>
@@ -47,6 +48,9 @@ TEST_F(SpanCollectorTest, ConcurrentWritersLoseNothingUntilWraparound) {
   spans.enable(1, kCapacity);
 
   std::vector<std::vector<std::int64_t>> ids(kThreads);
+  // Writers stay alive until all have a lane, so none inherits the lane
+  // of one that already exited.
+  std::latch all_have_lanes(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -56,6 +60,7 @@ TEST_F(SpanCollectorTest, ConcurrentWritersLoseNothingUntilWraparound) {
         ids[static_cast<std::size_t>(t)].push_back(id);
         spans.record(id, Hop::stage_classify, /*ts_ns=*/i, /*dur_ns=*/0,
                      /*aux=*/i);
+        if (i == 0) all_have_lanes.arrive_and_wait();
       }
     });
   }
@@ -96,6 +101,7 @@ TEST_F(SpanCollectorTest, WraparoundKeepsMostRecentPerLane) {
   // Each thread records all its events under one trace id, with the
   // sequence number in aux, so survivors can be checked per writer.
   std::vector<std::int64_t> thread_ids(kThreads);
+  std::latch all_have_lanes(kThreads);  // one lane per writer
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -104,6 +110,7 @@ TEST_F(SpanCollectorTest, WraparoundKeepsMostRecentPerLane) {
       for (int i = 0; i < kEvents; ++i) {
         spans.record(id, Hop::host_enqueue, /*ts_ns=*/i, /*dur_ns=*/0,
                      /*aux=*/i);
+        if (i == 0) all_have_lanes.arrive_and_wait();
       }
     });
   }
@@ -193,6 +200,16 @@ TEST_F(SpanCollectorTest, TraceEventJsonSlicesAndInstants) {
   instant.ts_ns = 6000;
   instant.hop = Hop::nic_tx;
   events.push_back(instant);
+  SpanEvent exec;  // action_exec adds the execution's class/status/steps
+  exec.trace_id = 7;
+  exec.ts_ns = 7000;
+  exec.dur_ns = 500;
+  exec.aux = 2;
+  exec.hop = Hop::action_exec;
+  exec.class_id = 5;
+  exec.status = 1;  // lang::ExecStatus::div_by_zero
+  exec.steps = 12;
+  events.push_back(exec);
 
   const std::string json = to_trace_event_json(events);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -206,6 +223,11 @@ TEST_F(SpanCollectorTest, TraceEventJsonSlicesAndInstants) {
   EXPECT_NE(json.find("\"ts\":3.000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":2.000"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":6.000"), std::string::npos);
+  EXPECT_NE(json.find("\"aux\":2,\"class\":5,\"status\":\"div_by_zero\","
+                      "\"steps\":12}"),
+            std::string::npos);
+  // Only action_exec carries them.
+  EXPECT_EQ(json.find("\"status\""), json.rfind("\"status\""));
 }
 
 TEST_F(SpanCollectorTest, LinkedEventsCarrySpanAndParentInJson) {
@@ -229,6 +251,33 @@ TEST_F(SpanCollectorTest, LinkedEventsCarrySpanAndParentInJson) {
   EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
   // Unlinked (data-plane) events carry no span/parent args at all.
   EXPECT_EQ(json.find("\"span\":0"), std::string::npos);
+}
+
+// A thread's lane goes back to the collector when the thread exits and
+// the next new thread takes it, so lane memory is bounded by the peak
+// number of live writers, not by every thread that ever traced.
+TEST_F(SpanCollectorTest, ExitedThreadsHandTheirLanesOn) {
+  constexpr std::size_t kCapacity = 256;
+  constexpr int kRounds = 50;
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 100;
+  auto& spans = SpanCollector::instance();
+  spans.enable(1, kCapacity);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&spans] {
+        for (int i = 0; i < kEvents; ++i) {
+          spans.record(spans.start_trace(), Hop::host_enqueue, /*ts_ns=*/i);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(spans.total_recorded(),
+            static_cast<std::uint64_t>(kRounds) * kThreads * kEvents);
+  EXPECT_LE(spans.snapshot().size(), kThreads * kCapacity);
+  spans.enable(0, SpanCollector::kDefaultLaneCapacity);
 }
 
 // The fleet-merge invariant: trace ids and span ids share one atomic
@@ -276,14 +325,16 @@ TEST_F(SpanCollectorTest, ConcurrentLinkedRecordsStayUniqueAcrossWraparound) {
   c.enable(1, 256);  // small lanes: every thread wraps
   constexpr int kThreads = 4;
   constexpr int kPerThread = 900;  // > 3x lane capacity
+  std::latch all_have_lanes(kThreads);  // one lane per writer
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c]() {
+    threads.emplace_back([&c, &all_have_lanes]() {
       for (int i = 0; i < kPerThread; ++i) {
         const std::int64_t trace = c.start_trace();
         const std::int64_t root = c.record_linked(
             trace, Hop::cp_txn_begin, 0, c.now_ns());
         c.record_linked(trace, Hop::cp_send, root, c.now_ns());
+        if (i == 0) all_have_lanes.arrive_and_wait();
       }
     });
   }
@@ -297,7 +348,9 @@ TEST_F(SpanCollectorTest, ConcurrentLinkedRecordsStayUniqueAcrossWraparound) {
     EXPECT_NE(e.span_id, 0);
     EXPECT_TRUE(span_ids.insert(e.span_id).second)
         << "span id " << e.span_id << " recorded twice";
-    if (e.hop == Hop::cp_send) EXPECT_NE(e.parent_id, 0);
+    if (e.hop == Hop::cp_send) {
+      EXPECT_NE(e.parent_id, 0);
+    }
   }
   c.enable(0, SpanCollector::kDefaultLaneCapacity);
 }

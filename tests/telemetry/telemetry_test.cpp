@@ -1,6 +1,5 @@
-// Telemetry primitives: sharded counters, log2 histograms, the
-// sampling trace ring, the metrics registry's exposition format, and
-// cross-enclave snapshot aggregation.
+// Telemetry primitives: sharded counters, log2 histograms, the metrics
+// registry's exposition format, and cross-enclave snapshot aggregation.
 #include <thread>
 #include <vector>
 
@@ -8,7 +7,6 @@
 
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
-#include "telemetry/trace_ring.h"
 
 namespace eden::telemetry {
 namespace {
@@ -103,46 +101,6 @@ TEST(SamplingTest, OneInNOverAnyAlignedWindow) {
 
 TEST(SamplingTest, ZeroDisables) {
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(sample_1_in(0));
-}
-
-TEST(TraceRingTest, KeepsMostRecentOnWraparound) {
-  TraceRing ring(4, 1);
-  for (int i = 0; i < 10; ++i) {
-    TraceRecord rec;
-    rec.ts_ns = i;
-    ring.push(rec);
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  const std::vector<TraceRecord> snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(snap[i].ts_ns, 6 + i);  // oldest to newest
-  }
-}
-
-TEST(TraceRingTest, ShouldSamplePacesOneInN) {
-  TraceRing ring(8, 3);
-  int hits = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (ring.should_sample()) ++hits;
-  }
-  EXPECT_EQ(hits, 3);
-
-  TraceRing off(8, 0);
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(off.should_sample());
-}
-
-TEST(TraceRingTest, PartialFillSnapshotsInOrder) {
-  TraceRing ring(8, 1);
-  for (int i = 0; i < 3; ++i) {
-    TraceRecord rec;
-    rec.ts_ns = i;
-    ring.push(rec);
-  }
-  const std::vector<TraceRecord> snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].ts_ns, 0);
-  EXPECT_EQ(snap[2].ts_ns, 2);
 }
 
 TEST(RegistryTest, InstrumentsAreStableAddressed) {

@@ -23,13 +23,13 @@
 // staleness, packet totals and rates, delta-protocol counters and
 // health state.
 //
-// Usage: eden-stat [TELEMETRY.json] [--ms=SIM_MS] [--sample=N]
-//                  [--trace] [--json] [--prom]
+// Per-packet traces are lifecycle spans (telemetry/span.h): dump them
+// with eden-trace or a bench's --trace-json.
+//
+// Usage: eden-stat [TELEMETRY.json] [--ms=SIM_MS] [--json] [--prom]
 //        eden-stat --watch [--agents=N] [--rounds=N] [--chaos] [--prom]
 //   TELEMETRY.json  render a saved bench snapshot instead of running
 //   --ms=N      simulated milliseconds of traffic (default 200)
-//   --sample=N  trace-ring sampling: record 1-in-N executions (default 16)
-//   --trace     also print the sampled trace entries
 //   --json      print the JSON dump instead of tables
 //   --prom      print the Prometheus text exposition instead of tables
 //   --watch     live fleet table over an in-process agent farm
@@ -71,7 +71,7 @@ constexpr std::uint16_t kResponsePort = 8000;
 constexpr std::uint16_t kBackgroundPort = 8001;
 
 // Drops ~3% of the class's packets at random — gives the dropped
-// counters and the error-free trace something to show.
+// counters something to show.
 constexpr const char* kRandomDropSource = R"(
 fun(p) -> if rand(100) < 3 then p.drop <- 1 else 0
 )";
@@ -213,7 +213,7 @@ void print_sessions(const telemetry::AggregateTelemetry& agg) {
   std::fputs(sessions.render().c_str(), stdout);
 }
 
-void print_tables(const telemetry::AggregateTelemetry& agg, bool with_trace) {
+void print_tables(const telemetry::AggregateTelemetry& agg) {
   util::TextTable enclaves;
   enclaves.add_row({"enclave", "packets", "matched", "dropped",
                     "msgs created", "msgs evicted"});
@@ -306,28 +306,6 @@ void print_tables(const telemetry::AggregateTelemetry& agg, bool with_trace) {
     std::printf("\nBytecode hot spots (top instructions per profiled "
                 "action)\n");
     std::fputs(hot.render().c_str(), stdout);
-  }
-
-  if (with_trace) {
-    for (const telemetry::EnclaveTelemetry& e : agg.enclaves) {
-      if (e.trace.empty()) continue;
-      util::TextTable trace;
-      trace.add_row({"ts ns", "class", "action", "status", "steps",
-                     "msg_id", "msg_size", "flow_size"});
-      for (const telemetry::TraceEntry& t : e.trace) {
-        trace.add_row({std::to_string(t.ts_ns), t.class_name, t.action,
-                       t.status, std::to_string(t.steps),
-                       std::to_string(t.meta.msg_id),
-                       std::to_string(t.meta.msg_size),
-                       std::to_string(t.meta.flow_size)});
-      }
-      std::printf("\nTrace %s (1-in-%u sampling, %llu sampled, showing "
-                  "last %zu)\n",
-                  e.enclave.c_str(), e.trace_sample_every,
-                  static_cast<unsigned long long>(e.trace_sampled),
-                  e.trace.size());
-      std::fputs(trace.render().c_str(), stdout);
-    }
   }
 }
 
@@ -532,10 +510,8 @@ int main(int argc, char** argv) {
   using namespace eden;
 
   const long sim_ms = bench::int_arg(argc, argv, "--ms", 200);
-  const long sample = bench::int_arg(argc, argv, "--sample", 16);
   const bool as_json = bench::has_flag(argc, argv, "--json");
   const bool as_prom = bench::has_flag(argc, argv, "--prom");
-  const bool with_trace = bench::has_flag(argc, argv, "--trace");
 
   if (bench::has_flag(argc, argv, "--watch")) return run_watch(argc, argv);
 
@@ -557,7 +533,7 @@ int main(int argc, char** argv) {
                     "%zu session(s))\n\n",
                     input_path.c_str(), agg.enclaves.size(),
                     agg.sessions.size());
-        print_tables(agg, with_trace);
+        print_tables(agg);
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "eden-stat: %s\n", e.what());
@@ -580,8 +556,6 @@ int main(int argc, char** argv) {
   ec.telemetry.enabled = true;
   // Display run: time every execution so the percentiles are exact.
   ec.telemetry.histogram_sample_every = 1;
-  ec.telemetry.trace_sample_every =
-      sample > 0 ? static_cast<std::uint32_t>(sample) : 0;
   // Profile the interpreted actions so the hot-spot table has rows.
   ec.telemetry.profile_actions = true;
   bed.finalize(ec);
@@ -636,7 +610,7 @@ int main(int argc, char** argv) {
       std::printf("warning: enclave %s unreachable; skipped\n\n",
                   status.name.c_str());
     }
-    print_tables(agg, with_trace);
+    print_tables(agg);
   }
   return 0;
 }
