@@ -71,8 +71,10 @@ void BM_Process_Serialized_Counter(benchmark::State& state) {
 }
 BENCHMARK(BM_Process_Serialized_Counter);
 
-// Rule-scan scaling: the matching rule sits behind N-1 non-matching
-// ones in the same table.
+// Rule-table scaling: the matching rule sits behind N-1 non-matching
+// ones in the same table. The decoys share the stage and rule set of
+// the real class, as the rules of one rule set do, so a name compare
+// cannot reject them on the first byte.
 void BM_Process_TableScan(benchmark::State& state) {
   const int rules = static_cast<int>(state.range(0));
   core::ClassRegistry registry;
@@ -84,7 +86,7 @@ void BM_Process_TableScan(benchmark::State& state) {
   const core::TableId table = enclave.create_table("t");
   for (int i = 0; i + 1 < rules; ++i) {
     enclave.add_rule(table,
-                     core::ClassPattern("other.rs.c" + std::to_string(i)),
+                     core::ClassPattern("app.rs.d" + std::to_string(i)),
                      action);
   }
   enclave.add_rule(table, core::ClassPattern("app.rs.cls"), action);

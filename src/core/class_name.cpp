@@ -23,7 +23,19 @@ std::optional<QualifiedClassName> parse_class_name(std::string_view full) {
   return name;
 }
 
+namespace {
+
+bool valid_component(std::string_view c) {
+  return !c.empty() && c != "*" && c.find('.') == std::string_view::npos;
+}
+
+}  // namespace
+
 ClassId ClassRegistry::intern(const QualifiedClassName& name) {
+  if (!valid_component(name.stage) || !valid_component(name.rule_set) ||
+      !valid_component(name.class_name)) {
+    throw std::invalid_argument("malformed class name: " + name.full());
+  }
   const std::string full = name.full();
   const auto it = by_full_.find(full);
   if (it != by_full_.end()) return it->second;
@@ -55,21 +67,19 @@ ClassPattern::ClassPattern(std::string_view pattern) : pattern_(pattern) {
   if (!parsed) {
     throw std::invalid_argument("malformed class pattern: " + pattern_);
   }
-  stage_ = parsed->stage;
-  ruleset_ = parsed->rule_set;
-  class_ = parsed->class_name;
-  stage_wild_ = stage_ == "*";
-  ruleset_wild_ = ruleset_ == "*";
-  class_wild_ = class_ == "*";
+  name_ = std::move(*parsed);
+  stage_wild_ = name_.stage == "*";
+  ruleset_wild_ = name_.rule_set == "*";
+  class_wild_ = name_.class_name == "*";
 }
 
 bool ClassPattern::matches(ClassId id, const ClassRegistry& registry) const {
   if (match_any_) return true;
   if (id >= registry.size()) return false;
   const QualifiedClassName& name = registry.name(id);
-  if (!stage_wild_ && name.stage != stage_) return false;
-  if (!ruleset_wild_ && name.rule_set != ruleset_) return false;
-  if (!class_wild_ && name.class_name != class_) return false;
+  if (!stage_wild_ && name.stage != name_.stage) return false;
+  if (!ruleset_wild_ && name.rule_set != name_.rule_set) return false;
+  if (!class_wild_ && name.class_name != name_.class_name) return false;
   return true;
 }
 

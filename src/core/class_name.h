@@ -39,7 +39,11 @@ std::optional<QualifiedClassName> parse_class_name(std::string_view full);
 // stages register concurrently — in Eden only the controller mutates it).
 class ClassRegistry {
  public:
-  // Returns the id for the name, interning it if new.
+  // Returns the id for the name, interning it if new. Throws
+  // std::invalid_argument when a component is empty, contains '.' or is
+  // the wildcard "*": such a name would not round-trip through
+  // parse_class_name, so two of them could share one id, or no exact
+  // pattern could name it.
   ClassId intern(const QualifiedClassName& name);
   ClassId intern(std::string_view full);
 
@@ -65,6 +69,12 @@ class ClassPattern {
   explicit ClassPattern(std::string_view pattern);
 
   bool match_any() const { return match_any_; }
+  // True if no component is "*": the pattern names exactly one class,
+  // name().
+  bool exact() const {
+    return !match_any_ && !stage_wild_ && !ruleset_wild_ && !class_wild_;
+  }
+  const QualifiedClassName& name() const { return name_; }
   // True if the class with this id matches (registry resolves the name).
   bool matches(ClassId id, const ClassRegistry& registry) const;
   const std::string& pattern() const { return pattern_; }
@@ -73,7 +83,7 @@ class ClassPattern {
   std::string pattern_;
   bool match_any_ = false;
   bool stage_wild_ = false, ruleset_wild_ = false, class_wild_ = false;
-  std::string stage_, ruleset_, class_;
+  QualifiedClassName name_;
 };
 
 }  // namespace eden::core

@@ -330,7 +330,22 @@ void Enclave::end_mutation_locked(std::shared_ptr<RuleState> next) {
   publish_locked(std::move(next));
 }
 
+void Enclave::Table::build_index() {
+  exact_index.clear();
+  wildcard_rules.clear();
+  for (std::uint32_t pos = 0; pos < rules.size(); ++pos) {
+    const ClassId cls = rules[pos].cls;
+    if (cls == kInvalidClass) {
+      wildcard_rules.push_back(pos);
+      continue;
+    }
+    if (cls >= exact_index.size()) exact_index.resize(cls + 1, kNoRule);
+    if (exact_index[cls] == kNoRule) exact_index[cls] = pos;
+  }
+}
+
 std::uint64_t Enclave::publish_locked(std::shared_ptr<RuleState> next) {
+  for (Table& table : next->tables) table.build_index();
   next->version = next_version_++;
   std::shared_ptr<const RuleState> published = std::move(next);
   const std::uint64_t version = published->version;
@@ -558,7 +573,7 @@ TableId Enclave::create_table(const std::string& name) {
   std::lock_guard lock(control_mutex_);
   auto state = begin_mutation_locked();
   const TableId id = next_table_id_++;
-  state->tables.push_back(Table{id, name, {}});
+  state->tables.push_back(Table{id, name, {}, {}, {}});
   end_mutation_locked(std::move(state));
   return id;
 }
@@ -595,8 +610,12 @@ MatchRuleId Enclave::add_rule(TableId table, ClassPattern pattern,
       state->actions[action] == nullptr) {
     throw std::invalid_argument("no such action");
   }
+  // An exact pattern names one class: resolve it now, interning a name
+  // no stage has registered yet, so the data path finds it by id.
+  const ClassId cls =
+      pattern.exact() ? registry_.intern(pattern.name()) : kInvalidClass;
   const MatchRuleId id = next_rule_id_++;
-  t->rules.push_back(MatchRule{id, std::move(pattern), action});
+  t->rules.push_back(MatchRule{id, std::move(pattern), action, cls});
   end_mutation_locked(std::move(state));
   return id;
 }
@@ -809,9 +828,23 @@ void Enclave::classify_flow(const RuleState& rules,
   }
 }
 
+// First match in rule order, as a scan of every rule would find it: the
+// earliest exact rule for any of the packet's classes comes from the
+// index, and only the wildcard rules ahead of it are tested by name.
 Enclave::TableMatch Enclave::match_in_table(
     const Table& table, const netsim::Packet& packet) const {
-  for (const MatchRule& rule : table.rules) {
+  std::uint32_t best = Table::kNoRule;
+  ClassId best_cls = kInvalidClass;
+  for (std::size_t i = 0; i < packet.classes.size(); ++i) {
+    const ClassId cls = packet.classes[i];
+    if (cls < table.exact_index.size() && table.exact_index[cls] < best) {
+      best = table.exact_index[cls];
+      best_cls = cls;
+    }
+  }
+  for (const std::uint32_t pos : table.wildcard_rules) {
+    if (pos > best) break;
+    const MatchRule& rule = table.rules[pos];
     if (rule.pattern.match_any()) {
       // Attribute a match-any hit to the packet's primary class, if the
       // packet carries one.
@@ -824,7 +857,8 @@ Enclave::TableMatch Enclave::match_in_table(
       }
     }
   }
-  return {};
+  if (best == Table::kNoRule) return {};
+  return {&table.rules[best], best_cls};
 }
 
 // Per-class counter slot, or null when per-class telemetry is off.

@@ -421,12 +421,24 @@ class Enclave {
     MatchRuleId id;
     ClassPattern pattern;
     ActionId action;
+    // The class an exact pattern names, resolved (interned) at add_rule;
+    // kInvalidClass for wildcard and match-any patterns.
+    ClassId cls = kInvalidClass;
   };
 
   struct Table {
     TableId id;
     std::string name;
     std::vector<MatchRule> rules;
+    // Match index over `rules`, rebuilt by publish_locked: by class id,
+    // the position of the first exact rule for that class (kNoRule if
+    // none); and, in rule order, the positions of the wildcard and
+    // match-any rules, the only ones match_in_table tests by name.
+    static constexpr std::uint32_t kNoRule = 0xffffffffu;
+    std::vector<std::uint32_t> exact_index;
+    std::vector<std::uint32_t> wildcard_rules;
+
+    void build_index();
   };
 
   // A table hit plus the class that matched (kInvalidClass when a

@@ -26,11 +26,11 @@ RuleId Stage::create_rule(const std::string& rule_set, Classifier classifier,
         std::to_string(classifier_fields_.size()) + " field pattern(s)");
   }
   ClassificationRule rule;
+  rule.class_id =
+      registry_.intern(QualifiedClassName{name_, rule_set, class_name});
   rule.id = next_rule_id_++;
   rule.classifier = std::move(classifier);
   rule.class_name = class_name;
-  rule.class_id =
-      registry_.intern(QualifiedClassName{name_, rule_set, class_name});
   rule.meta_mask = meta_mask;
   rule_sets_[rule_set].push_back(std::move(rule));
   return rule_sets_[rule_set].back().id;

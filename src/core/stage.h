@@ -104,7 +104,8 @@ class Stage {
   // Creates <classifier> -> [class_name, {meta}] in `rule_set`; the rule
   // is appended (first match wins within a rule-set). Throws
   // std::invalid_argument if the classifier arity does not match the
-  // stage's classifier fields.
+  // stage's classifier fields, or if `rule_set` or `class_name` is not a
+  // valid class-name component (ClassRegistry::intern).
   RuleId create_rule(const std::string& rule_set, Classifier classifier,
                      const std::string& class_name,
                      MetaFieldMask meta_mask = kMetaIdAndSize);

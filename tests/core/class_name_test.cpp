@@ -47,6 +47,23 @@ TEST(ClassRegistry, FindDoesNotIntern) {
 TEST(ClassRegistry, InternRejectsMalformed) {
   ClassRegistry reg;
   EXPECT_THROW(reg.intern("oops"), std::invalid_argument);
+  // Components must round-trip through parse_class_name: a dot inside
+  // one would let ("r.x", "c") and ("r", "x.c") share the id of
+  // "app.r.x.c"; "*" is a pattern, not a class; empty is no name.
+  for (const QualifiedClassName& bad : {
+           QualifiedClassName{"app", "r.x", "c"},
+           QualifiedClassName{"app", "r", "x.c"},
+           QualifiedClassName{"a.pp", "r", "c"},
+           QualifiedClassName{"app", "r", "*"},
+           QualifiedClassName{"*", "r", "c"},
+           QualifiedClassName{"app", "", "c"},
+           QualifiedClassName{"app", "r", ""},
+       }) {
+    EXPECT_THROW(reg.intern(bad), std::invalid_argument) << bad.full();
+  }
+  EXPECT_THROW(reg.intern("app.r.*"), std::invalid_argument);
+  EXPECT_THROW(reg.intern("*.*.*"), std::invalid_argument);
+  EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(ClassPattern, ExactMatch) {

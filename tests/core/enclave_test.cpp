@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <thread>
 
 #include "core/controller.h"
 #include "telemetry/span.h"
+#include "util/rng.h"
 
 namespace eden::core {
 namespace {
@@ -1136,6 +1138,235 @@ TEST(EnclaveTelemetryTest, ControllerCollectsAndAggregates) {
   EXPECT_EQ(agg.actions[0].name, "p3");
   EXPECT_EQ(agg.actions[0].executions, 5u);
   EXPECT_EQ(agg.actions[0].latency_ns.count, 5u);
+}
+
+// --- Match index vs a linear first-match reference ------------------------
+//
+// A random script over one or two tables: rules mix exact,
+// partial-wildcard and match-any patterns over 12 classes, with
+// duplicate exact rules and exact rules added before anything else
+// interns their class, and churn through rule removals, txn
+// begin/commit/abort and stages registering classes. One enclave runs
+// every packet through process(), a twin runs the same packets through
+// process_batch(); both must fire the actions a linear scan over
+// ClassPattern::matches fires, and their per-class counters must
+// credit each match to the class the scan credits it to.
+class MatchScript {
+ public:
+  MatchScript(std::uint64_t seed, std::size_t tables) : rng_(seed) {
+    for (int k = 0; k < kActions; ++k) {
+      const std::string name = "a" + std::to_string(k);
+      const auto program = controller_.compile(
+          name,
+          "fun(p, m, g) -> p.path <- p.path * 8 + " + std::to_string(k + 1),
+          {});
+      per_packet_.install_action(name, program, {});
+      batched_.install_action(name, program, {});
+    }
+    committed_.resize(tables);
+    for (std::size_t t = 0; t < tables; ++t) {
+      const std::string name = "t" + std::to_string(t);
+      tables_.push_back(per_packet_.create_table(name));
+      EXPECT_EQ(batched_.create_table(name), tables_.back());
+      const std::uint64_t rules = rng_.below(kMaxRules + 1);
+      for (std::uint64_t i = 0; i < rules; ++i) add_rule(t);
+    }
+  }
+
+  void run(int steps) {
+    static const std::vector<std::string> kClasses = [] {
+      std::vector<std::string> names;
+      for (const char* stage : {"s", "t"}) {
+        for (const char* rule_set : {"r", "q"}) {
+          for (const char* cls : {"a", "b", "c"}) {
+            names.push_back(std::string(stage) + "." + rule_set + "." + cls);
+          }
+        }
+      }
+      return names;
+    }();
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const std::size_t t = rng_.below(tables_.size());
+      const std::uint64_t op = rng_.below(10);
+      if (op < 3) {
+        if (view()[t].size() < kMaxRules) add_rule(t);
+      } else if (op < 5) {
+        remove_rule(t);
+      } else if (op < 7) {
+        toggle_txn();
+      } else if (op == 7) {
+        registry_.intern(kClasses[rng_.below(kClasses.size())]);
+      }
+      send_burst();
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+ private:
+  // Action k appends the digit k + 1 to p.path in base 8, so the path
+  // spells out which action fired in each table.
+  static constexpr int kActions = 7;
+  static constexpr std::size_t kMaxRules = 80;
+
+  struct RefRule {
+    MatchRuleId id;
+    ClassPattern pattern;
+    ActionId action;
+  };
+  using RefTables = std::vector<std::vector<RefRule>>;
+
+  static EnclaveConfig config() {
+    EnclaveConfig config;
+    config.telemetry.enabled = true;
+    config.telemetry.histogram_sample_every = 0;
+    return config;
+  }
+
+  // About half exact, half with one or two "*" components, and a few
+  // "*.*.*" and match-any rules.
+  std::string random_pattern() {
+    const std::uint64_t kind = rng_.below(100);
+    if (kind < 2) return "*";
+    if (kind < 3) return "*.*.*";
+    std::string parts[3] = {rng_.below(2) == 0 ? "s" : "t",
+                            rng_.below(2) == 0 ? "r" : "q",
+                            std::string(1, "abc"[rng_.below(3)])};
+    if (kind < 50) parts[rng_.below(3)] = "*";
+    if (kind < 15) parts[rng_.below(3)] = "*";
+    return parts[0] + "." + parts[1] + "." + parts[2];
+  }
+
+  RefTables& view() { return txn_open_ ? staged_ : committed_; }
+
+  void add_rule(std::size_t t) {
+    const std::string pattern = random_pattern();
+    const auto action = static_cast<ActionId>(rng_.below(kActions));
+    const MatchRuleId id =
+        per_packet_.add_rule(tables_[t], ClassPattern(pattern), action);
+    EXPECT_EQ(batched_.add_rule(tables_[t], ClassPattern(pattern), action),
+              id);
+    view()[t].push_back({id, ClassPattern(pattern), action});
+  }
+
+  void remove_rule(std::size_t t) {
+    auto& rules = view()[t];
+    if (rules.empty()) return;
+    const auto it =
+        rules.begin() + static_cast<std::ptrdiff_t>(rng_.below(rules.size()));
+    EXPECT_TRUE(per_packet_.remove_rule(tables_[t], it->id));
+    EXPECT_TRUE(batched_.remove_rule(tables_[t], it->id));
+    rules.erase(it);
+  }
+
+  void toggle_txn() {
+    if (!txn_open_) {
+      per_packet_.begin_txn();
+      batched_.begin_txn();
+      staged_ = committed_;
+      txn_open_ = true;
+      return;
+    }
+    txn_open_ = false;
+    if (rng_.below(3) == 0) {
+      per_packet_.abort_txn();
+      batched_.abort_txn();
+    } else {
+      per_packet_.commit_txn();
+      batched_.commit_txn();
+      committed_ = staged_;
+    }
+  }
+
+  // The linear scan: per table, the first committed rule whose pattern
+  // matches one of the packet's classes, tried in packet order.
+  std::int32_t reference(const netsim::Packet& p) {
+    std::int32_t path = 0;
+    for (const auto& rules : committed_) {
+      for (const RefRule& rule : rules) {
+        std::optional<ClassId> hit;
+        if (rule.pattern.match_any()) {
+          hit = p.classes.size() > 0 ? p.classes[0] : kInvalidClass;
+        }
+        for (std::size_t i = 0; !hit && i < p.classes.size(); ++i) {
+          if (rule.pattern.matches(p.classes[i], registry_)) {
+            hit = p.classes[i];
+          }
+        }
+        if (!hit) continue;
+        path = path * 8 + static_cast<std::int32_t>(rule.action) + 1;
+        ++credited_[*hit == kInvalidClass ? "(unclassified)"
+                                          : registry_.name(*hit).full()];
+        break;
+      }
+    }
+    return path;
+  }
+
+  static std::map<std::string, std::uint64_t> credited(const Enclave& e) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& c : e.telemetry_snapshot().classes) {
+      out[c.name] = c.matched;
+    }
+    return out;
+  }
+
+  // Packets carrying 0-4 interned classes (repeats allowed), through
+  // both paths and the reference.
+  void send_burst() {
+    std::vector<netsim::PacketPtr> batch;
+    std::vector<std::int32_t> want;
+    for (int n = 0; n < 12; ++n) {
+      netsim::Packet p = tcp_packet(1 + n);
+      p.path_label = 0;
+      const std::uint64_t classes =
+          registry_.size() == 0
+              ? 0
+              : rng_.below(netsim::ClassList::kCapacity + 1);
+      for (std::uint64_t i = 0; i < classes; ++i) {
+        p.classes.add(static_cast<ClassId>(rng_.below(registry_.size())));
+      }
+      want.push_back(reference(p));
+      batch.push_back(netsim::make_packet());
+      *batch.back() = p;
+      per_packet_.process(p);
+      EXPECT_EQ(p.path_label, want.back()) << "process() packet " << n;
+    }
+    batched_.process_batch(batch);
+    for (std::size_t n = 0; n < batch.size(); ++n) {
+      EXPECT_EQ(batch[n]->path_label, want[n]) << "process_batch() packet "
+                                               << n;
+    }
+    EXPECT_EQ(credited(per_packet_), credited_);
+    EXPECT_EQ(credited(batched_), credited_);
+  }
+
+  util::Rng rng_;
+  ClassRegistry registry_;
+  Controller controller_{registry_};
+  Enclave per_packet_{"per-packet", registry_, config()};
+  Enclave batched_{"batched", registry_, config()};
+  std::vector<TableId> tables_;
+  RefTables committed_;
+  RefTables staged_;
+  bool txn_open_ = false;
+  std::map<std::string, std::uint64_t> credited_;
+};
+
+// One table: process_batch runs its grouped path.
+TEST(EnclaveMatchTest, OneTableAgreesWithLinearScan) {
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MatchScript(seed, 1).run(60);
+  }
+}
+
+// Two tables: process_batch falls back to per-packet matching.
+TEST(EnclaveMatchTest, TwoTablesAgreeWithLinearScan) {
+  for (const std::uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MatchScript(seed, 2).run(60);
+  }
 }
 
 }  // namespace

@@ -33,6 +33,14 @@ TEST_F(StageTest, CreateRuleInternsQualifiedClass) {
 TEST_F(StageTest, ClassifierArityChecked) {
   EXPECT_THROW(stage_.create_rule("r1", {FieldPattern::any()}, "X"),
                std::invalid_argument);
+  // Names that would not round-trip as memcached.<rule_set>.<class>.
+  const Classifier any{FieldPattern::any(), FieldPattern::any()};
+  EXPECT_THROW(stage_.create_rule("r.x", any, "c"), std::invalid_argument);
+  EXPECT_THROW(stage_.create_rule("r", any, "x.c"), std::invalid_argument);
+  EXPECT_THROW(stage_.create_rule("r", any, "*"), std::invalid_argument);
+  EXPECT_THROW(stage_.create_rule("", any, ""), std::invalid_argument);
+  EXPECT_EQ(stage_.rule_count(), 0u);
+  EXPECT_EQ(registry_.size(), 0u);
 }
 
 TEST_F(StageTest, RemoveRule) {

@@ -304,6 +304,19 @@ TEST_F(WireTest, StageRejectsBadArity) {
                  "r1", {FieldPattern::any(), FieldPattern::any()}, "X",
                  kMetaIdAndSize));
   EXPECT_EQ(r.status, Status::rejected);
+  // So are rule-set and class names that are not one name component.
+  for (const auto& [rule_set, class_name] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"r.x", "c"}, {"r", "x.c"}, {"r", "*"}, {"", ""}}) {
+    EXPECT_EQ(roundtrip_stage(stage, encode_create_stage_rule(
+                                         rule_set, {FieldPattern::any()},
+                                         class_name, kMetaIdAndSize))
+                  .status,
+              Status::rejected)
+        << rule_set << " / " << class_name;
+  }
+  EXPECT_EQ(stage.rule_count(), 0u);
+  EXPECT_EQ(registry_.size(), 0u);
 }
 
 TEST_F(WireTest, EnclaveCommandsRejectedByStageAgent) {

@@ -13,7 +13,10 @@
 // Test 2 uses ONE table with a per-message action (message-state
 // counter + a globals-consistency probe), driving the grouped
 // run_action_batch path — per-(action, message) locking and state
-// copies — against the same transaction churn.
+// copies — against the same transaction churn. Its packets carry one of
+// four classes and every transaction replaces the four exact rules that
+// route them, so each commit rebuilds the table's class index while
+// workers match through the previous one.
 //
 // Environment knobs (for the CI stress matrix):
 //   EDEN_DP_STRESS_SEED    fault/backoff seed (default 1)
@@ -21,6 +24,7 @@
 //   EDEN_DP_STRESS_WORKERS data-plane worker threads (default 4)
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -65,6 +69,11 @@ class DataPlaneStress : public ::testing::Test {
     seed_ = env_u64("EDEN_DP_STRESS_SEED", 1);
     epochs_ = env_u64("EDEN_DP_STRESS_EPOCHS", 40);
     workers_ = env_u64("EDEN_DP_STRESS_WORKERS", 4);
+    // Registered up front, as a stage would, so the exact rules added
+    // under load resolve to existing ids.
+    for (std::size_t i = 0; i < classes_.size(); ++i) {
+      classes_[i] = registry_.intern("app.rs.c" + std::to_string(i));
+    }
 
     agent_ = std::make_unique<controlplane::EnclaveAgent>(enclave_);
     auto connector = [this]() -> std::unique_ptr<controlplane::Transport> {
@@ -122,6 +131,7 @@ class DataPlaneStress : public ::testing::Test {
   std::uint64_t dials_ = 0;
 
   core::ClassRegistry registry_;
+  std::array<core::ClassId, 4> classes_{};
   core::Controller controller_{registry_};
   core::Enclave enclave_{"dp-stress", registry_};
   controlplane::PipePump pump_;
@@ -210,6 +220,7 @@ TEST_F(DataPlaneStress, GroupedBatchesSurviveActionChurn) {
   std::uint64_t completed = 0;
   std::uint64_t torn_globals = 0;
   std::uint64_t bad_counters = 0;
+  std::uint64_t matched = 0;
   std::set<std::int64_t> committed_epochs{-1};  // -1 = unmatched default
   const auto check = [&](netsim::PacketPtr p) {
     ++completed;
@@ -218,9 +229,10 @@ TEST_F(DataPlaneStress, GroupedBatchesSurviveActionChurn) {
     if (committed_epochs.count(p->rl_queue) == 0) ++torn_globals;
     // The message counter is positive whenever the action ran.
     if (p->rl_queue != -1 && p->path_label < 1) ++bad_counters;
+    if (p->rl_queue != -1) ++matched;
   };
 
-  controlplane::EnclaveSession::RuleHandle rule = 0;
+  std::vector<controlplane::EnclaveSession::RuleHandle> rules;
   for (std::uint64_t s = 1; s <= epochs_; ++s) {
     const std::string name = "seq_" + std::to_string(s % 2);
     session_->begin_txn();
@@ -228,14 +240,19 @@ TEST_F(DataPlaneStress, GroupedBatchesSurviveActionChurn) {
     for (const char* field : {"v", "a", "b"}) {
       session_->set_global_scalar(name, field, static_cast<std::int64_t>(s));
     }
-    if (rule != 0) session_->remove_rule("t", rule);
-    rule = session_->add_rule("t", "*", name);
+    for (const auto rule : rules) session_->remove_rule("t", rule);
+    rules.clear();
+    for (const core::ClassId cls : classes_) {
+      rules.push_back(
+          session_->add_rule("t", registry_.name(cls).full(), name));
+    }
     session_->commit_txn();
     committed_epochs.insert(static_cast<std::int64_t>(s));
 
     for (int round = 0; round < 8; ++round) {
       for (int i = 0; i < 32; ++i) {
         auto p = packet_for(submitted);
+        p->classes.add(classes_[submitted % classes_.size()]);
         while (!dataplane_->submit(p)) dataplane_->drain_completions(check);
         ++submitted;
       }
@@ -258,6 +275,7 @@ TEST_F(DataPlaneStress, GroupedBatchesSurviveActionChurn) {
   EXPECT_EQ(torn_globals, 0u)
       << "a grouped batch observed a half-applied global-state commit";
   EXPECT_EQ(bad_counters, 0u);
+  EXPECT_GT(matched, 0u) << "no packet reached an exact class rule";
   EXPECT_GT(session_->stats().txns_committed, 0u);
 }
 
