@@ -49,8 +49,9 @@ double now_ns() {
           .count());
 }
 
-void stamp_key(void* ctx, eden::lang::StateBlock& block) {
-  block.scalars.assign(4, *static_cast<const std::int64_t*>(ctx));
+void stamp_key(void* ctx, std::int64_t* payload) {
+  std::fill_n(payload, FlowStore::kPayloadWords,
+              *static_cast<const std::int64_t*>(ctx));
 }
 
 // The pre-FlowStore message store, replicated verbatim in shape: one

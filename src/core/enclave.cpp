@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -52,16 +53,16 @@ struct Enclave::Txn {
 namespace detail {
 
 // Per-thread execution resources for one enclave instance: the
-// interpreter (operand stack, heap, rng) plus a scratch packet-scope
-// state block. Reused across packets so the steady-state data path does
-// not allocate. Also caches the last rule-set snapshot this thread saw,
-// keyed by its version, so the per-packet snapshot check is one atomic
-// load and a compare.
+// interpreter (operand stack, heap, rng) plus scratch packet- and
+// message-scope state blocks. Reused across packets so the steady-state
+// data path does not allocate. Also caches the last rule-set snapshot
+// this thread saw, keyed by its version, so the per-packet snapshot
+// check is one atomic load and a compare.
 struct ThreadState {
   lang::Interpreter interp;
   lang::StateBlock packet_block;
-  lang::StateBlock message_block;       // scratch copy; committed on success
-  lang::StateBlock message_checkpoint;  // last good state within a batch
+  // Scratch copy of one message's payload; committed on success.
+  lang::StateBlock message_block;
   util::Rng rng;
   // Per-thread histogram pacing (1-in-N executions); a plain countdown
   // here is cheaper than a thread_local on the per-packet path —
@@ -93,6 +94,8 @@ struct ThreadState {
       : interp(config.exec_limits, config.rng_seed),
         packet_block(
             lang::StateBlock::from_schema(schema, lang::Scope::packet)),
+        message_block(
+            lang::StateBlock::from_schema(schema, lang::Scope::message)),
         rng(config.rng_seed ^ 0x517cc1b727220a95ULL) {}
 };
 
@@ -134,25 +137,11 @@ bool global_writes_key_disjoint(const lang::StateSchema& schema) {
   return any_writable;
 }
 
-// Re-initializes a (possibly recycled) FlowStore block to the schema's
-// message-scope defaults, reusing the vectors' capacity. Must leave the
-// block bit-identical to StateBlock::from_schema(schema, message).
-void reset_message_block(const lang::StateSchema& schema,
-                         lang::StateBlock& block) {
-  block.scalars.assign(schema.scalar_count(lang::Scope::message), 0);
-  block.arrays.resize(schema.array_count(lang::Scope::message));
-  for (const lang::FieldDef& f : schema.fields(lang::Scope::message)) {
-    const auto slot = schema.find(lang::Scope::message, f.name);
-    if (!slot) continue;
-    if (slot->kind == lang::FieldKind::scalar) {
-      block.scalars[slot->slot] = f.default_value;
-    } else {
-      lang::ArrayValue& a = block.arrays[slot->slot];
-      a.stride = slot->stride;
-      a.data.clear();
-    }
-  }
-}
+// The message scope is MessageSlot::count_ scalars, carried inline in
+// each FlowStore entry and copied whole in and out of the scratch block.
+static_assert(state::FlowStore::kPayloadWords == MessageSlot::count_);
+constexpr std::size_t kMessageBytes =
+    sizeof(std::int64_t) * state::FlowStore::kPayloadWords;
 
 std::uint64_t flow_hash(const netsim::Packet& p) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -437,6 +426,10 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
   // enclave counters, so enclave-lifetime accounting survives the
   // store being torn down with its action.
   if (entry->touches_message && entry->messages == nullptr) {
+    const lang::StateBlock defaults =
+        lang::StateBlock::from_schema(entry->schema, lang::Scope::message);
+    std::copy(defaults.scalars.begin(), defaults.scalars.end(),
+              entry->message_image.begin());
     state::FlowStoreConfig fc;
     fc.shards = config_.message_store_shards;
     fc.max_entries = config_.max_messages_per_action;
@@ -763,23 +756,23 @@ namespace {
 // FlowStore init callback: runs under the shard lock for a freshly
 // created (possibly recycled) entry.
 struct MessageInitCtx {
-  const lang::StateSchema* schema;
+  const std::int64_t* image;
   const netsim::Packet* packet;
 };
 
-void init_message_block(void* vctx, lang::StateBlock& block) {
+void init_message_payload(void* vctx, std::int64_t* payload) {
   auto* ctx = static_cast<MessageInitCtx*>(vctx);
-  reset_message_block(*ctx->schema, block);
-  init_message_state(*ctx->packet, block);
+  std::memcpy(payload, ctx->image, kMessageBytes);
+  init_message_state(*ctx->packet, payload);
 }
 }  // namespace
 
 state::FlowStore::Entry* Enclave::message_entry(
     const state::EpochDomain::Guard& guard, ActionEntry& entry,
     const netsim::Packet& p) {
-  MessageInitCtx ctx{&entry.schema, &p};
+  MessageInitCtx ctx{entry.message_image.data(), &p};
   return entry.messages->acquire(guard, message_key(p), now_ns(),
-                                 &init_message_block, &ctx);
+                                 &init_message_payload, &ctx);
 }
 
 // Opportunistic idle expiry: every thread on the data path advances the
@@ -1012,13 +1005,18 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
               if (a.key != b.key) return a.key < b.key;
               return a.order < b.order;
             });
-  if (!ts.batch_items.empty()) {
+  if (ts.batch_items.empty()) return batch.size();
+  {
+    // One epoch pin for the whole batch: the guard each group takes in
+    // run_action_batch nests inside it, so the groups skip the pin's
+    // seq_cst store and fence.
+    state::EpochDomain::Guard guard(state::EpochDomain::instance());
     // Overlap the message-store misses across the whole batch: the
     // first wave warms each group's table lines, the second chases the
-    // slot pointers and pulls the entry lines write-intent, so the
-    // acquire inside run_action_batch hits cache even at millions of
-    // live messages. Group heads only — the groups share entries.
-    state::EpochDomain::Guard guard(state::EpochDomain::instance());
+    // slot pointers and pulls both entry lines write-intent, so the
+    // acquire and the payload copy inside run_action_batch hit cache
+    // even at millions of live messages. Group heads only — the groups
+    // share entries.
     const auto is_head = [&](std::size_t i) {
       const ThreadState::BatchItem& it = ts.batch_items[i];
       if (!it.entry->touches_message || it.entry->messages == nullptr) {
@@ -1039,29 +1037,23 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
         it.entry->messages->prefetch_entry(guard, it.key);
       }
     }
-    for (std::size_t i = 0; i < ts.batch_items.size(); ++i) {
-      if (is_head(i)) {
-        const ThreadState::BatchItem& it = ts.batch_items[i];
-        it.entry->messages->prefetch_payload(guard, it.key);
+    for (std::size_t i = 0; i < ts.batch_items.size();) {
+      const ThreadState::BatchItem& head = ts.batch_items[i];
+      ts.batch_group.clear();
+      std::size_t j = i;
+      for (; j < ts.batch_items.size() &&
+             ts.batch_items[j].entry == head.entry &&
+             ts.batch_items[j].key == head.key;
+           ++j) {
+        ts.batch_group.push_back(ts.batch_items[j].pkt);
       }
+      // Warm the next group's head while this group executes.
+      if (j < ts.batch_items.size()) {
+        util::prefetch_write(ts.batch_items[j].pkt);
+      }
+      run_action_batch(ts, *head.entry, ts.batch_group);
+      i = j;
     }
-  }
-  for (std::size_t i = 0; i < ts.batch_items.size();) {
-    const ThreadState::BatchItem& head = ts.batch_items[i];
-    ts.batch_group.clear();
-    std::size_t j = i;
-    for (; j < ts.batch_items.size() &&
-           ts.batch_items[j].entry == head.entry &&
-           ts.batch_items[j].key == head.key;
-         ++j) {
-      ts.batch_group.push_back(ts.batch_items[j].pkt);
-    }
-    // Warm the next group's head while this group executes.
-    if (j < ts.batch_items.size()) {
-      util::prefetch_write(ts.batch_items[j].pkt);
-    }
-    run_action_batch(ts, *head.entry, ts.batch_group);
-    i = j;
   }
 
   // Only an action drops a packet, so the matched items are the only
@@ -1100,7 +1092,8 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
   // Message-state entries are epoch-protected: the guard keeps
   // msg_entry (and the table it was probed through) alive for the
   // whole group even if concurrent expiry, capacity eviction or a
-  // shard resize unlinks it mid-run.
+  // shard resize unlinks it mid-run. Under process_batch it nests in
+  // the batch's pin.
   state::EpochDomain::Guard guard(state::EpochDomain::instance());
   state::FlowStore::Entry* msg_entry = nullptr;
   if (entry.touches_message) {
@@ -1141,17 +1134,18 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
   }
 
   // The function runs against a consistent *copy* of the message state
-  // (Section 3.4.4); the authoritative entry is updated only from
+  // (Section 3.4.4); the authoritative payload is updated only from
   // successful executions, so a faulty action never leaves partial
-  // message-state writes behind.
+  // message-state writes behind. Each success commits its copy, which
+  // makes the payload the checkpoint a later fault rewinds to.
   lang::StateBlock* msg_block = nullptr;
+  std::int64_t* msg_scratch = ts.message_block.scalars.data();
   const bool writes_message =
       entry.native ? entry.touches_message
                    : entry.program.usage.writes_scope(lang::Scope::message);
   if (msg_entry != nullptr) {
-    ts.message_block = msg_entry->block;
+    std::memcpy(msg_scratch, msg_entry->payload, kMessageBytes);
     msg_block = &ts.message_block;
-    if (writes_message) ts.message_checkpoint = ts.message_block;
   }
 
   if (!entry.native) ts.interp.set_clock(clock_fn_, clock_ctx_);
@@ -1163,7 +1157,6 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
     profile_lock = std::unique_lock(entry.profile_mutex);
     ts.interp.set_profile(entry.profile.get(), kProfileCycleSampleEvery);
   }
-  bool msg_dirty = false;
 
   // Telemetry is pay-for-what-you-enable: with histograms off the
   // per-packet cost is the relaxed counter adds; with them on, the
@@ -1221,28 +1214,23 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
 
     if (status != lang::ExecStatus::ok) {
       // A faulty execution terminates without touching the packet or
-      // the message state (Section 3.4.3): rewind to the last good
-      // checkpoint so the next packet of the batch starts clean.
+      // the message state (Section 3.4.3): rewind to the last committed
+      // payload so the next packet of the batch starts clean.
       entry.counters.errors.fetch_add(1, std::memory_order_relaxed);
       entry.counters.by_status[static_cast<std::size_t>(status)].fetch_add(
           1, std::memory_order_relaxed);
       if (msg_entry != nullptr && writes_message) {
-        ts.message_block = ts.message_checkpoint;
+        std::memcpy(msg_scratch, msg_entry->payload, kMessageBytes);
       }
       continue;
     }
     store_packet_state(ts.packet_block, *packet);
     if (msg_entry != nullptr && writes_message) {
-      ts.message_checkpoint = ts.message_block;
-      msg_dirty = true;
+      std::memcpy(msg_entry->payload, msg_scratch, kMessageBytes);
     }
   }
 
   if (profile_lock.owns_lock()) ts.interp.set_profile(nullptr);
-
-  if (msg_entry != nullptr && msg_dirty) {
-    msg_entry->block = ts.message_block;
-  }
 }
 
 EnclaveStats Enclave::stats() const {
@@ -1418,8 +1406,8 @@ std::optional<std::int64_t> Enclave::peek_message_state(
   state::FlowStore::Entry* e = entry->messages->find(guard, msg_key);
   if (e == nullptr) return std::nullopt;
   std::lock_guard elock(e->lock);
-  if (slot >= e->block.scalars.size()) return std::nullopt;
-  return e->block.scalars[slot];
+  if (slot >= state::FlowStore::kPayloadWords) return std::nullopt;
+  return e->payload[slot];
 }
 
 }  // namespace eden::core

@@ -392,8 +392,11 @@ class Enclave {
     // Per-message state: sharded open-addressing FlowStore with
     // epoch-reclaimed entries and timer-wheel idle expiry
     // (src/state/flow_store.h). Created at install time when the
-    // action touches message state, null otherwise.
+    // action touches message state, null otherwise. Each entry holds
+    // the message block inline; a new one starts from message_image,
+    // the schema's message-scope defaults computed at install.
     std::unique_ptr<state::FlowStore> messages;
+    std::array<std::int64_t, state::FlowStore::kPayloadWords> message_image{};
     // Key-sharded global writes (Section 3.4.4 refinement): when every
     // writable global field is a key_partitioned array, "fully
     // serialized" degrades to "serialized per message-key stripe".

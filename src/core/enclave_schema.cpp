@@ -87,8 +87,7 @@ void store_packet_state(const StateBlock& block, netsim::Packet& p) {
   p.charge_bytes = charge <= 0 ? 0 : static_cast<std::uint32_t>(charge);
 }
 
-void init_message_state(const netsim::Packet& p, StateBlock& block) {
-  auto& s = block.scalars;
+void init_message_state(const netsim::Packet& p, std::int64_t* s) {
   s[MessageSlot::size] = 0;
   s[MessageSlot::priority] = p.meta.app_priority;
   s[MessageSlot::path] = -1;

@@ -71,7 +71,11 @@ void load_packet_state(const netsim::Packet& packet, lang::StateBlock& block);
 void store_packet_state(const lang::StateBlock& block, netsim::Packet& packet);
 
 // Initializes a fresh message-scope block from the first packet of the
-// message.
-void init_message_state(const netsim::Packet& packet, lang::StateBlock& block);
+// message; `message` holds MessageSlot::count_ words.
+void init_message_state(const netsim::Packet& packet, std::int64_t* message);
+inline void init_message_state(const netsim::Packet& packet,
+                               lang::StateBlock& block) {
+  init_message_state(packet, block.scalars.data());
+}
 
 }  // namespace eden::core

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <memory>
+#include <new>
 
 #include "util/hash.h"
 
@@ -27,6 +29,22 @@ std::uint8_t tag_of(std::uint64_t h) {
 
 std::size_t ceil_pow2(std::size_t v) {
   return v < 2 ? 2 : std::bit_ceil(v);
+}
+
+// A slab is a plain byte buffer one cache line longer than its entries,
+// aligned by hand. Aligned operator new would go through memalign,
+// which splits each slab's chunk and leaves small free fragments all
+// over the heap; the enclave's control-plane allocations then land in
+// them and run on scattered, cold lines.
+constexpr std::size_t kSlabBytes =
+    sizeof(FlowStore::Entry) * kSlabEntries + alignof(FlowStore::Entry);
+
+FlowStore::Entry* slab_entries(std::byte* slab) {
+  void* p = slab;
+  std::size_t space = kSlabBytes;
+  return static_cast<FlowStore::Entry*>(
+      std::align(alignof(FlowStore::Entry),
+                 sizeof(FlowStore::Entry) * kSlabEntries, p, space));
 }
 
 }  // namespace
@@ -91,7 +109,7 @@ FlowStore::~FlowStore() {
       // Retired entries live in the slabs below; destroyed there.
     }
     for (auto& slab : sh.slabs) {
-      Entry* entries = reinterpret_cast<Entry*>(slab.get());
+      Entry* entries = slab_entries(slab.get());
       for (std::size_t i = 0; i < kSlabEntries; ++i) entries[i].~Entry();
     }
   }
@@ -168,9 +186,13 @@ void FlowStore::prefetch_entry(const EpochDomain::Guard&,
     const std::uint8_t c = t->ctrl[i].load(std::memory_order_acquire);
     if (c == tag) {
       const Entry* e = t->slots[i].load(std::memory_order_acquire);
-      // Write-intent: the acquire that follows stamps last_touch_ns,
-      // so pull the line in exclusive state and skip the RFO upgrade.
-      if (e != nullptr) __builtin_prefetch(e, 1, 3);
+      // Write-intent on both lines: the acquire that follows stamps
+      // last_touch_ns and takes the entry lock, and the action commits
+      // the payload, so pull them exclusive and skip the RFO upgrade.
+      if (e != nullptr) {
+        __builtin_prefetch(e, 1, 3);
+        __builtin_prefetch(e->payload, 1, 3);
+      }
     } else if (c == kEmpty) {
       return;
     }
@@ -232,18 +254,6 @@ void FlowStore::find_batch(const EpochDomain::Guard& guard,
     out[i] = t == nullptr ? nullptr : probe_find(*t, hashes[i], keys[i]);
   }
   (void)guard;
-}
-
-void FlowStore::prefetch_payload(const EpochDomain::Guard& guard,
-                                 std::int64_t key) const {
-  const Entry* e = find(guard, key);
-  if (e == nullptr) return;
-  if (!e->block.scalars.empty()) {
-    __builtin_prefetch(e->block.scalars.data(), 1, 3);
-  }
-  if (!e->block.arrays.empty()) {
-    __builtin_prefetch(e->block.arrays.data(), 1, 3);
-  }
 }
 
 FlowStore::Entry* FlowStore::acquire(const EpochDomain::Guard&,
@@ -324,7 +334,7 @@ FlowStore::Entry* FlowStore::insert_locked(Shard& sh, std::uint64_t hash,
   Entry* e = alloc_entry(sh);
   e->key = key;
   e->last_touch_ns.store(now_ns, std::memory_order_relaxed);
-  init(ctx, e->block);
+  init(ctx, e->payload);
   if (t->ctrl[slot].load(std::memory_order_relaxed) == kTombstone) {
     --sh.tombstones;
   }
@@ -338,7 +348,9 @@ FlowStore::Entry* FlowStore::insert_locked(Shard& sh, std::uint64_t hash,
   if (config_.sink.created != nullptr) {
     config_.sink.created->fetch_add(1, std::memory_order_relaxed);
   }
-  probe_hist_.record(probe_len);
+  if (telemetry::sample_1_in(config_.probe_sample_every)) {
+    probe_hist_.record(probe_len);
+  }
 
   const std::int64_t deadline =
       config_.idle_timeout_ns > 0 ? now_ns + config_.idle_timeout_ns : now_ns;
@@ -489,8 +501,8 @@ void FlowStore::advance_stripe(std::size_t stripe, std::size_t stripes,
 
 FlowStore::Entry* FlowStore::alloc_entry(Shard& sh) {
   if (sh.free_head == nullptr) {
-    auto slab = std::make_unique<std::byte[]>(sizeof(Entry) * kSlabEntries);
-    Entry* entries = reinterpret_cast<Entry*>(slab.get());
+    auto slab = std::make_unique<std::byte[]>(kSlabBytes);
+    Entry* entries = slab_entries(slab.get());
     for (std::size_t i = 0; i < kSlabEntries; ++i) {
       Entry* e = new (&entries[i]) Entry();
       e->free_next = sh.free_head;
@@ -500,7 +512,6 @@ FlowStore::Entry* FlowStore::alloc_entry(Shard& sh) {
   }
   Entry* e = sh.free_head;
   sh.free_head = e->free_next;
-  e->free_next = nullptr;
   return e;
 }
 
@@ -518,9 +529,8 @@ void FlowStore::maybe_reclaim(Shard& sh, bool force) {
     if (r.is_table) {
       delete static_cast<Table*>(r.ptr);
     } else {
-      // Unreachable by every guard: recycle the slab slot. The block
-      // keeps its vector capacity, so a later insert re-initializes
-      // it without allocating.
+      // Unreachable by every guard: recycle the slab slot; a later
+      // insert re-initializes its payload in place.
       Entry* e = static_cast<Entry*>(r.ptr);
       e->free_next = sh.free_head;
       sh.free_head = e;

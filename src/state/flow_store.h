@@ -11,8 +11,13 @@
 //     (7-bit tag per slot, probed in groups of 16) in front of a slot
 //     array of Entry pointers. Entries live in a stable slab arena and
 //     NEVER move, so resize just rebuilds the index arrays — the
-//     StateBlock payload, the per-entry mutex the action runtime locks,
-//     and the intrusive timer node all keep their addresses.
+//     payload, the per-entry mutex the action runtime locks, and the
+//     timer node all keep their addresses.
+//   * An entry is two cache lines at fixed offsets (with glibc's
+//     40-byte std::mutex): the first holds the timer node, key, touch
+//     stamp and entry lock, the second the message block's
+//     kPayloadWords words inline. A hit touches both; the expiry walk
+//     touches only the first.
 //   * The hit path takes NO shard lock: readers probe the published
 //     table under an EpochDomain guard; insert/resize/expiry/eviction
 //     serialize on the shard mutex and retire unlinked memory through
@@ -31,8 +36,8 @@
 // live EpochDomain::Guard; the returned Entry* (and everything hanging
 // off it) stays valid until the guard is released, even if the entry
 // is concurrently expired, evicted or the table resized. Mutating an
-// entry's block requires holding entry->lock (per-message exclusivity,
-// unchanged from the old MessageEntry).
+// entry's payload requires holding entry->lock (per-message
+// exclusivity, unchanged from the old MessageEntry).
 #pragma once
 
 #include <atomic>
@@ -42,7 +47,6 @@
 #include <mutex>
 #include <vector>
 
-#include "lang/state_schema.h"
 #include "state/epoch.h"
 #include "state/timer_wheel.h"
 #include "telemetry/metrics.h"
@@ -79,21 +83,28 @@ struct FlowStoreStats {
 
 class FlowStore {
  public:
-  struct Entry {
+  // Words of state each entry carries inline.
+  static constexpr std::size_t kPayloadWords = 8;
+
+  struct alignas(64) Entry {
     // First member: the wheel hands back TimerNode*, and entry_of()
     // relies on the node sitting at offset 0.
     TimerNode timer;
     std::int64_t key = 0;
     std::atomic<std::int64_t> last_touch_ns{0};
     std::mutex lock;  // per-message exclusivity, as MessageEntry had
-    lang::StateBlock block;
-    Entry* free_next = nullptr;
+    // The message block, on its own line. A slab slot on the free list
+    // holds no message, so the free-list link reuses the line.
+    union alignas(64) {
+      std::int64_t payload[kPayloadWords] = {};
+      Entry* free_next;
+    };
   };
 
-  // Runs under the shard lock for a freshly created entry. The block
-  // may hold a recycled predecessor's contents (capacity is reused);
-  // the callback must fully re-initialize it.
-  using InitFn = void (*)(void* ctx, lang::StateBlock& block);
+  // Runs under the shard lock for a freshly created entry. The payload
+  // may hold a recycled predecessor's words; the callback must write
+  // all kPayloadWords of them.
+  using InitFn = void (*)(void* ctx, std::int64_t* payload);
 
   explicit FlowStore(FlowStoreConfig config,
                      EpochDomain& domain = EpochDomain::instance());
@@ -116,8 +127,8 @@ class FlowStore {
   bool erase(std::int64_t key);
 
   // Batch warm-up for the hit path. Lookups at large populations pay
-  // up to three dependent cache misses (ctrl byte, slot pointer, entry
-  // line); issuing `prefetch` for every key in a batch and then
+  // two dependent cache misses (the table lines, then the entry's two
+  // lines); issuing `prefetch` for every key in a batch and then
   // `prefetch_entry` for the same keys overlaps those misses across
   // the whole batch instead of serializing them per lookup. Both are
   // hints: they never fault, never touch stats, and are safe for keys
@@ -126,11 +137,6 @@ class FlowStore {
   void prefetch(const EpochDomain::Guard& guard, std::int64_t key) const;
   void prefetch_entry(const EpochDomain::Guard& guard,
                       std::int64_t key) const;
-  // Third wave: pulls the entry's out-of-line payload storage (the
-  // StateBlock vectors' heap lines). Assumes the entry line itself is
-  // warm, i.e. `prefetch_entry` ran earlier in the same batch.
-  void prefetch_payload(const EpochDomain::Guard& guard,
-                        std::int64_t key) const;
 
   // Batched peek: looks up `n` keys (n <= kMaxFindBatch) and writes
   // out[i] = entry or nullptr. Equivalent to n find() calls but runs

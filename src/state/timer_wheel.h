@@ -16,8 +16,14 @@
 //     entry's last_touch; when the node's original slot fires, the
 //     owner decides (from the fresh timestamp) whether the node is
 //     really idle or should be lazily re-armed at its new deadline.
-//   * The wheel is intrusive: TimerNode lives inside the FlowStore
-//     entry, so scheduling allocates nothing.
+//   * Each slot is an array of (node, deadline tick) items, and a node
+//     records its slot and its index there, so cancel is an O(1)
+//     swap-remove. Firing and cascading walk a slot's array and
+//     prefetch the node a few items ahead: a tick's re-arms overlap
+//     their cache misses instead of chasing list pointers one at a
+//     time. Level-0 arrays keep their capacity across laps, so a
+//     steady firing rate does not allocate; an array above level 0 is
+//     reused only once per 64^level ticks, so cascading frees it.
 //
 // Not thread-safe; the owning FlowStore shard serializes access under
 // its shard lock.
@@ -25,15 +31,20 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace eden::state {
 
-struct TimerNode {
-  TimerNode* prev = nullptr;
-  TimerNode* next = nullptr;
-  std::int64_t deadline_ns = 0;  // as of the last (re)schedule
+// Eight bytes, so it packs into the first cache line of a FlowStore
+// entry beside the key, the touch stamp and the entry lock.
+class TimerNode {
+ public:
+  bool scheduled() const { return slot_ != 0; }
 
-  bool scheduled() const { return prev != nullptr; }
+ private:
+  friend class TimerWheel;
+  std::uint32_t slot_ = 0;   // 1 + level * kSlots + slot; 0 = unscheduled
+  std::uint32_t index_ = 0;  // position in that slot's array
 };
 
 class TimerWheel {
@@ -61,7 +72,10 @@ class TimerWheel {
   // Advances the cursor to `now_ns`, cascading higher levels as slots
   // wrap, and calls `fn(node)` for every node whose slot fires. The
   // callback owns the node's fate: re-schedule it (lazy re-arm) or
-  // leave it unlinked (expired). `fn` may schedule/cancel freely.
+  // leave it unlinked (expired). `fn` may schedule/cancel freely,
+  // including other nodes due in the same tick: a node cancelled
+  // before its turn never fires, and one rescheduled fires once, at
+  // its new deadline.
   template <typename Fn>
   void advance(std::int64_t now_ns, Fn&& fn) {
     const std::int64_t target = tick_of(now_ns);
@@ -86,26 +100,38 @@ class TimerWheel {
   std::int64_t current_tick() const { return current_tick_; }
 
  private:
+  struct Item {
+    TimerNode* node;
+    std::int64_t deadline_tick;
+  };
+
+  // How far ahead of the walk firing and cascading prefetch a node.
+  static constexpr std::size_t kPrefetchAhead = 8;
+
   std::int64_t tick_of(std::int64_t ns) const { return ns / tick_ns_; }
   void place(TimerNode& node, std::int64_t deadline_tick);
-  static void unlink(TimerNode& node);
-  void push_back(TimerNode& list, TimerNode& node);
+  void unlink(TimerNode& node);
 
   template <typename Fn>
   void step_one_tick(Fn& fn) {
     ++current_tick_;
     cascade_due_levels();
-    // Detach the firing list first: the callback may re-schedule the
-    // node into this same slot (deadline in the current tick), which
-    // must wait for the NEXT lap, not loop forever now.
-    TimerNode* head = detach_slot(0, slot_index(0, current_tick_));
-    while (head != nullptr) {
-      TimerNode* next = head->next;
-      head->prev = head->next = nullptr;
+    // Fire in place. Nothing is placed into the firing slot while it
+    // fires (a deadline in the current tick lands one tick later), so
+    // the array only shrinks: a callback's cancel or reschedule of a
+    // node not yet fired swap-removes it from behind the walk, and the
+    // fired prefix stays put until the slot is cleared.
+    std::vector<Item>& items = slots_[0][slot_index(0, current_tick_)];
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i + kPrefetchAhead < items.size()) {
+        __builtin_prefetch(items[i + kPrefetchAhead].node, 1, 3);
+      }
+      TimerNode* node = items[i].node;
+      node->slot_ = 0;
       --scheduled_;
-      fn(head);
-      head = next;
+      fn(node);
     }
+    items.clear();
   }
 
   std::size_t slot_index(int level, std::int64_t tick) const {
@@ -114,13 +140,11 @@ class TimerWheel {
 
   void cascade_due_levels();
   void cascade(int level, std::size_t slot);
-  TimerNode* detach_slot(int level, std::size_t slot);
 
   std::int64_t tick_ns_;
   std::int64_t current_tick_;
   std::size_t scheduled_ = 0;
-  // Sentinel-headed circular lists.
-  TimerNode slots_[kLevels][kSlots];
+  std::vector<Item> slots_[kLevels][kSlots];
 };
 
 }  // namespace eden::state

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/controller.h"
+#include "functions/registry.h"
 #include "telemetry/span.h"
 #include "util/rng.h"
 
@@ -1366,6 +1367,252 @@ TEST(EnclaveMatchTest, TwoTablesAgreeWithLinearScan) {
   for (const std::uint64_t seed : {11, 12, 13, 14, 15, 16, 17, 18}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     MatchScript(seed, 2).run(60);
+  }
+}
+
+// Bytecode and native twins agree through the FlowStore: the same
+// packet stream runs through process_batch() on a bytecode enclave and
+// on a native-twin enclave, for each Table-1 function. The stream
+// interleaves several messages of several packets, so batches form
+// multi-packet message groups whose payload is copied in, committed
+// and (for a fault) rewound on both paths.
+class EnclaveTwinTest : public ::testing::Test {
+ protected:
+  static constexpr std::int64_t kMessages = 6;
+  static constexpr std::int64_t kPacketsPerMessage = 5;
+  static constexpr std::size_t kBatch = 8;
+  static constexpr std::int64_t kVip = 2;
+
+  static void push_globals(Enclave& enclave, ActionId action,
+                           const std::string& fn) {
+    if (fn == "pias") {
+      enclave.set_global_array(action, "priorities",
+                               {4000, 7, 12000, 5, std::int64_t{1} << 40, 3});
+    } else if (fn == "sff") {
+      enclave.set_global_array(
+          action, "priorities",
+          {10240, 7, 20000, 5, 30000, 3, std::int64_t{1} << 40, 1});
+    } else if (fn == "wcmp" || fn == "message_wcmp") {
+      std::vector<std::int64_t> paths;
+      for (std::int64_t d = 0; d < 4; ++d) {
+        paths.insert(paths.end(), {d, 10 + 2 * d, 600, d, 11 + 2 * d, 400});
+      }
+      enclave.set_global_array(action, "paths", std::move(paths));
+    } else if (fn == "vip_lb") {
+      enclave.set_global_scalar(action, "vip", kVip);
+      enclave.set_global_array(action, "backend_labels", {31, 32, 33});
+    } else if (fn == "qjump") {
+      enclave.set_global_array(action, "level_queues",
+                               {0, 1, 2, 3, 4, 5, 6, 7});
+    } else if (fn == "replica_select") {
+      enclave.set_global_array(action, "replica_labels", {201, 202, 203});
+    } else if (fn == "port_knock") {
+      enclave.set_global_array(action, "knock_seq", {1001, 1002, 1003});
+      enclave.set_global_scalar(action, "open_port", 1004);
+      enclave.set_global_scalar(action, "strict", 1);
+    } else if (fn == "conntrack") {
+      enclave.set_global_scalar(action, "self", 1);
+      enclave.set_global_array(action, "open_ports", {1000, 1001});
+    } else if (fn == "pulsar") {
+      enclave.set_global_array(action, "queue_map", {0, 1, 1, 2, 2, 3});
+    }
+  }
+
+  // Packet k of message m, the stream interleaving messages packet by
+  // packet. Fields vary by message and position so every function
+  // takes more than one branch.
+  static netsim::PacketPtr stream_packet(std::int64_t m, std::int64_t k) {
+    static constexpr std::int64_t kPorts[2][kPacketsPerMessage] = {
+        {1001, 1002, 1003, 1004, 1004}, {1004, 1001, 1005, 1000, 1002}};
+    auto p = std::make_shared<netsim::Packet>(tcp_packet(m));
+    p->src = m % 2 == 0 ? 1 : 5;
+    p->dst = static_cast<netsim::HostId>(m % 4);
+    p->dst_port = static_cast<std::uint16_t>(kPorts[m % 2][k]);
+    p->size_bytes = static_cast<std::uint32_t>(1514 - 100 * k);
+    p->payload_bytes = p->size_bytes - 54;
+    p->seq = static_cast<std::uint64_t>(k * 1460);
+    p->meta.key_hash = m * 37 + k;
+    p->meta.app_priority = (m + k) % 9 - 1;
+    p->meta.tenant = m % 3;
+    p->meta.msg_type = k % 2;
+    p->meta.msg_size = 4096 * m;
+    p->meta.flow_size = 5000 * m;
+    return p;
+  }
+
+  struct Run {
+    ClassRegistry registry;
+    Enclave enclave{"twin", registry};
+    ActionId action = kInvalidAction;
+    std::vector<netsim::PacketPtr> packets;  // stream order
+  };
+
+  static void run(const functions::NetworkFunction& fn, bool native,
+                  Run& out) {
+    out.action = fn.install(out.enclave, native);
+    push_globals(out.enclave, out.action, fn.name());
+    const TableId table = out.enclave.create_table("t");
+    out.enclave.add_rule(table, ClassPattern("*"), out.action);
+    for (std::int64_t k = 0; k < kPacketsPerMessage; ++k) {
+      for (std::int64_t m = 1; m <= kMessages; ++m) {
+        out.packets.push_back(stream_packet(m, k));
+      }
+    }
+    std::vector<netsim::PacketPtr> batch;
+    for (std::size_t i = 0; i < out.packets.size(); i += kBatch) {
+      batch.assign(out.packets.begin() + static_cast<std::ptrdiff_t>(i),
+                   out.packets.begin() + static_cast<std::ptrdiff_t>(
+                       std::min(i + kBatch, out.packets.size())));
+      out.enclave.process_batch(std::span(batch.data(), batch.size()));
+    }
+  }
+};
+
+TEST_F(EnclaveTwinTest, BytecodeAndNativeAgreeThroughTheFlowStore) {
+  // The message slot each randomized function fills with rand().
+  const std::map<std::string, std::optional<std::uint16_t>> randomized = {
+      {"wcmp", std::nullopt},
+      {"message_wcmp", MessageSlot::path},
+      {"vip_lb", MessageSlot::state0},
+  };
+  const auto& all = functions::all_functions();
+  ASSERT_EQ(all.size(), 11u);
+  for (const auto& fn : all) {
+    SCOPED_TRACE(fn->name());
+    Run bytecode;
+    Run native;
+    run(*fn, false, bytecode);
+    run(*fn, true, native);
+    const auto rnd = randomized.find(fn->name());
+    const bool is_random = rnd != randomized.end();
+
+    ASSERT_EQ(bytecode.packets.size(), native.packets.size());
+    std::map<std::int64_t, std::int32_t> msg_path[2];
+    for (std::size_t i = 0; i < bytecode.packets.size(); ++i) {
+      SCOPED_TRACE("packet " + std::to_string(i));
+      const netsim::Packet& b = *bytecode.packets[i];
+      const netsim::Packet& n = *native.packets[i];
+      EXPECT_EQ(b.drop_mark, n.drop_mark);
+      EXPECT_EQ(b.priority, n.priority);
+      EXPECT_EQ(b.rl_queue, n.rl_queue);
+      EXPECT_EQ(b.charge_bytes, n.charge_bytes);
+      if (!is_random) {
+        EXPECT_EQ(b.path_label, n.path_label);
+        continue;
+      }
+      // Randomized: each twin's path must be one the globals allow.
+      for (const netsim::Packet* p : {&b, &n}) {
+        if (fn->name() == std::string("vip_lb")) {
+          if (p->dst == kVip) {
+            EXPECT_TRUE(p->path_label >= 31 && p->path_label <= 33)
+                << p->path_label;
+          } else {
+            EXPECT_EQ(p->path_label, b.path_label);
+          }
+        } else {
+          const std::int32_t lo = 10 + 2 * static_cast<std::int32_t>(p->dst);
+          EXPECT_TRUE(p->path_label == lo || p->path_label == lo + 1)
+              << p->path_label;
+        }
+      }
+      if (rnd->second.has_value()) {
+        // Message-level picks: one path per message.
+        for (int side = 0; side < 2; ++side) {
+          const netsim::Packet& p = side == 0 ? b : n;
+          const auto [it, fresh] =
+              msg_path[side].emplace(p.meta.msg_id, p.path_label);
+          EXPECT_EQ(it->second, p.path_label)
+              << "message " << p.meta.msg_id << " changed path";
+        }
+      }
+    }
+
+    for (std::int64_t m = 1; m <= kMessages; ++m) {
+      for (std::uint16_t slot = 0; slot < MessageSlot::count_; ++slot) {
+        SCOPED_TRACE("message " + std::to_string(m) + " slot " +
+                     std::to_string(slot));
+        const auto b = bytecode.enclave.peek_message_state(bytecode.action,
+                                                           m, slot);
+        const auto n =
+            native.enclave.peek_message_state(native.action, m, slot);
+        if (is_random && rnd->second == slot) {
+          ASSERT_EQ(b.has_value(), n.has_value());
+          continue;
+        }
+        EXPECT_EQ(b, n);
+      }
+    }
+    EXPECT_EQ(bytecode.enclave.stats().dropped_by_action,
+              native.enclave.stats().dropped_by_action);
+    EXPECT_EQ(bytecode.enclave.stats().message_entries_created,
+              native.enclave.stats().message_entries_created);
+  }
+}
+
+// Rollback inside a message group, on both paths: every packet bumps two
+// message slots and sets its path, and the third packet of each message
+// then faults, so its writes must be rewound while the packets before
+// and after it in the same group still commit.
+TEST_F(EnclaveTwinTest, FaultMidGroupRollsBackBothTwinsAlike) {
+  lang::FieldDef bad;
+  bad.name = "bad";
+  bad.kind = lang::FieldKind::array;
+  const std::vector<lang::FieldDef> globals = {bad};
+  ClassRegistry registry;
+  Controller controller(registry);
+  const lang::CompiledProgram program = controller.compile(
+      "bump",
+      "fun(p, m, g) -> m.state0 <- m.state0 + 1; "
+      "m.state1 <- m.state1 + p.size; p.path <- m.state0; "
+      "(if p.seq = 2920 then g.bad[0] else 0)",
+      globals);
+  Run runs[2];
+  for (int native = 0; native < 2; ++native) {
+    Run& r = runs[native];
+    r.action =
+        native == 0
+            ? r.enclave.install_action("bump", program, globals)
+            : r.enclave.install_native_action(
+                  "bump.native",
+                  [](lang::StateBlock& pkt, lang::StateBlock* msg,
+                     lang::StateBlock*, NativeCtx&) {
+                    msg->scalars[MessageSlot::state0] += 1;
+                    msg->scalars[MessageSlot::state1] +=
+                        pkt.scalars[PacketSlot::size];
+                    pkt.scalars[PacketSlot::path] =
+                        msg->scalars[MessageSlot::state0];
+                    return pkt.scalars[PacketSlot::seq] == 2920
+                               ? lang::ExecStatus::out_of_bounds
+                               : lang::ExecStatus::ok;
+                  },
+                  program.concurrency, /*touches_message=*/true, globals);
+    const TableId table = r.enclave.create_table("t");
+    r.enclave.add_rule(table, ClassPattern("*"), r.action);
+    for (std::int64_t k = 0; k < kPacketsPerMessage; ++k) {
+      for (std::int64_t m = 1; m <= kMessages; ++m) {
+        r.packets.push_back(stream_packet(m, k));
+      }
+    }
+    // One batch: each message's five packets form one group.
+    r.enclave.process_batch(std::span(r.packets.data(), r.packets.size()));
+    EXPECT_EQ(r.enclave.action_stats(r.action).errors,
+              static_cast<std::uint64_t>(kMessages));
+  }
+  for (std::size_t i = 0; i < runs[0].packets.size(); ++i) {
+    EXPECT_EQ(runs[0].packets[i]->path_label, runs[1].packets[i]->path_label)
+        << "packet " << i;
+  }
+  for (std::int64_t m = 1; m <= kMessages; ++m) {
+    std::int64_t bytes = 0;
+    for (std::int64_t k = 0; k < kPacketsPerMessage; ++k) {
+      if (k != 2) bytes += stream_packet(m, k)->size_bytes;
+    }
+    for (const Run& r : runs) {
+      EXPECT_EQ(r.enclave.peek_message_state(r.action, m, MessageSlot::state0),
+                kPacketsPerMessage - 1);
+      EXPECT_EQ(r.enclave.peek_message_state(r.action, m, MessageSlot::state1),
+                bytes);
+    }
   }
 }
 

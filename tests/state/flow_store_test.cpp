@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -14,10 +16,12 @@
 namespace eden::state {
 namespace {
 
-// Init callback: stamp the creating key into scalar 0 so lookups can
-// verify they found the right (and a fully re-initialized) block.
-void stamp_key(void* ctx, lang::StateBlock& block) {
-  block.scalars.assign(1, *static_cast<const std::int64_t*>(ctx));
+// Init callback: stamp the creating key into every payload word so
+// lookups can verify they found the right (and a fully re-initialized)
+// payload.
+void stamp_key(void* ctx, std::int64_t* payload) {
+  std::fill_n(payload, FlowStore::kPayloadWords,
+              *static_cast<const std::int64_t*>(ctx));
 }
 
 FlowStore::Entry* acquire(FlowStore& store, const EpochDomain::Guard& guard,
@@ -78,15 +82,15 @@ TEST(FlowStore, AcquireCreatesFindPeeks) {
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(created);
   EXPECT_EQ(e->key, 42);
-  ASSERT_EQ(e->block.scalars.size(), 1u);
-  EXPECT_EQ(e->block.scalars[0], 42);
+  ASSERT_EQ(std::size(e->payload), FlowStore::kPayloadWords);
+  EXPECT_EQ(e->payload[0], 42);
 
   // Second acquire: same entry, no re-init.
-  e->block.scalars[0] = 777;
+  e->payload[0] = 777;
   FlowStore::Entry* again = acquire(store, guard, 42, 2000, &created);
   EXPECT_EQ(again, e);
   EXPECT_FALSE(created);
-  EXPECT_EQ(again->block.scalars[0], 777);
+  EXPECT_EQ(again->payload[0], 777);
 
   // find() has peek semantics: hit without touching.
   const std::int64_t touch_before = e->last_touch_ns.load();
@@ -113,7 +117,7 @@ TEST(FlowStore, EraseRemovesAndRecyclesInitCleanly) {
   FlowStore store(FlowStoreConfig{});
   EpochDomain::Guard guard(store.domain());
   FlowStore::Entry* e = acquire(store, guard, 1, 100);
-  e->block.scalars[0] = 999;  // dirty the payload
+  e->payload[0] = 999;  // dirty the payload
   ASSERT_TRUE(store.erase(1));
   EXPECT_FALSE(store.erase(1));
   EXPECT_EQ(store.find(guard, 1), nullptr);
@@ -123,7 +127,7 @@ TEST(FlowStore, EraseRemovesAndRecyclesInitCleanly) {
   bool created = false;
   FlowStore::Entry* e2 = acquire(store, guard, 2, 200, &created);
   EXPECT_TRUE(created);
-  EXPECT_EQ(e2->block.scalars[0], 2);
+  EXPECT_EQ(e2->payload[0], 2);
 }
 
 TEST(FlowStore, ResizeKeepsEntryPointersStable) {
@@ -141,7 +145,7 @@ TEST(FlowStore, ResizeKeepsEntryPointersStable) {
   for (std::int64_t k = 0; k < 5000; ++k) {
     FlowStore::Entry* e = store.find(guard, k);
     ASSERT_EQ(e, pointers[k]) << "entry moved for key " << k;
-    EXPECT_EQ(e->block.scalars[0], k);
+    EXPECT_EQ(e->payload[0], k);
   }
   EXPECT_EQ(store.live(), 5000u);
 }
@@ -262,6 +266,20 @@ TEST(FlowStore, ProbeLengthHistogramRecords) {
   EXPECT_GE(s.probe_len.p50(), 1u);
 }
 
+// The probe-length histogram samples inserts at the same 1-in-N rate
+// as hits, so fresh keys alone record about creations / N samples.
+TEST(FlowStore, ProbeHistogramSamplesInserts) {
+  FlowStoreConfig config;
+  config.probe_sample_every = 64;
+  FlowStore store(config);
+  EpochDomain::Guard guard(store.domain());
+  for (std::int64_t k = 0; k < 6400; ++k) acquire(store, guard, k, k);
+  const FlowStoreStats s = store.stats();
+  EXPECT_EQ(s.created, 6400u);
+  EXPECT_GE(s.probe_len.count, 99u);
+  EXPECT_LE(s.probe_len.count, 101u);
+}
+
 // The ISSUE 9 differential property test: FlowStore against a plain
 // unordered_map reference model through randomized insert / lookup /
 // touch / expire / erase, across resizes. Invariants:
@@ -300,14 +318,14 @@ TEST(FlowStore, DifferentialAgainstUnorderedMapModel) {
         auto it = model.find(key);
         ASSERT_EQ(created, it == model.end()) << "step " << step;
         if (created) {
-          ASSERT_EQ(e->block.scalars[0], key);
+          ASSERT_EQ(e->payload[0], key);
           // Mutate the payload so stale-block reuse would be caught.
           const std::int64_t value =
               static_cast<std::int64_t>(rng() % 1'000'000);
-          e->block.scalars[0] = value;
+          e->payload[0] = value;
           model.emplace(key, Model{value, now});
         } else {
-          ASSERT_EQ(e->block.scalars[0], it->second.value) << "step " << step;
+          ASSERT_EQ(e->payload[0], it->second.value) << "step " << step;
           it->second.last_touch = now;
         }
         break;
@@ -317,7 +335,7 @@ TEST(FlowStore, DifferentialAgainstUnorderedMapModel) {
         const auto it = model.find(key);
         ASSERT_EQ(e != nullptr, it != model.end()) << "step " << step;
         if (e != nullptr) {
-          ASSERT_EQ(e->block.scalars[0], it->second.value) << "step " << step;
+          ASSERT_EQ(e->payload[0], it->second.value) << "step " << step;
         }
         break;
       }

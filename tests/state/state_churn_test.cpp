@@ -1,6 +1,7 @@
 // Concurrent churn tests for FlowStore, built to run under TSan and
 // ASan/UBSan (ISSUE 9): readers race acquires, erases, resizes,
 // capacity eviction and timer-wheel expiry.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <random>
@@ -15,8 +16,9 @@
 namespace eden::state {
 namespace {
 
-void stamp_key(void* ctx, lang::StateBlock& block) {
-  block.scalars.assign(1, *static_cast<const std::int64_t*>(ctx));
+void stamp_key(void* ctx, std::int64_t* payload) {
+  std::fill_n(payload, FlowStore::kPayloadWords,
+              *static_cast<const std::int64_t*>(ctx));
 }
 
 // Writers churn a keyspace much larger than max_entries while an expiry
@@ -68,10 +70,10 @@ TEST(StateChurn, ConcurrentChurnCountersReconcile) {
           // The block is either freshly stamped with our key or a
           // value some writer stored — never another key's stamp and
           // never a torn/recycled stale block.
-          const std::int64_t v = e->block.scalars.at(0);
+          const std::int64_t v = e->payload[0];
           ASSERT_TRUE(v == key || v >= kKeySpace)
               << "key " << key << " saw foreign stamp " << v;
-          e->block.scalars[0] = kKeySpace + key;  // marked as written
+          e->payload[0] = kKeySpace + key;  // marked as written
         }
       }
       erased.fetch_add(my_erased);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace eden::state {
@@ -133,6 +134,76 @@ TEST(TimerWheel, CollectOldestReturnsEarliestCohort) {
   const std::size_t n = wheel.collect_oldest(out, 8);
   ASSERT_GE(n, 1u);
   EXPECT_EQ(out[0], &early);
+}
+
+// The firing contract lets a callback cancel or reschedule any node,
+// including one due in the same tick that has not fired yet. Four
+// nodes share one tick; the first callback acts on each of the other
+// three in turn (the one after it, one in the middle, the last).
+TEST(TimerWheel, CallbackCancelsAnotherNodeDueInTheSameTick) {
+  for (std::size_t target = 0; target < 3; ++target) {
+    SCOPED_TRACE("target " + std::to_string(target));
+    TimerWheel wheel(kTick);
+    TimerNode nodes[4];
+    for (TimerNode& n : nodes) wheel.schedule(n, 1000);
+    TimerNode* cancelled = nullptr;
+    std::vector<TimerNode*> fired;
+    wheel.advance(1100, [&](TimerNode* n) {
+      if (cancelled == nullptr) {
+        std::vector<TimerNode*> others;
+        for (TimerNode& o : nodes) {
+          if (&o != n) others.push_back(&o);
+        }
+        cancelled = others[target];
+        wheel.cancel(*cancelled);
+      }
+      fired.push_back(n);
+    });
+    ASSERT_NE(cancelled, nullptr);
+    EXPECT_FALSE(cancelled->scheduled());
+    EXPECT_EQ(fired.size(), 3u);
+    EXPECT_EQ(std::count(fired.begin(), fired.end(), cancelled), 0);
+    for (TimerNode& n : nodes) {
+      if (&n == cancelled) continue;
+      EXPECT_EQ(std::count(fired.begin(), fired.end(), &n), 1);
+    }
+    EXPECT_EQ(wheel.scheduled_count(), 0u);
+    EXPECT_TRUE(advance_collect(wheel, 100'000).empty());
+  }
+}
+
+TEST(TimerWheel, CallbackReschedulesAnotherNodeDueInTheSameTick) {
+  for (std::size_t target = 0; target < 3; ++target) {
+    SCOPED_TRACE("target " + std::to_string(target));
+    TimerWheel wheel(kTick);
+    TimerNode nodes[4];
+    for (TimerNode& n : nodes) wheel.schedule(n, 1000);
+    TimerNode* moved = nullptr;
+    std::vector<TimerNode*> fired;
+    wheel.advance(1100, [&](TimerNode* n) {
+      if (moved == nullptr) {
+        std::vector<TimerNode*> others;
+        for (TimerNode& o : nodes) {
+          if (&o != n) others.push_back(&o);
+        }
+        moved = others[target];
+        wheel.schedule(*moved, 3000);
+      }
+      fired.push_back(n);
+    });
+    ASSERT_NE(moved, nullptr);
+    EXPECT_EQ(fired.size(), 3u);
+    EXPECT_EQ(std::count(fired.begin(), fired.end(), moved), 0);
+    EXPECT_TRUE(moved->scheduled());
+    EXPECT_EQ(wheel.scheduled_count(), 1u);
+    // Not before its new deadline, then exactly once.
+    EXPECT_TRUE(advance_collect(wheel, 2900).empty());
+    const auto later = advance_collect(wheel, 3100);
+    ASSERT_EQ(later.size(), 1u);
+    EXPECT_EQ(later[0], moved);
+    EXPECT_EQ(wheel.scheduled_count(), 0u);
+    EXPECT_TRUE(advance_collect(wheel, 100'000).empty());
+  }
 }
 
 // Differential property test against an ordered-map model under random
