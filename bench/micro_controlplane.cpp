@@ -66,6 +66,43 @@ struct Bed {
     return controller.compile(
         name, "fun(p, m, g) -> p.priority <- " + std::to_string(value), {});
   }
+
+  using Handles = std::vector<controlplane::EnclaveSession::RuleHandle>;
+
+  // Installs the two repoint targets "pa" and "pb" and points `rules`
+  // rules of table "t" at "pa".
+  Handles seed_rules(std::size_t rules) {
+    session->install_action("pa", priority_program("pa", 3), {});
+    session->install_action("pb", priority_program("pb", 5), {});
+    Handles handles;
+    for (std::size_t i = 0; i < rules; ++i) {
+      handles.push_back(session->add_rule("t", rule_class(i), "pa"));
+    }
+    drain();
+    return handles;
+  }
+
+  // Re-points every rule to `target` in one transaction: the agent
+  // stages every mutation and the enclave publishes one snapshot.
+  void repoint_txn(Handles& handles, const std::string& target) {
+    session->begin_txn();
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      session->remove_rule("t", handles[i]);
+      handles[i] = session->add_rule("t", rule_class(i), target);
+    }
+    session->commit_txn();
+    drain();
+  }
+
+  // Rule i matches its own class. A pattern must be a well-formed
+  // three-component name, or the enclave rejects the add and the bench
+  // would time rejections.
+  static std::string rule_class(std::size_t i) {
+    return "bench.repoint.c" + std::to_string(i);
+  }
+
+  // Error responses the session has seen. Any is a bench failure.
+  std::uint64_t errors() const { return session->stats().responses_error; }
 };
 
 // Flip `rules` table rules between two actions, one wire command at a
@@ -74,14 +111,7 @@ struct Bed {
 void BM_ControlPlane_RepointPerCommand(benchmark::State& state) {
   const auto rules = static_cast<std::size_t>(state.range(0));
   Bed bed;
-  bed.session->install_action("pa", bed.priority_program("pa", 3), {});
-  bed.session->install_action("pb", bed.priority_program("pb", 5), {});
-  std::vector<controlplane::EnclaveSession::RuleHandle> handles;
-  for (std::size_t i = 0; i < rules; ++i) {
-    handles.push_back(
-        bed.session->add_rule("t", "c" + std::to_string(i), "pa"));
-  }
-  bed.drain();
+  Bed::Handles handles = bed.seed_rules(rules);
 
   bool flip = false;
   for (auto _ : state) {
@@ -89,45 +119,30 @@ void BM_ControlPlane_RepointPerCommand(benchmark::State& state) {
     flip = !flip;
     for (std::size_t i = 0; i < rules; ++i) {
       bed.session->remove_rule("t", handles[i]);
-      handles[i] =
-          bed.session->add_rule("t", "c" + std::to_string(i), target);
+      handles[i] = bed.session->add_rule("t", Bed::rule_class(i), target);
       bed.drain();
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rules));
+  if (bed.errors() != 0) state.SkipWithError("session saw error responses");
 }
 BENCHMARK(BM_ControlPlane_RepointPerCommand)->Arg(8)->Arg(64);
 
-// The same repoint batched between begin_txn and commit_txn: the agent
-// stages every mutation and the enclave publishes one snapshot.
+// The same repoint batched between begin_txn and commit_txn.
 void BM_ControlPlane_RepointBatchedTxn(benchmark::State& state) {
   const auto rules = static_cast<std::size_t>(state.range(0));
   Bed bed;
-  bed.session->install_action("pa", bed.priority_program("pa", 3), {});
-  bed.session->install_action("pb", bed.priority_program("pb", 5), {});
-  std::vector<controlplane::EnclaveSession::RuleHandle> handles;
-  for (std::size_t i = 0; i < rules; ++i) {
-    handles.push_back(
-        bed.session->add_rule("t", "c" + std::to_string(i), "pa"));
-  }
-  bed.drain();
+  Bed::Handles handles = bed.seed_rules(rules);
 
   bool flip = false;
   for (auto _ : state) {
-    const std::string target = flip ? "pa" : "pb";
+    bed.repoint_txn(handles, flip ? "pa" : "pb");
     flip = !flip;
-    bed.session->begin_txn();
-    for (std::size_t i = 0; i < rules; ++i) {
-      bed.session->remove_rule("t", handles[i]);
-      handles[i] =
-          bed.session->add_rule("t", "c" + std::to_string(i), target);
-    }
-    bed.session->commit_txn();
-    bed.drain();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rules));
+  if (bed.errors() != 0) state.SkipWithError("session saw error responses");
 }
 BENCHMARK(BM_ControlPlane_RepointBatchedTxn)->Arg(8)->Arg(64);
 
@@ -139,30 +154,16 @@ void BM_ControlPlane_RepointBatchedTxnTraced(benchmark::State& state) {
   telemetry::SpanCollector::instance().reset();
   telemetry::SpanCollector::instance().enable(128, 1 << 15);
   Bed bed;
-  bed.session->install_action("pa", bed.priority_program("pa", 3), {});
-  bed.session->install_action("pb", bed.priority_program("pb", 5), {});
-  std::vector<controlplane::EnclaveSession::RuleHandle> handles;
-  for (std::size_t i = 0; i < rules; ++i) {
-    handles.push_back(
-        bed.session->add_rule("t", "c" + std::to_string(i), "pa"));
-  }
-  bed.drain();
+  Bed::Handles handles = bed.seed_rules(rules);
 
   bool flip = false;
   for (auto _ : state) {
-    const std::string target = flip ? "pa" : "pb";
+    bed.repoint_txn(handles, flip ? "pa" : "pb");
     flip = !flip;
-    bed.session->begin_txn();
-    for (std::size_t i = 0; i < rules; ++i) {
-      bed.session->remove_rule("t", handles[i]);
-      handles[i] =
-          bed.session->add_rule("t", "c" + std::to_string(i), target);
-    }
-    bed.session->commit_txn();
-    bed.drain();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rules));
+  if (bed.errors() != 0) state.SkipWithError("session saw error responses");
   telemetry::SpanCollector::instance().disable();
   telemetry::SpanCollector::instance().reset();
 }
@@ -228,35 +229,25 @@ BENCHMARK(BM_ControlPlane_ProcessAfterPublish);
 // --- Acceptance sweep ----------------------------------------------------
 //
 // Min-of-reps timing of the 64-rule batched repoint, tracing off vs
-// sampling 1-in-128. Both runs execute identical deterministic work,
-// so the ratio is stable on a noisy shared runner.
+// sampling 1-in-128. Both runs execute identical deterministic work, so
+// the ratio prices the tracing; host noise on a shared machine still
+// moves the smoke run's ratio by several percent.
 
-double time_batched_repoint(std::size_t rules, int txns) {
+// Adds the error responses the session saw to `errors`.
+double time_batched_repoint(std::size_t rules, int txns,
+                            std::uint64_t& errors) {
   Bed bed;
-  bed.session->install_action("pa", bed.priority_program("pa", 3), {});
-  bed.session->install_action("pb", bed.priority_program("pb", 5), {});
-  std::vector<controlplane::EnclaveSession::RuleHandle> handles;
-  for (std::size_t i = 0; i < rules; ++i) {
-    handles.push_back(
-        bed.session->add_rule("t", "c" + std::to_string(i), "pa"));
-  }
-  bed.drain();
+  Bed::Handles handles = bed.seed_rules(rules);
 
   bool flip = false;
   const double t0 = now_ns();
   for (int it = 0; it < txns; ++it) {
-    const std::string target = flip ? "pa" : "pb";
+    bed.repoint_txn(handles, flip ? "pa" : "pb");
     flip = !flip;
-    bed.session->begin_txn();
-    for (std::size_t i = 0; i < rules; ++i) {
-      bed.session->remove_rule("t", handles[i]);
-      handles[i] =
-          bed.session->add_rule("t", "c" + std::to_string(i), target);
-    }
-    bed.session->commit_txn();
-    bed.drain();
   }
-  return (now_ns() - t0) / txns;
+  const double ns = (now_ns() - t0) / txns;
+  errors += bed.errors();
+  return ns;
 }
 
 int run_acceptance_sweep(const std::string& json_path) {
@@ -266,16 +257,17 @@ int run_acceptance_sweep(const std::string& json_path) {
 
   telemetry::SpanCollector::instance().disable();
   telemetry::SpanCollector::instance().reset();
+  std::uint64_t errors = 0;
   double off_ns = 0;
   for (int r = 0; r < reps; ++r) {
-    const double t = time_batched_repoint(rules, txns);
+    const double t = time_batched_repoint(rules, txns, errors);
     if (r == 0 || t < off_ns) off_ns = t;
   }
 
   telemetry::SpanCollector::instance().enable(128, 1 << 15);
   double on_ns = 0;
   for (int r = 0; r < reps; ++r) {
-    const double t = time_batched_repoint(rules, txns);
+    const double t = time_batched_repoint(rules, txns, errors);
     if (r == 0 || t < on_ns) on_ns = t;
   }
   telemetry::SpanCollector::instance().disable();
@@ -312,6 +304,13 @@ int run_acceptance_sweep(const std::string& json_path) {
   std::fclose(out);
   std::printf("wrote %s\n", json_path.c_str());
 
+  if (errors != 0) {
+    std::fprintf(stderr,
+                 "FAIL: the session saw %llu error responses; the sweep "
+                 "timed rejected commands\n",
+                 static_cast<unsigned long long>(errors));
+    return 1;
+  }
   if (overhead > 0.05) {
     std::fprintf(stderr,
                  "FAIL: 1-in-128 tracing overhead %.2f%% > 5%%\n",

@@ -94,7 +94,7 @@ void EnclaveAgent::on_bytes(std::span<const std::uint8_t> data) {
         if (frame.trace_id != 0) {
           const std::int64_t t0 = spans().now_ns();
           const Response response =
-              core::wire::apply(enclave_, frame.payload, &telemetry_encoder_);
+              core::wire::apply(enclave_, frame.payload, telemetry_encoder_);
           const std::optional<core::wire::Command> op =
               core::wire::peek_command(frame.payload);
           const std::int64_t opcode =
@@ -115,7 +115,7 @@ void EnclaveAgent::on_bytes(std::span<const std::uint8_t> data) {
                             frame.trace_id, apply_span}));
         } else {
           const Response response =
-              core::wire::apply(enclave_, frame.payload, &telemetry_encoder_);
+              core::wire::apply(enclave_, frame.payload, telemetry_encoder_);
           transport_->send(encode_frame(
               {FrameType::response, frame.id,
                core::wire::encode_response(response)}));

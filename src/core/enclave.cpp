@@ -426,10 +426,6 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
   // enclave counters, so enclave-lifetime accounting survives the
   // store being torn down with its action.
   if (entry->touches_message && entry->messages == nullptr) {
-    const lang::StateBlock defaults =
-        lang::StateBlock::from_schema(entry->schema, lang::Scope::message);
-    std::copy(defaults.scalars.begin(), defaults.scalars.end(),
-              entry->message_image.begin());
     state::FlowStoreConfig fc;
     fc.shards = config_.message_store_shards;
     fc.max_entries = config_.max_messages_per_action;
@@ -754,25 +750,18 @@ std::int64_t Enclave::now_ns() const {
 
 namespace {
 // FlowStore init callback: runs under the shard lock for a freshly
-// created (possibly recycled) entry.
-struct MessageInitCtx {
-  const std::int64_t* image;
-  const netsim::Packet* packet;
-};
-
-void init_message_payload(void* vctx, std::int64_t* payload) {
-  auto* ctx = static_cast<MessageInitCtx*>(vctx);
-  std::memcpy(payload, ctx->image, kMessageBytes);
-  init_message_state(*ctx->packet, payload);
+// created (possibly recycled) entry, and writes every payload word.
+void init_message_payload(void* packet, std::int64_t* payload) {
+  init_message_state(*static_cast<const netsim::Packet*>(packet), payload);
 }
 }  // namespace
 
 state::FlowStore::Entry* Enclave::message_entry(
     const state::EpochDomain::Guard& guard, ActionEntry& entry,
     const netsim::Packet& p) {
-  MessageInitCtx ctx{entry.message_image.data(), &p};
   return entry.messages->acquire(guard, message_key(p), now_ns(),
-                                 &init_message_payload, &ctx);
+                                 &init_message_payload,
+                                 const_cast<netsim::Packet*>(&p));
 }
 
 // Opportunistic idle expiry: every thread on the data path advances the
@@ -1216,7 +1205,6 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
       // A faulty execution terminates without touching the packet or
       // the message state (Section 3.4.3): rewind to the last committed
       // payload so the next packet of the batch starts clean.
-      entry.counters.errors.fetch_add(1, std::memory_order_relaxed);
       entry.counters.by_status[static_cast<std::size_t>(status)].fetch_add(
           1, std::memory_order_relaxed);
       if (msg_entry != nullptr && writes_message) {
@@ -1280,11 +1268,11 @@ ActionStats Enclave::action_stats(ActionId id) const {
   const std::shared_ptr<ActionEntry> entry = checked_entry(id);
   ActionStats s;
   s.executions = entry->counters.executions.load(std::memory_order_relaxed);
-  s.errors = entry->counters.errors.load(std::memory_order_relaxed);
   s.steps = entry->counters.steps.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < s.errors_by_status.size(); ++i) {
     s.errors_by_status[i] =
         entry->counters.by_status[i].load(std::memory_order_relaxed);
+    s.errors += s.errors_by_status[i];
   }
   return s;
 }
@@ -1328,11 +1316,11 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
     a.name = entry->name;
     a.native = entry->native;
     a.executions = entry->counters.executions.load(std::memory_order_relaxed);
-    a.errors = entry->counters.errors.load(std::memory_order_relaxed);
     a.steps = entry->counters.steps.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < a.errors_by_status.size(); ++i) {
       a.errors_by_status[i] =
           entry->counters.by_status[i].load(std::memory_order_relaxed);
+      a.errors += a.errors_by_status[i];
     }
     if (entry->latency_hist != nullptr) {
       a.has_histograms = true;
@@ -1383,16 +1371,6 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
   }
 
   return t;
-}
-
-telemetry::ProgramProfile Enclave::action_profile(ActionId id) const {
-  const std::shared_ptr<ActionEntry> entry = checked_entry(id);
-  telemetry::ProgramProfile out;
-  if (entry->profile != nullptr) {
-    std::lock_guard lock(entry->profile_mutex);
-    out = *entry->profile;
-  }
-  return out;
 }
 
 std::optional<std::int64_t> Enclave::peek_message_state(

@@ -67,7 +67,7 @@ using NativeActionFn = std::function<lang::ExecStatus(
 
 struct ActionStats {
   std::uint64_t executions = 0;
-  std::uint64_t errors = 0;
+  std::uint64_t errors = 0;  // the sum of errors_by_status
   // Weighted interpreter steps (bytecode actions only): each executed
   // opcode bills the number of base instructions it stands for
   // (lang::kOpStepCost), so an -O1 superinstruction adds the full cost
@@ -346,18 +346,13 @@ class Enclave {
                                                  std::int64_t msg_key,
                                                  std::uint16_t slot) const;
 
-  // Merged hot-spot profile of a bytecode action (copy, so the caller
-  // can render it without racing the data path). Empty profile when
-  // config.telemetry.profile_actions is off or the action is native.
-  telemetry::ProgramProfile action_profile(ActionId id) const;
-
  private:
   // Always-on per-action counters; relaxed atomics because `parallel`
   // actions execute concurrently. Snapshotted into ActionStats on read.
   struct ActionCounters {
     std::atomic<std::uint64_t> executions{0};
-    std::atomic<std::uint64_t> errors{0};
     std::atomic<std::uint64_t> steps{0};
+    // Faulty executions by lang::ExecStatus; their sum is the error count.
     std::array<std::atomic<std::uint64_t>, lang::kNumExecStatus> by_status{};
   };
 
@@ -393,10 +388,9 @@ class Enclave {
     // epoch-reclaimed entries and timer-wheel idle expiry
     // (src/state/flow_store.h). Created at install time when the
     // action touches message state, null otherwise. Each entry holds
-    // the message block inline; a new one starts from message_image,
-    // the schema's message-scope defaults computed at install.
+    // the message block inline; init_message_state writes a new one
+    // from the message's first packet.
     std::unique_ptr<state::FlowStore> messages;
-    std::array<std::int64_t, state::FlowStore::kPayloadWords> message_image{};
     // Key-sharded global writes (Section 3.4.4 refinement): when every
     // writable global field is a key_partitioned array, "fully
     // serialized" degrades to "serialized per message-key stripe".

@@ -55,6 +55,31 @@ lang::FieldDef read_field_def(ByteReader& r) {
   return f;
 }
 
+// True for the numbers Command names. The switch lists every enumerator
+// (-Wswitch flags a missing one), so a retired number or any other byte
+// falls through to false.
+bool is_command(std::uint8_t op) {
+  switch (static_cast<Command>(op)) {
+    case Command::install_action:
+    case Command::remove_action:
+    case Command::create_table:
+    case Command::set_global_scalar:
+    case Command::set_global_array:
+    case Command::add_flow_rule:
+    case Command::clear_flow_rules:
+    case Command::get_spans:
+    case Command::begin_txn:
+    case Command::commit_txn:
+    case Command::abort_txn:
+    case Command::reset_state:
+    case Command::add_rule_named:
+    case Command::remove_rule_named:
+    case Command::get_telemetry_delta:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::optional<Command> peek_command(std::span<const std::uint8_t> frame) {
@@ -64,13 +89,8 @@ std::optional<Command> peek_command(std::span<const std::uint8_t> frame) {
     magic |= static_cast<std::uint32_t>(frame[static_cast<std::size_t>(i)])
              << (8 * i);
   }
-  if (magic != kMagic) return std::nullopt;
-  const std::uint8_t op = frame[4];
-  if (op < static_cast<std::uint8_t>(Command::install_action) ||
-      op > static_cast<std::uint8_t>(Command::get_telemetry_delta)) {
-    return std::nullopt;
-  }
-  return static_cast<Command>(op);
+  if (magic != kMagic || !is_command(frame[4])) return std::nullopt;
+  return static_cast<Command>(frame[4]);
 }
 
 // --- Encoders ---------------------------------------------------------------
@@ -95,30 +115,6 @@ std::vector<std::uint8_t> encode_remove_action(const std::string& name) {
 std::vector<std::uint8_t> encode_create_table(const std::string& name) {
   ByteWriter w = header(Command::create_table);
   w.str(name);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_delete_table(TableId table) {
-  ByteWriter w = header(Command::delete_table);
-  w.u32(table);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_add_rule(TableId table,
-                                          const std::string& pattern,
-                                          const std::string& action_name) {
-  ByteWriter w = header(Command::add_rule);
-  w.u32(table);
-  w.str(pattern);
-  w.str(action_name);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_remove_rule(TableId table,
-                                             MatchRuleId rule) {
-  ByteWriter w = header(Command::remove_rule);
-  w.u32(table);
-  w.u64(rule);
   return w.take();
 }
 
@@ -159,18 +155,6 @@ std::vector<std::uint8_t> encode_clear_flow_rules() {
   return header(Command::clear_flow_rules).take();
 }
 
-std::vector<std::uint8_t> encode_read_global_scalar(
-    const std::string& action_name, const std::string& field) {
-  ByteWriter w = header(Command::read_global_scalar);
-  w.str(action_name);
-  w.str(field);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_get_telemetry() {
-  return header(Command::get_telemetry).take();
-}
-
 std::vector<std::uint8_t> encode_get_spans() {
   return header(Command::get_spans).take();
 }
@@ -209,42 +193,11 @@ std::vector<std::uint8_t> encode_remove_rule_named(
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_get_ruleset_version() {
-  return header(Command::get_ruleset_version).take();
-}
-
 std::vector<std::uint8_t> encode_get_telemetry_delta(std::uint64_t epoch,
                                                      std::uint64_t seq) {
   ByteWriter w = header(Command::get_telemetry_delta);
   w.u64(epoch);
   w.u64(seq);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_get_stage_info() {
-  return header(Command::get_stage_info).take();
-}
-
-std::vector<std::uint8_t> encode_create_stage_rule(
-    const std::string& rule_set, const Classifier& classifier,
-    const std::string& class_name, MetaFieldMask meta_mask) {
-  ByteWriter w = header(Command::create_stage_rule);
-  w.str(rule_set);
-  w.u32(static_cast<std::uint32_t>(classifier.size()));
-  for (const FieldPattern& p : classifier) {
-    w.u8(p.wildcard ? 1 : 0);
-    w.str(p.value);
-  }
-  w.str(class_name);
-  w.u32(meta_mask);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_remove_stage_rule(const std::string& rule_set,
-                                                   RuleId rule) {
-  ByteWriter w = header(Command::remove_stage_rule);
-  w.str(rule_set);
-  w.u64(rule);
   return w.take();
 }
 
@@ -280,26 +233,6 @@ Response decode_response(std::span<const std::uint8_t> frame) {
   }
 }
 
-std::optional<StageInfo> decode_stage_info(
-    std::span<const std::uint8_t> payload) {
-  try {
-    ByteReader r(payload);
-    StageInfo info;
-    info.name = r.str();
-    const std::uint32_t nclassify = r.u32();
-    for (std::uint32_t i = 0; i < nclassify; ++i) {
-      info.classifier_fields.push_back(r.str());
-    }
-    const std::uint32_t nmeta = r.u32();
-    for (std::uint32_t i = 0; i < nmeta; ++i) {
-      info.meta_fields.push_back(r.str());
-    }
-    return info;
-  } catch (const util::ByteStreamError&) {
-    return std::nullopt;
-  }
-}
-
 // --- Agent ------------------------------------------------------------------
 
 namespace {
@@ -318,19 +251,11 @@ Response ok(std::uint64_t value = 0) {
 }
 
 Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
-                       telemetry::DeltaEncoder* encoder) {
+                       telemetry::DeltaEncoder& encoder) {
   ByteReader r(frame);
   if (r.u32() != kMagic) return fail(Status::bad_request, "bad magic");
   const std::uint8_t raw_cmd = r.u8();
-  // Enclave commands are the contiguous [install_action, get_telemetry]
-  // range plus everything from get_spans on (the stage commands in the
-  // middle belong to apply_stage).
-  if ((raw_cmd < 1 ||
-       raw_cmd > static_cast<std::uint8_t>(Command::get_telemetry)) &&
-      (raw_cmd < static_cast<std::uint8_t>(Command::get_spans) ||
-       raw_cmd > static_cast<std::uint8_t>(Command::get_telemetry_delta))) {
-    return fail(Status::bad_request, "unknown command");
-  }
+  if (!is_command(raw_cmd)) return fail(Status::bad_request, "unknown command");
   const auto cmd = static_cast<Command>(raw_cmd);
 
   auto resolve_action = [&](const std::string& name)
@@ -372,30 +297,6 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
     }
     case Command::create_table:
       return ok(enclave.create_table(r.str()));
-    case Command::delete_table:
-      enclave.delete_table(r.u32());
-      return ok();
-    case Command::add_rule: {
-      const TableId table = r.u32();
-      const std::string pattern = r.str();
-      const auto id = resolve_action(r.str());
-      if (!id) return fail(Status::unknown_action, "no such action");
-      // Parsed outside the try below: a malformed pattern throws
-      // invalid_argument, which apply() reports as rejected.
-      const ClassPattern parsed(pattern);
-      try {
-        return ok(enclave.add_rule(table, parsed, *id));
-      } catch (const std::invalid_argument& e) {
-        return fail(Status::unknown_table, e.what());
-      }
-    }
-    case Command::remove_rule: {
-      const TableId table = r.u32();
-      const MatchRuleId rule = r.u64();
-      return enclave.remove_rule(table, rule)
-                 ? ok()
-                 : fail(Status::unknown_table, "no such rule");
-    }
     case Command::set_global_scalar: {
       const auto id = resolve_action(r.str());
       const std::string field = r.str();
@@ -445,24 +346,6 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
     case Command::clear_flow_rules:
       enclave.clear_flow_rules();
       return ok();
-    case Command::read_global_scalar: {
-      const auto id = resolve_action(r.str());
-      const std::string field = r.str();
-      if (!id) return fail(Status::unknown_action, "no such action");
-      try {
-        return ok(static_cast<std::uint64_t>(
-            enclave.read_global_scalar(*id, field)));
-      } catch (const std::invalid_argument& e) {
-        return fail(Status::rejected, e.what());
-      }
-    }
-    case Command::get_telemetry: {
-      const std::string json = telemetry::to_json(
-          telemetry::aggregate({enclave.telemetry_snapshot()}));
-      Response resp;
-      resp.payload.assign(json.begin(), json.end());
-      return resp;
-    }
     case Command::get_spans: {
       const std::string json = telemetry::to_trace_event_json(
           telemetry::SpanCollector::instance().snapshot());
@@ -493,7 +376,9 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       const std::string pattern = r.str();
       const auto id = resolve_action(r.str());
       if (!id) return fail(Status::unknown_action, "no such action");
-      const ClassPattern parsed(pattern);  // malformed: rejected, as above
+      // Parsed outside the try below: a malformed pattern throws
+      // invalid_argument, which apply() reports as rejected.
+      const ClassPattern parsed(pattern);
       const auto table = enclave.find_table_id(table_name);
       if (!table) return fail(Status::unknown_table, "no such table");
       try {
@@ -511,21 +396,11 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
                  ? ok()
                  : fail(Status::unknown_table, "no such rule");
     }
-    case Command::get_ruleset_version:
-      return ok(enclave.ruleset_version());
     case Command::get_telemetry_delta: {
       const std::uint64_t epoch = r.u64();
       const std::uint64_t seq = r.u64();
-      std::string json;
-      if (encoder != nullptr) {
-        json = encoder->encode(enclave.telemetry_snapshot(), epoch, seq);
-      } else {
-        // No per-connection state: degrade to a stateless full payload
-        // under epoch 0 (the decoder adopts fulls unconditionally).
-        telemetry::DeltaPayload p;
-        p.enclaves.push_back(enclave.telemetry_snapshot());
-        json = telemetry::encode_delta_payload(p);
-      }
+      const std::string json =
+          encoder.encode(enclave.telemetry_snapshot(), epoch, seq);
       Response resp;
       resp.payload.assign(json.begin(), json.end());
       return resp;
@@ -537,7 +412,7 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
 }  // namespace
 
 Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
-               telemetry::DeltaEncoder* encoder) {
+               telemetry::DeltaEncoder& encoder) {
   try {
     return apply_checked(enclave, frame, encoder);
   } catch (const util::ByteStreamError& e) {
@@ -547,79 +422,6 @@ Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
   } catch (const std::length_error&) {
     // A hostile element count slipped past the frame-size guards and hit
     // a container limit; the frame is garbage, not a server fault.
-    return fail(Status::bad_request, "frame implies oversized allocation");
-  } catch (const std::bad_alloc&) {
-    return fail(Status::bad_request, "frame implies oversized allocation");
-  }
-}
-
-namespace {
-
-Response apply_stage_checked(Stage& stage,
-                             std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u32() != kMagic) return fail(Status::bad_request, "bad magic");
-  const std::uint8_t raw_cmd = r.u8();
-  const auto cmd = static_cast<Command>(raw_cmd);
-  switch (cmd) {
-    case Command::get_stage_info: {
-      const StageInfo info = stage.get_stage_info();
-      ByteWriter w;
-      w.str(info.name);
-      w.u32(static_cast<std::uint32_t>(info.classifier_fields.size()));
-      for (const auto& f : info.classifier_fields) w.str(f);
-      w.u32(static_cast<std::uint32_t>(info.meta_fields.size()));
-      for (const auto& f : info.meta_fields) w.str(f);
-      Response resp = ok();
-      resp.payload = w.take();
-      return resp;
-    }
-    case Command::create_stage_rule: {
-      const std::string rule_set = r.str();
-      const std::uint32_t npatterns = r.u32();
-      // Each pattern costs at least 5 bytes (wildcard flag + length).
-      if (npatterns > r.remaining() / 5) {
-        return fail(Status::bad_request, "pattern count exceeds frame");
-      }
-      Classifier classifier;
-      classifier.reserve(npatterns);
-      for (std::uint32_t i = 0; i < npatterns; ++i) {
-        FieldPattern p;
-        p.wildcard = r.u8() != 0;
-        p.value = r.str();
-        classifier.push_back(std::move(p));
-      }
-      const std::string class_name = r.str();
-      const MetaFieldMask mask = r.u32();
-      try {
-        return ok(stage.create_rule(rule_set, std::move(classifier),
-                                    class_name, mask));
-      } catch (const std::invalid_argument& e) {
-        return fail(Status::rejected, e.what());
-      }
-    }
-    case Command::remove_stage_rule: {
-      const std::string rule_set = r.str();
-      const RuleId rule = r.u64();
-      return stage.remove_rule(rule_set, rule)
-                 ? ok()
-                 : fail(Status::rejected, "no such rule");
-    }
-    default:
-      return fail(Status::bad_request, "not a stage command");
-  }
-}
-
-}  // namespace
-
-Response apply_stage(Stage& stage, std::span<const std::uint8_t> frame) {
-  try {
-    return apply_stage_checked(stage, frame);
-  } catch (const util::ByteStreamError& e) {
-    return fail(Status::bad_request, e.what());
-  } catch (const std::invalid_argument& e) {
-    return fail(Status::rejected, e.what());
-  } catch (const std::length_error&) {
     return fail(Status::bad_request, "frame implies oversized allocation");
   } catch (const std::bad_alloc&) {
     return fail(Status::bad_request, "frame implies oversized allocation");

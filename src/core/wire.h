@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "core/enclave.h"
-#include "core/stage.h"
 
 namespace eden::telemetry {
 class DeltaEncoder;
@@ -24,51 +23,40 @@ class DeltaEncoder;
 
 namespace eden::core::wire {
 
+// The command numbers are part of the frame format. The gaps (4-6,
+// 11-15 and 23) are retired commands that no client sends any more.
+// The agent answers them bad_request and they are never reused, so a
+// frame from another build can never decode as a different command.
 enum class Command : std::uint8_t {
   install_action = 1,
-  remove_action,
-  create_table,
-  delete_table,
-  add_rule,
-  remove_rule,
-  set_global_scalar,
-  set_global_array,
-  add_flow_rule,
-  clear_flow_rules,
-  read_global_scalar,
-  // Stats read-back: the enclave returns its telemetry snapshot as
-  // JSON in Response::payload.
-  get_telemetry,
-  // Stage API (Table 3).
-  get_stage_info,
-  create_stage_rule,
-  remove_stage_rule,
+  remove_action = 2,
+  create_table = 3,
+  set_global_scalar = 7,
+  set_global_array = 8,
+  add_flow_rule = 9,
+  clear_flow_rules = 10,
   // Lifecycle-span read-back: the enclave host returns the process-wide
   // SpanCollector contents as Chrome trace_event JSON in
-  // Response::payload. Appended after the stage commands so existing
-  // frames keep their numbering.
-  get_spans,
+  // Response::payload.
+  get_spans = 16,
   // Control-plane session commands (src/controlplane): transactional
-  // rule-set updates and the resync protocol. Appended last so every
-  // existing frame keeps its numbering.
-  begin_txn,    // value = transaction id
-  commit_txn,   // value = committed rule-set version
-  abort_txn,
+  // rule-set updates and the resync protocol.
+  begin_txn = 17,   // value = transaction id
+  commit_txn = 18,  // value = committed rule-set version
+  abort_txn = 19,
   // Wipes actions, tables, rules and flow rules (staged when a
   // transaction is open). Resync replays the journal on a blank slate.
-  reset_state,
-  // Rule management addressed by *table name* instead of TableId, so a
-  // resync replay can pipeline table creation and rule installs without
-  // waiting for create_table responses.
-  add_rule_named,     // value = MatchRuleId
-  remove_rule_named,
-  get_ruleset_version,  // value = committed rule-set version
-  // Incremental stats read-back: the request echoes the (epoch, seq)
-  // the controller last decoded; the agent's telemetry::DeltaEncoder
-  // answers with a telemetry::DeltaPayload JSON — a delta when the echo
-  // matches its state, a full snapshot under a fresh epoch otherwise.
-  // Appended last so every existing frame keeps its numbering.
-  get_telemetry_delta,
+  reset_state = 20,
+  // Rules are addressed by *table name*, so a resync replay can
+  // pipeline table creation and rule installs without waiting for
+  // create_table responses.
+  add_rule_named = 21,  // value = MatchRuleId
+  remove_rule_named = 22,
+  // Stats read-back: the request echoes the (epoch, seq) the controller
+  // last decoded; the agent's telemetry::DeltaEncoder answers with a
+  // telemetry::DeltaPayload JSON — a delta when the echo matches its
+  // state, a full snapshot under a fresh epoch otherwise.
+  get_telemetry_delta = 24,
 };
 
 enum class Status : std::uint8_t {
@@ -81,9 +69,9 @@ enum class Status : std::uint8_t {
 
 struct Response {
   Status status = Status::ok;
-  std::uint64_t value = 0;  // ids / read results
+  std::uint64_t value = 0;  // ids / versions
   std::string error;        // human-readable detail on failure
-  std::vector<std::uint8_t> payload;  // structured results (stage info)
+  std::vector<std::uint8_t> payload;  // JSON read-backs (telemetry, spans)
 };
 
 // --- Command encoders (controller side) --------------------------------
@@ -93,11 +81,6 @@ std::vector<std::uint8_t> encode_install_action(
     std::span<const lang::FieldDef> global_fields);
 std::vector<std::uint8_t> encode_remove_action(const std::string& name);
 std::vector<std::uint8_t> encode_create_table(const std::string& name);
-std::vector<std::uint8_t> encode_delete_table(TableId table);
-std::vector<std::uint8_t> encode_add_rule(TableId table,
-                                          const std::string& pattern,
-                                          const std::string& action_name);
-std::vector<std::uint8_t> encode_remove_rule(TableId table, MatchRuleId rule);
 std::vector<std::uint8_t> encode_set_global_scalar(
     const std::string& action_name, const std::string& field,
     std::int64_t value);
@@ -107,9 +90,6 @@ std::vector<std::uint8_t> encode_set_global_array(
 std::vector<std::uint8_t> encode_add_flow_rule(const FlowClassifierRule& rule,
                                                const std::string& class_name);
 std::vector<std::uint8_t> encode_clear_flow_rules();
-std::vector<std::uint8_t> encode_read_global_scalar(
-    const std::string& action_name, const std::string& field);
-std::vector<std::uint8_t> encode_get_telemetry();
 std::vector<std::uint8_t> encode_get_spans();
 std::vector<std::uint8_t> encode_begin_txn();
 std::vector<std::uint8_t> encode_commit_txn();
@@ -120,43 +100,26 @@ std::vector<std::uint8_t> encode_add_rule_named(const std::string& table_name,
                                                 const std::string& action_name);
 std::vector<std::uint8_t> encode_remove_rule_named(
     const std::string& table_name, MatchRuleId rule);
-std::vector<std::uint8_t> encode_get_ruleset_version();
 std::vector<std::uint8_t> encode_get_telemetry_delta(std::uint64_t epoch,
                                                      std::uint64_t seq);
 
-// Stage API command encoders (Table 3: S0 get_stage_info,
-// S1 create_rule, S2 remove_rule).
-std::vector<std::uint8_t> encode_get_stage_info();
-std::vector<std::uint8_t> encode_create_stage_rule(
-    const std::string& rule_set, const Classifier& classifier,
-    const std::string& class_name, MetaFieldMask meta_mask);
-std::vector<std::uint8_t> encode_remove_stage_rule(const std::string& rule_set,
-                                                   RuleId rule);
-
-// --- Agents ------------------------------------------------------------------
+// --- Agent ------------------------------------------------------------------
 
 // Reads the opcode off an encoded command frame without decoding the
 // rest (the opcode sits right after the magic). nullopt on frames too
-// short, with a bad magic, or with an out-of-range opcode. Tracing uses
-// this to label agent-side spans with the command they applied.
+// short, with a bad magic, or with an opcode that is not a Command
+// (retired numbers included). Tracing uses this to label agent-side
+// spans with the command they applied.
 std::optional<Command> peek_command(std::span<const std::uint8_t> frame);
 
 // Decodes one command frame and applies it to `enclave`. Never throws:
 // malformed frames and failed validations come back as a Response.
-// `encoder` (the connection's telemetry::DeltaEncoder, may be null)
-// answers get_telemetry_delta; without one the command degrades to
-// stateless full snapshots.
+// `encoder` is the connection's telemetry::DeltaEncoder; it answers
+// get_telemetry_delta.
 Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
-               telemetry::DeltaEncoder* encoder = nullptr);
-
-// Stage-side agent: applies stage commands to an application's stage.
-Response apply_stage(Stage& stage, std::span<const std::uint8_t> frame);
+               telemetry::DeltaEncoder& encoder);
 
 std::vector<std::uint8_t> encode_response(const Response& response);
 Response decode_response(std::span<const std::uint8_t> frame);
-
-// Decodes the payload of a get_stage_info response.
-std::optional<StageInfo> decode_stage_info(
-    std::span<const std::uint8_t> payload);
 
 }  // namespace eden::core::wire

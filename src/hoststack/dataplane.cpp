@@ -59,14 +59,13 @@ struct DataPlane::Worker {
   std::thread thread;
   std::size_t id = 0;
 
-  std::atomic<std::uint64_t> enqueued{0};  // producer writes
-  std::atomic<std::uint64_t> processed{0};
-  std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> busy_ns{0};
   std::atomic<std::uint64_t> max_depth{0};
 
-  telemetry::Counter* enqueued_ctr = nullptr;
+  // The exported eden_dataplane_*_total{worker} series; stats() reads
+  // them back.
+  telemetry::Counter* enqueued_ctr = nullptr;  // producer writes
   telemetry::Counter* processed_ctr = nullptr;
   telemetry::Counter* dropped_ctr = nullptr;
   telemetry::Gauge* depth_gauge = nullptr;
@@ -128,12 +127,10 @@ std::size_t DataPlane::shard_for(const netsim::Packet& p) const {
 bool DataPlane::submit(netsim::PacketPtr& packet) {
   Worker& w = *workers_[shard_for(*packet)];
   if (!w.in.push(std::move(packet))) {
-    ++submit_backpressure_;
     backpressure_ctr_->inc();
     return false;
   }
   ++submitted_;
-  w.enqueued.fetch_add(1, std::memory_order_relaxed);
   w.enqueued_ctr->inc();
   return true;
 }
@@ -157,12 +154,10 @@ std::size_t DataPlane::submit_burst(std::span<netsim::PacketPtr> burst) {
     if (pushed != 0) {
       consumed += pushed;
       submitted_ += pushed;
-      w.enqueued.fetch_add(pushed, std::memory_order_relaxed);
       w.enqueued_ctr->inc(pushed);
     }
     const std::size_t rejected = staged.size() - pushed;
     if (rejected != 0) {
-      submit_backpressure_ += rejected;
       backpressure_ctr_->inc(rejected);
       // Hand the leftovers back to their original burst slots.
       for (std::size_t j = pushed; j < staged.size(); ++j) {
@@ -275,8 +270,6 @@ void DataPlane::worker_main(Worker& w) {
     w.busy_ns.fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
 
     w.batches.fetch_add(1, std::memory_order_relaxed);
-    w.processed.fetch_add(n, std::memory_order_relaxed);
-    w.dropped.fetch_add(n - kept, std::memory_order_relaxed);
     w.processed_ctr->inc(n);
     if (n != kept) w.dropped_ctr->inc(n - kept);
 
@@ -299,14 +292,14 @@ DataPlaneStats DataPlane::stats() const {
   DataPlaneStats s;
   s.submitted = submitted_;
   s.drained = drained_;
-  s.submit_backpressure = submit_backpressure_;
+  s.submit_backpressure = backpressure_ctr_->value();
   std::uint64_t total = 0;
   std::uint64_t max_enq = 0;
   for (const auto& w : workers_) {
     DataPlaneWorkerStats ws;
-    ws.enqueued = w->enqueued.load(std::memory_order_relaxed);
-    ws.processed = w->processed.load(std::memory_order_relaxed);
-    ws.dropped = w->dropped.load(std::memory_order_relaxed);
+    ws.enqueued = w->enqueued_ctr->value();
+    ws.processed = w->processed_ctr->value();
+    ws.dropped = w->dropped_ctr->value();
     ws.batches = w->batches.load(std::memory_order_relaxed);
     ws.busy_ns = w->busy_ns.load(std::memory_order_relaxed);
     ws.max_ring_depth = w->max_depth.load(std::memory_order_relaxed);

@@ -162,7 +162,6 @@ class DataPlane {
   // Producer-side accounting (single-threaded by contract).
   std::uint64_t submitted_ = 0;
   std::uint64_t drained_ = 0;
-  std::uint64_t submit_backpressure_ = 0;
   telemetry::Counter* backpressure_ctr_ = nullptr;
   std::vector<netsim::PacketPtr> drain_scratch_;
   // submit_burst per-shard staging (packet + original burst index).

@@ -48,7 +48,7 @@ struct ActionTelemetry {
   std::string name;
   bool native = false;
   std::uint64_t executions = 0;
-  std::uint64_t errors = 0;
+  std::uint64_t errors = 0;  // the sum of errors_by_status
   std::uint64_t steps = 0;  // weighted interpreter steps (bytecode only)
   // errors split by lang::ExecStatus (the ok slot stays zero).
   std::array<std::uint64_t, lang::kNumExecStatus> errors_by_status{};

@@ -234,7 +234,19 @@ TEST_F(EnclaveTest, MessageStateInitializedFromFirstPacket) {
   packet.meta.app_priority = 6;
   enclave_.process(packet);
   EXPECT_EQ(packet.priority, 6);  // msg.priority seeded from app_priority
-  EXPECT_EQ(enclave_.peek_message_state(action, 9, MessageSlot::priority), 6);
+  // The action only reads its message, so the peek sees exactly what
+  // the first packet initialized, in all eight slots.
+  const std::int64_t expected[MessageSlot::count_] = {
+      0,   // size
+      6,   // priority: the first packet's app_priority
+      -1,  // path: no cached route
+      0,   // packets
+      0, 0, 0, 0,  // state0..state3
+  };
+  for (std::uint16_t slot = 0; slot < MessageSlot::count_; ++slot) {
+    EXPECT_EQ(enclave_.peek_message_state(action, 9, slot), expected[slot])
+        << "slot " << slot;
+  }
 }
 
 // Virtual clock for deterministic message-store timestamps: every

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/controller.h"
 #include "functions/scheduling.h"
 #include "lang/optimizer.h"
 #include "telemetry/delta.h"
+#include "util/bytes.h"
 
 namespace eden::core::wire {
 namespace {
@@ -16,12 +19,8 @@ namespace {
 // sent back through the response codec, so every round trip exercises
 // both halves of the wire format.
 Response roundtrip(Enclave& enclave, std::span<const std::uint8_t> frame,
-                   telemetry::DeltaEncoder* encoder = nullptr) {
+                   telemetry::DeltaEncoder& encoder) {
   return decode_response(encode_response(wire::apply(enclave, frame, encoder)));
-}
-
-Response roundtrip_stage(Stage& stage, std::span<const std::uint8_t> frame) {
-  return decode_response(encode_response(apply_stage(stage, frame)));
 }
 
 std::string payload_text(const Response& r) {
@@ -31,12 +30,13 @@ std::string payload_text(const Response& r) {
 class WireTest : public ::testing::Test {
  protected:
   Response send(std::span<const std::uint8_t> frame) {
-    return roundtrip(enclave_, frame);
+    return roundtrip(enclave_, frame, encoder_);
   }
 
   ClassRegistry registry_;
   Enclave enclave_{"remote", registry_};
   Controller controller_{registry_};
+  telemetry::DeltaEncoder encoder_;
 };
 
 TEST_F(WireTest, InstallAndDriveActionRemotely) {
@@ -53,11 +53,9 @@ TEST_F(WireTest, InstallAndDriveActionRemotely) {
   Response r = send(encode_install_action("express", program, {{cutoff}}));
   ASSERT_EQ(r.status, Status::ok);
 
-  r = send(encode_create_table("main"));
-  ASSERT_EQ(r.status, Status::ok);
-  const auto table = static_cast<TableId>(r.value);
-
-  ASSERT_EQ(send(encode_add_rule(table, "*", "express")).status, Status::ok);
+  ASSERT_EQ(send(encode_create_table("main")).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("main", "*", "express")).status,
+            Status::ok);
   ASSERT_EQ(send(encode_set_global_scalar("express", "cutoff", 500)).status,
             Status::ok);
 
@@ -71,9 +69,9 @@ TEST_F(WireTest, InstallAndDriveActionRemotely) {
   enclave_.process(big);
   EXPECT_EQ(big.priority, 1);
 
-  const Response read = send(encode_read_global_scalar("express", "cutoff"));
-  EXPECT_EQ(read.status, Status::ok);
-  EXPECT_EQ(read.value, 500u);
+  EXPECT_EQ(enclave_.read_global_scalar(*enclave_.find_action("express"),
+                                        "cutoff"),
+            500);
 }
 
 TEST_F(WireTest, GlobalArrayRoundTrip) {
@@ -113,32 +111,36 @@ TEST_F(WireTest, UnknownActionReported) {
   EXPECT_EQ(send(encode_set_global_scalar("ghost", "x", 1)).status,
             Status::unknown_action);
   EXPECT_EQ(send(encode_remove_action("ghost")).status, Status::unknown_action);
-  EXPECT_EQ(send(encode_read_global_scalar("ghost", "x")).status,
+  ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
+  EXPECT_EQ(send(encode_add_rule_named("t", "*", "ghost")).status,
             Status::unknown_action);
 }
 
 TEST_F(WireTest, UnknownTableAndRuleReported) {
   const auto program = controller_.compile("noop", "fun(p, m, g) -> 0", {});
   send(encode_install_action("noop", program, {}));
-  EXPECT_EQ(send(encode_add_rule(99, "*", "noop")).status,
+  EXPECT_EQ(send(encode_add_rule_named("nope", "*", "noop")).status,
             Status::unknown_table);
-  EXPECT_EQ(send(encode_remove_rule(99, 1)).status, Status::unknown_table);
+  EXPECT_EQ(send(encode_remove_rule_named("nope", 1)).status,
+            Status::unknown_table);
+  // A known table with an unknown rule id reports the same status.
+  ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
+  EXPECT_EQ(send(encode_remove_rule_named("t", 99)).status,
+            Status::unknown_table);
 }
 
 TEST_F(WireTest, MalformedClassPatternRejected) {
   // A pattern that does not parse is a validation failure, not a
-  // missing table, on both rule-add commands.
+  // missing table.
   const auto program = controller_.compile("noop", "fun(p, m, g) -> 0", {});
   ASSERT_EQ(send(encode_install_action("noop", program, {})).status,
             Status::ok);
   const Response t = send(encode_create_table("t"));
   ASSERT_EQ(t.status, Status::ok);
   const auto table = static_cast<TableId>(t.value);
-  const Response by_id = send(encode_add_rule(table, "not-a-class", "noop"));
-  EXPECT_EQ(by_id.status, Status::rejected);
-  EXPECT_NE(by_id.error.find("malformed class pattern"), std::string::npos);
-  EXPECT_EQ(send(encode_add_rule_named("t", "not-a-class", "noop")).status,
-            Status::rejected);
+  const Response r = send(encode_add_rule_named("t", "not-a-class", "noop"));
+  EXPECT_EQ(r.status, Status::rejected);
+  EXPECT_NE(r.error.find("malformed class pattern"), std::string::npos);
   EXPECT_EQ(enclave_.rule_count(table), 0u);
 }
 
@@ -147,11 +149,13 @@ TEST_F(WireTest, RemoveActionAndRuleLifecycle) {
       controller_.compile("p3", "fun(p, m, g) -> p.priority <- 3", {});
   send(encode_install_action("p3", program, {}));
   const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
-  const Response rule = send(encode_add_rule(table, "*", "p3"));
+  const Response rule = send(encode_add_rule_named("t", "*", "p3"));
   ASSERT_EQ(rule.status, Status::ok);
-  EXPECT_EQ(send(encode_remove_rule(table, rule.value)).status, Status::ok);
-  EXPECT_EQ(send(encode_remove_rule(table, rule.value)).status,
+  EXPECT_EQ(enclave_.rule_count(table), 1u);
+  EXPECT_EQ(send(encode_remove_rule_named("t", rule.value)).status, Status::ok);
+  EXPECT_EQ(send(encode_remove_rule_named("t", rule.value)).status,
             Status::unknown_table);
+  EXPECT_EQ(enclave_.rule_count(table), 0u);
   EXPECT_EQ(send(encode_remove_action("p3")).status, Status::ok);
   EXPECT_EQ(send(encode_remove_action("p3")).status, Status::unknown_action);
 }
@@ -160,8 +164,8 @@ TEST_F(WireTest, FlowRulesOverTheWire) {
   const auto program = controller_.compile(
       "p6", "fun(p, m, g) -> p.priority <- 6", {});
   send(encode_install_action("p6", program, {}));
-  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
-  send(encode_add_rule(table, "enclave.flows.tcp", "p6"));
+  send(encode_create_table("t"));
+  send(encode_add_rule_named("t", "enclave.flows.tcp", "p6"));
 
   FlowClassifierRule rule;
   rule.proto = static_cast<std::int64_t>(netsim::Protocol::tcp);
@@ -183,16 +187,18 @@ TEST_F(WireTest, TelemetryPullOverTheWire) {
   const auto program = controller_.compile(
       "p6", "fun(p, m, g) -> p.priority <- 6", {});
   send(encode_install_action("p6", program, {}));
-  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
-  send(encode_add_rule(table, "*", "p6"));
+  send(encode_create_table("t"));
+  send(encode_add_rule_named("t", "*", "p6"));
   netsim::Packet packet;
   packet.size_bytes = 100;
   enclave_.process(packet);
   enclave_.process(packet);
 
-  const Response r = send(encode_get_telemetry());
+  // Echoing (0, 0) always earns a full snapshot.
+  const Response r = send(encode_get_telemetry_delta(0, 0));
   ASSERT_EQ(r.status, Status::ok);
   const std::string json = payload_text(r);
+  EXPECT_NE(json.find("\"full\":true"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"remote\""), std::string::npos);
   EXPECT_NE(json.find("\"packets\":2"), std::string::npos);
   EXPECT_NE(json.find("\"p6\""), std::string::npos);
@@ -213,8 +219,9 @@ TEST_F(WireTest, PreOptimizedProgramInstallsAndRuns) {
   ASSERT_TRUE(has_fused);
 
   ASSERT_EQ(send(encode_install_action("express", o1, {})).status, Status::ok);
-  const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
-  ASSERT_EQ(send(encode_add_rule(table, "*", "express")).status, Status::ok);
+  ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", "*", "express")).status,
+            Status::ok);
 
   netsim::Packet small;
   small.size_bytes = 100;
@@ -245,84 +252,20 @@ TEST_F(WireTest, CorruptFramesNeverThrow) {
   const auto frame = encode_install_action("p", program, {});
   for (std::size_t len = 0; len < frame.size(); ++len) {
     const std::span<const std::uint8_t> prefix(frame.data(), len);
-    const Response r = wire::apply(enclave_, prefix);
+    const Response r = wire::apply(enclave_, prefix, encoder_);
     EXPECT_NE(r.status, Status::ok) << "prefix length " << len;
   }
   // Flipping the command byte.
   auto bad = frame;
   bad[4] = 0xee;
-  EXPECT_EQ(wire::apply(enclave_, bad).status, Status::bad_request);
+  EXPECT_EQ(wire::apply(enclave_, bad, encoder_).status, Status::bad_request);
   // Corrupting the embedded bytecode's magic is caught by the bytecode
   // deserializer and reported as rejected. Layout: wire magic (4) +
   // command (1) + name "p" (4+1) + payload length (4) = 14 bytes before
   // the bytecode magic.
   auto corrupt = frame;
   corrupt[14] ^= 0xff;
-  EXPECT_EQ(wire::apply(enclave_, corrupt).status, Status::rejected);
-}
-
-TEST_F(WireTest, StageApiOverTheWire) {
-  // S0/S1/S2 of Table 3, executed remotely against a memcached-like
-  // stage.
-  Stage stage("memcached", {"msg_type", "key"}, {"msg_id", "msg_size"},
-              registry_);
-
-  const Response got = roundtrip_stage(stage, encode_get_stage_info());
-  ASSERT_EQ(got.status, Status::ok);
-  const auto info = decode_stage_info(got.payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->name, "memcached");
-  EXPECT_EQ(info->classifier_fields,
-            (std::vector<std::string>{"msg_type", "key"}));
-  EXPECT_EQ(info->meta_fields.size(), 2u);
-
-  const Response rule = roundtrip_stage(
-      stage, encode_create_stage_rule(
-                 "r1", {FieldPattern::exact("GET"), FieldPattern::any()},
-                 "GET", kMetaIdAndSize));
-  ASSERT_EQ(rule.status, Status::ok);
-  EXPECT_EQ(stage.rule_count(), 1u);
-  EXPECT_NE(registry_.find("memcached.r1.GET"), kInvalidClass);
-
-  // The installed rule classifies as if created locally.
-  const Classification c = stage.classify({"GET", "k"}, {});
-  EXPECT_TRUE(c.classes.contains(registry_.find("memcached.r1.GET")));
-
-  EXPECT_EQ(
-      roundtrip_stage(stage, encode_remove_stage_rule("r1", rule.value)).status,
-      Status::ok);
-  EXPECT_EQ(
-      roundtrip_stage(stage, encode_remove_stage_rule("r1", rule.value)).status,
-      Status::rejected);
-  EXPECT_EQ(stage.rule_count(), 0u);
-}
-
-TEST_F(WireTest, StageRejectsBadArity) {
-  Stage stage("s", {"one_field"}, {}, registry_);
-  const Response r = roundtrip_stage(
-      stage, encode_create_stage_rule(
-                 "r1", {FieldPattern::any(), FieldPattern::any()}, "X",
-                 kMetaIdAndSize));
-  EXPECT_EQ(r.status, Status::rejected);
-  // So are rule-set and class names that are not one name component.
-  for (const auto& [rule_set, class_name] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"r.x", "c"}, {"r", "x.c"}, {"r", "*"}, {"", ""}}) {
-    EXPECT_EQ(roundtrip_stage(stage, encode_create_stage_rule(
-                                         rule_set, {FieldPattern::any()},
-                                         class_name, kMetaIdAndSize))
-                  .status,
-              Status::rejected)
-        << rule_set << " / " << class_name;
-  }
-  EXPECT_EQ(stage.rule_count(), 0u);
-  EXPECT_EQ(registry_.size(), 0u);
-}
-
-TEST_F(WireTest, EnclaveCommandsRejectedByStageAgent) {
-  Stage stage("s", {"f"}, {}, registry_);
-  const Response r = apply_stage(stage, encode_create_table("t"));
-  EXPECT_EQ(r.status, Status::bad_request);
+  EXPECT_EQ(wire::apply(enclave_, corrupt, encoder_).status, Status::rejected);
 }
 
 TEST_F(WireTest, ResponseRoundTrip) {
@@ -360,12 +303,12 @@ TEST_F(WireTest, TransactionCommandsOverTheWire) {
   netsim::Packet staged;
   enclave_.process(staged);
   EXPECT_EQ(staged.priority, 0);
-  const std::uint64_t before = send(encode_get_ruleset_version()).value;
+  const std::uint64_t before = enclave_.ruleset_version();
 
   const Response commit = send(encode_commit_txn());
   ASSERT_EQ(commit.status, Status::ok);
   EXPECT_GT(commit.value, before);
-  EXPECT_EQ(send(encode_get_ruleset_version()).value, commit.value);
+  EXPECT_EQ(enclave_.ruleset_version(), commit.value);
 
   netsim::Packet committed;
   enclave_.process(committed);
@@ -386,12 +329,8 @@ TEST_F(WireTest, AbortDropsStagedMutations) {
   const auto program =
       controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
   ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
-  const Response table = send(encode_create_table("t"));
-  ASSERT_EQ(table.status, Status::ok);
-  ASSERT_EQ(
-      send(encode_add_rule(static_cast<TableId>(table.value), "*", "tag"))
-          .status,
-      Status::ok);
+  ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", "*", "tag")).status, Status::ok);
 
   ASSERT_EQ(send(encode_begin_txn()).status, Status::ok);
   ASSERT_EQ(send(encode_reset_state()).status, Status::ok);
@@ -423,7 +362,7 @@ TEST_F(WireTest, RemoveRuleNamedOverTheWire) {
   EXPECT_EQ(p.priority, 0);
 }
 
-// Satellite hardening check: a frame for *every* command value survives
+// Hardening check: a frame for *every* command value survives
 // truncation to any prefix and a flip of any single byte without
 // throwing or reading past the buffer — errors come back as statuses.
 TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
@@ -438,15 +377,10 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
       encode_install_action("f", program, {{g}}),
       encode_remove_action("f"),
       encode_create_table("t"),
-      encode_delete_table(0),
-      encode_add_rule(0, "*", "f"),
-      encode_remove_rule(0, 1),
       encode_set_global_scalar("f", "g", 7),
       encode_set_global_array("f", "g", arr),
       encode_add_flow_rule(flow, "c.x"),
       encode_clear_flow_rules(),
-      encode_read_global_scalar("f", "g"),
-      encode_get_telemetry(),
       encode_get_spans(),
       encode_begin_txn(),
       encode_commit_txn(),
@@ -454,34 +388,99 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
       encode_reset_state(),
       encode_add_rule_named("t", "*", "f"),
       encode_remove_rule_named("t", 1),
-      encode_get_ruleset_version(),
-      encode_get_stage_info(),
-      encode_create_stage_rule("rs", {FieldPattern::exact("GET")}, "c",
-                               kMetaIdAndSize),
-      encode_remove_stage_rule("rs", 1),
+      encode_get_telemetry_delta(1, 2),
   };
-  Stage stage("s", {"f"}, {}, registry_);
 
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {
     const auto& frame = frames[fi];
     for (std::size_t len = 0; len < frame.size(); ++len) {
       const std::span<const std::uint8_t> prefix(frame.data(), len);
       EXPECT_NO_THROW({
-        const Response r = wire::apply(enclave_, prefix);
+        const Response r = wire::apply(enclave_, prefix, encoder_);
         EXPECT_NE(r.status, Status::ok)
             << "frame " << fi << " prefix " << len;
       });
-      EXPECT_NO_THROW(apply_stage(stage, prefix));
     }
     for (std::size_t pos = 0; pos < frame.size(); ++pos) {
       auto mutated = frame;
       mutated[pos] ^= 0xff;
       // A flipped byte may still decode to a valid command; the only
       // requirement is no throw and no out-of-bounds read.
-      EXPECT_NO_THROW(wire::apply(enclave_, mutated)) << "frame " << fi
-                                                << " flip " << pos;
-      EXPECT_NO_THROW(apply_stage(stage, mutated));
+      EXPECT_NO_THROW(wire::apply(enclave_, mutated, encoder_))
+          << "frame " << fi << " flip " << pos;
     }
+  }
+}
+
+// Retired command numbers keep answering bad_request. Each frame below
+// carries the body its command's encoder used to write, so only the
+// opcode makes it unknown: it must leave the enclave untouched, and
+// peek_command must not name it.
+TEST_F(WireTest, RetiredCommandsAnswerBadRequest) {
+  const auto program =
+      controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
+  ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
+  const Response t = send(encode_create_table("t"));
+  ASSERT_EQ(t.status, Status::ok);
+  const auto table = static_cast<TableId>(t.value);
+  const Response rule = send(encode_add_rule_named("t", "*", "tag"));
+  ASSERT_EQ(rule.status, Status::ok);
+
+  using Body = std::function<void(util::ByteWriter&)>;
+  const std::vector<std::pair<std::uint8_t, Body>> retired = {
+      {4, [&](util::ByteWriter& w) { w.u32(table); }},  // delete a table
+      {5,
+       [&](util::ByteWriter& w) {  // add a rule by table id
+         w.u32(table);
+         w.str("*");
+         w.str("tag");
+       }},
+      {6,
+       [&](util::ByteWriter& w) {  // remove a rule by table id
+         w.u32(table);
+         w.u64(rule.value);
+       }},
+      {11,
+       [](util::ByteWriter& w) {  // read a global scalar
+         w.str("tag");
+         w.str("x");
+       }},
+      {12, [](util::ByteWriter&) {}},  // full telemetry snapshot
+      {13, [](util::ByteWriter&) {}},  // stage info
+      {14,
+       [](util::ByteWriter& w) {  // create a stage rule
+         w.str("rs");
+         w.u32(1);
+         w.u8(0);
+         w.str("GET");
+         w.str("GET");
+         w.u32(3);
+       }},
+      {15,
+       [](util::ByteWriter& w) {  // remove a stage rule
+         w.str("rs");
+         w.u64(1);
+       }},
+      {23, [](util::ByteWriter&) {}},  // rule-set version
+  };
+
+  const std::uint64_t version = enclave_.ruleset_version();
+  const std::size_t classes = registry_.size();
+  for (const auto& [op, body] : retired) {
+    // Magic and opcode come from a live frame with an empty body.
+    std::vector<std::uint8_t> frame = encode_clear_flow_rules();
+    frame[4] = op;
+    util::ByteWriter w;
+    body(w);
+    const std::vector<std::uint8_t> tail = w.take();
+    frame.insert(frame.end(), tail.begin(), tail.end());
+
+    EXPECT_EQ(send(frame).status, Status::bad_request) << "opcode " << int{op};
+    EXPECT_FALSE(peek_command(frame).has_value()) << "opcode " << int{op};
+    EXPECT_EQ(enclave_.ruleset_version(), version) << "opcode " << int{op};
+    EXPECT_EQ(enclave_.find_table_id("t"), table) << "opcode " << int{op};
+    EXPECT_EQ(enclave_.rule_count(table), 1u) << "opcode " << int{op};
+    EXPECT_EQ(registry_.size(), classes) << "opcode " << int{op};
   }
 }
 
@@ -496,7 +495,7 @@ TEST_F(WireTest, OversizedCountsRejectedWithoutAllocation) {
     frame[16] = 0xff;
     frame[17] = 0xff;
     frame[18] = 0x7f;
-    const Response r = wire::apply(enclave_, frame);
+    const Response r = wire::apply(enclave_, frame, encoder_);
     EXPECT_EQ(r.status, Status::bad_request);
   }
   // install_action with a huge global-field count.
@@ -508,7 +507,7 @@ TEST_F(WireTest, OversizedCountsRejectedWithoutAllocation) {
     frame[frame.size() - 2] = 0xff;
     frame[frame.size() - 3] = 0xff;
     frame[frame.size() - 4] = 0xff;
-    const Response r = wire::apply(enclave_, frame);
+    const Response r = wire::apply(enclave_, frame, encoder_);
     EXPECT_EQ(r.status, Status::bad_request);
   }
 }
@@ -522,10 +521,8 @@ class WireDeltaTest : public ::testing::Test {
         controller_.compile("mark", "fun(p, m, g) -> p.path <- 1", {});
     ASSERT_EQ(send(encode_install_action("mark", program, {})).status,
               Status::ok);
-    const Response t = send(encode_create_table("main"));
-    ASSERT_EQ(t.status, Status::ok);
-    ASSERT_EQ(send(encode_add_rule(static_cast<TableId>(t.value), "*", "mark"))
-                  .status,
+    ASSERT_EQ(send(encode_create_table("main")).status, Status::ok);
+    ASSERT_EQ(send(encode_add_rule_named("main", "*", "mark")).status,
               Status::ok);
     drive(packets);
   }
@@ -539,7 +536,7 @@ class WireDeltaTest : public ::testing::Test {
   }
 
   Response send(std::span<const std::uint8_t> frame) {
-    return roundtrip(enclave_, frame, &encoder_);
+    return roundtrip(enclave_, frame, encoder_);
   }
 
   telemetry::DeltaPayload fetch(std::uint64_t epoch, std::uint64_t seq) {
@@ -641,17 +638,6 @@ TEST_F(WireDeltaTest, HostSeriesRideTheDeltaStream) {
   ASSERT_EQ(moved.enclaves.size(), 1u);
   ASSERT_EQ(moved.enclaves[0].host_series.size(), 1u);
   EXPECT_EQ(moved.enclaves[0].host_series[0].second, 12.0);
-}
-
-TEST_F(WireDeltaTest, CursorlessAgentAnswersWithStatelessFulls) {
-  // apply() without an encoder still answers the command — every poll
-  // is a full snapshot under epoch 0, so a decoder never tries to fold
-  // deltas against it.
-  Enclave bare{"bare", registry_};
-  const telemetry::DeltaPayload p = telemetry::parse_delta_payload(
-      payload_text(roundtrip(bare, encode_get_telemetry_delta(5, 9))));
-  EXPECT_TRUE(p.full);
-  EXPECT_EQ(p.epoch, 0u);
 }
 
 }  // namespace

@@ -353,12 +353,17 @@ TEST_F(DataPlaneTest, StopDeliversResidualCompletions) {
 }
 
 TEST_F(DataPlaneTest, MetricsExported) {
-  install_with_rule("p1", "fun(p, m, g) -> p.priority <- 1");
+  // Odd message sizes are dropped, so every per-worker series moves.
+  install_with_rule("dropodd", "fun(p, m, g) -> p.drop <- p.msg_size % 2");
   DataPlaneConfig cfg;
   cfg.workers = 2;
   DataPlane dp(enclave_, cfg);
   std::vector<netsim::PacketPtr> in;
-  for (int i = 0; i < 50; ++i) in.push_back(msg_packet(i + 1));
+  for (int i = 0; i < 50; ++i) {
+    auto p = msg_packet(i + 1);
+    p->meta.msg_size = i;
+    in.push_back(std::move(p));
+  }
   run_through(dp, std::move(in));
   const std::string text = dp.metrics().text_exposition();
   EXPECT_NE(text.find("eden_dataplane_enqueued_total"), std::string::npos);
@@ -366,6 +371,36 @@ TEST_F(DataPlaneTest, MetricsExported) {
   EXPECT_NE(text.find("eden_dataplane_ring_depth"), std::string::npos);
   EXPECT_NE(text.find("eden_dataplane_batch_size"), std::string::npos);
   EXPECT_NE(text.find("worker=\"1\""), std::string::npos);
+
+  // The exported series and stats() are one count, read two ways.
+  telemetry::MetricsRegistry& metrics = dp.metrics();
+  const DataPlaneStats stats = dp.stats();
+  ASSERT_EQ(stats.workers.size(), 2u);
+  std::uint64_t enqueued = 0;
+  std::uint64_t processed = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t i = 0; i < stats.workers.size(); ++i) {
+    const telemetry::Labels worker{{"worker", std::to_string(i)}};
+    const std::uint64_t e =
+        metrics.counter("eden_dataplane_enqueued_total", worker).value();
+    const std::uint64_t p =
+        metrics.counter("eden_dataplane_processed_total", worker).value();
+    const std::uint64_t d =
+        metrics.counter("eden_dataplane_dropped_total", worker).value();
+    EXPECT_EQ(e, stats.workers[i].enqueued) << "worker " << i;
+    EXPECT_EQ(p, stats.workers[i].processed) << "worker " << i;
+    EXPECT_EQ(d, stats.workers[i].dropped) << "worker " << i;
+    enqueued += e;
+    processed += p;
+    dropped += d;
+  }
+  EXPECT_EQ(stats.submitted, 50u);
+  EXPECT_EQ(enqueued, stats.submitted);
+  EXPECT_EQ(processed, stats.submitted);
+  EXPECT_EQ(dropped, 25u);
+  EXPECT_EQ(
+      metrics.counter("eden_dataplane_submit_backpressure_total").value(),
+      stats.submit_backpressure);
 }
 
 // --- Per-message ordering under concurrency ------------------------------
