@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
 
@@ -178,8 +179,84 @@ TEST(AggregateTest, MergesByActionAndClassName) {
   EXPECT_EQ(agg.classes[0].dropped, 2u);
 }
 
+// An aggregate with every section a dump can hold: message state with a
+// probe histogram, a bytecode action with errors, histograms and a
+// profile, its native twin, a host series and one session with both
+// histograms.
+AggregateTelemetry full_aggregate() {
+  EnclaveTelemetry e = make_enclave_snapshot("h", 4);
+  e.dropped_by_action = 1;
+  e.message_entries_created = 21;
+  e.message_entries_evicted = 3;
+  e.message_entries_expired = 2;
+  e.state.present = true;
+  e.state.live = 16;
+  e.state.created = 21;
+  e.state.expired = 2;
+  e.state.evicted = 3;
+  e.state.resizes = 1;
+  e.state.probe_len.counts[1] = 20;
+  e.state.probe_len.counts[2] = 1;
+  e.state.probe_len.count = 21;
+  e.state.probe_len.sum = 22;
+
+  ActionTelemetry& pias = e.actions[0];
+  pias.errors = 3;
+  pias.steps = 40;
+  pias.errors_by_status[static_cast<std::size_t>(
+      lang::ExecStatus::div_by_zero)] = 3;
+  pias.steps_hist.counts[4] = 4;
+  pias.steps_hist.count = 4;
+  pias.steps_hist.sum = 40;
+  pias.has_profile = true;
+  pias.profile_runs = 4;
+  pias.profile_instructions = 40;
+  pias.hotspots.push_back({3, 25, 5, 62.5, 50.0, "add"});
+  pias.hotspots.push_back({0, 15, 5, 37.5, 50.0, "load_state packet.0"});
+
+  ActionTelemetry twin;
+  twin.name = "pias_native";
+  twin.native = true;
+  twin.executions = 2;
+  twin.has_histograms = true;
+  twin.latency_ns.counts[3] = 2;
+  twin.latency_ns.count = 2;
+  twin.latency_ns.sum = 10;
+  e.actions.push_back(twin);
+
+  e.host_series.emplace_back("dataplane_ring_depth", 40.0);
+  e.host_series.emplace_back("pool_exhausted_total", 3.0);
+
+  AggregateTelemetry agg = aggregate({e});
+  SessionTelemetry s;
+  s.name = "s0";
+  s.connected = true;
+  s.ready = true;
+  s.agent_boot_id = 77;
+  s.connects = 2;
+  s.teardowns = 1;
+  s.resyncs = 1;
+  s.last_resync_commands = 5;
+  s.requests_sent = 12;
+  s.responses_ok = 11;
+  s.responses_error = 1;
+  s.heartbeats_sent = 10;
+  s.heartbeats_acked = 9;
+  s.txns_committed = 2;
+  s.txns_aborted = 1;
+  s.agent_restarts_seen = 1;
+  s.rtt_ns.counts[10] = 21;
+  s.rtt_ns.count = 21;
+  s.rtt_ns.sum = 21 * 700;
+  s.resync_commands.counts[3] = 1;
+  s.resync_commands.count = 1;
+  s.resync_commands.sum = 5;
+  agg.sessions.push_back(s);
+  return agg;
+}
+
 TEST(AggregateTest, RendersJsonAndPrometheus) {
-  const AggregateTelemetry agg = aggregate({make_enclave_snapshot("h", 4)});
+  const AggregateTelemetry agg = full_aggregate();
   const std::string json = to_json(agg);
   EXPECT_NE(json.find("\"name\":\"h\""), std::string::npos);
   EXPECT_NE(json.find("\"pias\""), std::string::npos);
@@ -189,6 +266,29 @@ TEST(AggregateTest, RendersJsonAndPrometheus) {
             std::string::npos);
   EXPECT_NE(prom.find("eden_action_executions_total"), std::string::npos);
   EXPECT_NE(prom.find("eden_class_matched_total"), std::string::npos);
+  EXPECT_NE(prom.find("\neden_state_live{enclave=\"h\"} 16\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\neden_session_heartbeats_acked_total{session=\"s0\"} "
+                      "9\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\neden_action_errors_total{enclave=\"h\",action="
+                      "\"pias\",status=\"div_by_zero\"} 3\n"),
+            std::string::npos);
+  // A native twin runs no bytecode, so it has no steps series.
+  EXPECT_NE(prom.find("eden_action_steps_total{enclave=\"h\",action="
+                      "\"pias\"}"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("eden_action_steps_total{enclave=\"h\",action="
+                      "\"pias_native\"}"),
+            std::string::npos);
+
+  // The reader is the writer's inverse: a re-read dump renders the same
+  // bytes in both formats.
+  const ParsedDump dump = parse_telemetry_json(json);
+  AggregateTelemetry back = aggregate(dump.enclaves);
+  back.sessions = dump.sessions;
+  EXPECT_EQ(to_json(back), json);
+  EXPECT_EQ(to_prometheus(back), prom);
 }
 
 }  // namespace
