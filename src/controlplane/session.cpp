@@ -806,26 +806,11 @@ std::string EnclaveSession::fetch_payload(PipePump& pump,
 
 telemetry::SessionTelemetry EnclaveSession::telemetry() const {
   telemetry::SessionTelemetry t;
+  static_cast<SessionStats&>(t) = stats_;
   t.name = name_;
   t.connected = connected();
   t.ready = ready();
   t.agent_boot_id = agent_boot_id_;
-  t.connects = stats_.connects;
-  t.connect_failures = stats_.connect_failures;
-  t.teardowns = stats_.teardowns;
-  t.resyncs = stats_.resyncs;
-  t.last_resync_commands = stats_.last_resync_commands;
-  t.requests_sent = stats_.requests_sent;
-  t.responses_ok = stats_.responses_ok;
-  t.responses_error = stats_.responses_error;
-  t.request_timeouts = stats_.request_timeouts;
-  t.heartbeats_sent = stats_.heartbeats_sent;
-  t.heartbeats_acked = stats_.heartbeats_acked;
-  t.liveness_timeouts = stats_.liveness_timeouts;
-  t.corrupt_streams = stats_.corrupt_streams;
-  t.txns_committed = stats_.txns_committed;
-  t.txns_aborted = stats_.txns_aborted;
-  t.agent_restarts_seen = stats_.agent_restarts_seen;
   t.rtt_ns = rtt_.snapshot();
   t.resync_commands = resync_sizes_.snapshot();
   return t;

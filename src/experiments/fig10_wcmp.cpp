@@ -78,7 +78,6 @@ Fig10Result run_fig10(const Fig10Config& config) {
   TestHost& receiver_host = *bed.host_by_name("h2");
   std::uint64_t delivered = 0;
   std::uint64_t delivered_at_warmup = 0;
-  std::uint64_t ooo = 0;
   std::vector<transport::TcpReceiver*> receivers;
   receiver_host.stack->listen(
       7000, [&](transport::TcpReceiver& r, const hoststack::FlowInfo&) {

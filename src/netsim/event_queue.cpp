@@ -5,7 +5,7 @@
 namespace eden::netsim {
 
 EventId Scheduler::at(SimTime when, std::function<void()> fn) {
-  if (when < now_) when = now_;
+  if (when < now()) when = now();
   const EventId id = next_id_++;
   queue_.push(Event{when, id, std::move(fn)});
   pending_.insert(id);
@@ -29,7 +29,7 @@ bool Scheduler::pop_one() {
     queue_.pop();
     if (pending_.erase(id) == 0) continue;  // was cancelled
     --live_events_;
-    now_ = when;
+    now_.store(when, std::memory_order_relaxed);
     ++dispatched_;
     fn();
     return true;
@@ -49,7 +49,7 @@ std::uint64_t Scheduler::run_until(SimTime until) {
     if (pop_one()) ++n;
   }
   // Advance the clock to the horizon even if nothing fired at it.
-  if (now_ < until) now_ = until;
+  if (now() < until) now_.store(until, std::memory_order_relaxed);
   return n;
 }
 

@@ -5,6 +5,7 @@
 // cooperative: cancel() marks the event and the dispatcher skips it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -20,14 +21,16 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class Scheduler {
  public:
-  SimTime now() const { return now_; }
+  // Safe to call from any thread: data-plane workers read the clock
+  // (idle expiry) while the simulation thread advances it.
+  SimTime now() const { return now_.load(std::memory_order_relaxed); }
 
   // Schedules `fn` at absolute time `when` (clamped to now). Returns an
   // id usable with cancel().
   EventId at(SimTime when, std::function<void()> fn);
   // Schedules `fn` `delay` nanoseconds from now.
   EventId after(SimTime delay, std::function<void()> fn) {
-    return at(now_ + delay, std::move(fn));
+    return at(now() + delay, std::move(fn));
   }
 
   // Marks an event so it will not fire. Safe to call with an id that
@@ -56,7 +59,8 @@ class Scheduler {
 
   bool pop_one();
 
-  SimTime now_ = 0;
+  // Written only by the thread that runs events.
+  std::atomic<SimTime> now_{0};
   EventId next_id_ = 1;
   std::uint64_t dispatched_ = 0;
   std::uint64_t live_events_ = 0;

@@ -31,66 +31,68 @@ bool hist_empty(const HistogramSnapshot& h) {
   return h.count == 0 && h.sum == 0;
 }
 
-// Diff of one action against its previous report. nullopt(regressed)
-// signals the whole delta attempt is void; an engaged optional holding
-// nullopt-like "no change" is modeled by the `changed` flag instead.
-struct ActionDiff {
-  bool regressed = false;
-  bool changed = false;
-  ActionTelemetry delta;
-};
-
-ActionDiff diff_action(const ActionTelemetry& prev,
-                       const ActionTelemetry& now) {
-  ActionDiff out;
-  if (now.executions < prev.executions || now.errors < prev.errors ||
-      now.steps < prev.steps) {
-    out.regressed = true;
-    return out;
+// Series-wise diff of `now` against `prev` into `d`: counters carry the
+// increment, gauges their absolute value. False when a counter went
+// backwards, which voids the whole delta.
+template <typename T, std::size_t N>
+bool diff_series(const Series<T> (&table)[N], const T& prev, const T& now,
+                 T& d) {
+  for (const Series<T>& s : table) {
+    if (s.kind == SeriesKind::counter && now.*s.member < prev.*s.member) {
+      return false;
+    }
+    d.*s.member = s.kind == SeriesKind::gauge
+                      ? now.*s.member
+                      : now.*s.member - prev.*s.member;
   }
+  return true;
+}
+
+// True when `d`, diff_series' result against `prev`, moved a series: a
+// counter increment is nonzero or a gauge differs from `prev`.
+template <typename T, std::size_t N>
+bool series_moved(const Series<T> (&table)[N], const T& prev, const T& d) {
+  for (const Series<T>& s : table) {
+    const bool moved = s.kind == SeriesKind::gauge
+                           ? d.*s.member != prev.*s.member
+                           : d.*s.member != 0;
+    if (moved) return true;
+  }
+  return false;
+}
+
+// Diff of one action against its previous report; nullopt when a
+// counter or histogram bucket regressed.
+std::optional<ActionTelemetry> diff_action(const ActionTelemetry& prev,
+                                           const ActionTelemetry& now) {
   ActionTelemetry d;
   d.name = now.name;
   d.native = now.native;
-  d.executions = now.executions - prev.executions;
-  d.errors = now.errors - prev.errors;
-  d.steps = now.steps - prev.steps;
+  if (!diff_series(kActionSeries, prev, now, d)) return std::nullopt;
   for (std::size_t i = 0; i < d.errors_by_status.size(); ++i) {
     if (now.errors_by_status[i] < prev.errors_by_status[i]) {
-      out.regressed = true;
-      return out;
+      return std::nullopt;
     }
     d.errors_by_status[i] = now.errors_by_status[i] - prev.errors_by_status[i];
   }
-  bool hist_changed = false;
   if (now.has_histograms) {
-    if (!prev.has_histograms) {
-      d.latency_ns = now.latency_ns;
-      d.steps_hist = now.steps_hist;
-      hist_changed = !hist_empty(d.latency_ns) || !hist_empty(d.steps_hist);
-      d.has_histograms = hist_changed;
-    } else {
-      auto lat = hist_diff(prev.latency_ns, now.latency_ns);
-      auto steps = hist_diff(prev.steps_hist, now.steps_hist);
-      if (!lat || !steps) {
-        out.regressed = true;
-        return out;
-      }
-      d.latency_ns = *lat;
-      d.steps_hist = *steps;
-      hist_changed = !hist_empty(d.latency_ns) || !hist_empty(d.steps_hist);
-      // Unchanged histograms stay off the wire: an action whose counters
-      // moved but whose samples did not would otherwise ship two empty
-      // bucket tables per poll. apply_delta skips absent histograms, so
-      // this is pure payload savings.
-      d.has_histograms = hist_changed;
-    }
+    const HistogramSnapshot none;
+    auto lat = hist_diff(prev.has_histograms ? prev.latency_ns : none,
+                         now.latency_ns);
+    auto steps = hist_diff(prev.has_histograms ? prev.steps_hist : none,
+                           now.steps_hist);
+    if (!lat || !steps) return std::nullopt;
+    d.latency_ns = *lat;
+    d.steps_hist = *steps;
+    // Unchanged histograms stay off the wire: an action whose counters
+    // moved but whose samples did not would otherwise ship two empty
+    // bucket tables per poll. apply_delta skips absent histograms, so
+    // this is pure payload savings.
+    d.has_histograms = !hist_empty(d.latency_ns) || !hist_empty(d.steps_hist);
   }
   // Profiles ride only on full snapshots; the decoder keeps the last
   // full's hotspot tables for this action.
-  out.changed = d.executions != 0 || d.errors != 0 || d.steps != 0 ||
-                hist_changed || now.native != prev.native;
-  out.delta = std::move(d);
-  return out;
+  return d;
 }
 
 template <typename T>
@@ -113,53 +115,33 @@ T* find_by_name(std::vector<T>& v, const std::string& name) {
 
 std::optional<EnclaveTelemetry> delta_between(const EnclaveTelemetry& prev,
                                               const EnclaveTelemetry& now) {
-  if (now.packets < prev.packets || now.matched < prev.matched ||
-      now.dropped_by_action < prev.dropped_by_action ||
-      now.message_entries_created < prev.message_entries_created ||
-      now.message_entries_evicted < prev.message_entries_evicted ||
-      now.message_entries_expired < prev.message_entries_expired) {
-    return std::nullopt;
+  // A delta cannot say "gone": an action that vanished, or a state
+  // section gone with the last message-state action, would linger in
+  // the decoder's view. Void the delta, like a counter regression.
+  if (prev.state.present && !now.state.present) return std::nullopt;
+  for (const ActionTelemetry& a : prev.actions) {
+    if (find_by_name(now.actions, a.name) == nullptr) return std::nullopt;
   }
   EnclaveTelemetry d;
   d.enclave = now.enclave;
   d.telemetry_enabled = now.telemetry_enabled;
-  d.packets = now.packets - prev.packets;
-  d.matched = now.matched - prev.matched;
-  d.dropped_by_action = now.dropped_by_action - prev.dropped_by_action;
-  d.message_entries_created =
-      now.message_entries_created - prev.message_entries_created;
-  d.message_entries_evicted =
-      now.message_entries_evicted - prev.message_entries_evicted;
-  d.message_entries_expired =
-      now.message_entries_expired - prev.message_entries_expired;
+  if (!diff_series(kEnclaveSeries, prev, now, d)) return std::nullopt;
 
   // State section: counters diff, `live` is a gauge and ships absolute.
   // A probe histogram going backwards means the stores were replaced —
   // void the delta like any other regression.
   if (now.state.present) {
-    if (prev.state.present &&
-        (now.state.created < prev.state.created ||
-         now.state.expired < prev.state.expired ||
-         now.state.evicted < prev.state.evicted ||
-         now.state.resizes < prev.state.resizes)) {
-      return std::nullopt;
-    }
     const StateTelemetry base = prev.state.present ? prev.state
                                                    : StateTelemetry{};
+    StateTelemetry sd;
+    if (!diff_series(kStateSeries, base, now.state, sd)) return std::nullopt;
     auto probe = hist_diff(base.probe_len, now.state.probe_len);
     if (!probe) return std::nullopt;
-    StateTelemetry sd;
-    sd.live = now.state.live;
-    sd.created = now.state.created - base.created;
-    sd.expired = now.state.expired - base.expired;
-    sd.evicted = now.state.evicted - base.evicted;
-    sd.resizes = now.state.resizes - base.resizes;
     sd.probe_len = *probe;
     // An untouched section stays off the wire (and out of
     // delta_is_empty's way).
-    sd.present = !prev.state.present || sd.created != 0 || sd.expired != 0 ||
-                 sd.evicted != 0 || sd.resizes != 0 ||
-                 now.state.live != base.live || !hist_empty(sd.probe_len);
+    sd.present = !prev.state.present || series_moved(kStateSeries, base, sd) ||
+                 !hist_empty(sd.probe_len);
     if (sd.present) d.state = std::move(sd);
   }
 
@@ -176,23 +158,22 @@ std::optional<EnclaveTelemetry> delta_between(const EnclaveTelemetry& prev,
       d.actions.push_back(std::move(whole));
       continue;
     }
-    ActionDiff ad = diff_action(*p, a);
-    if (ad.regressed) return std::nullopt;
-    if (ad.changed) d.actions.push_back(std::move(ad.delta));
+    std::optional<ActionTelemetry> ad = diff_action(*p, a);
+    if (!ad) return std::nullopt;
+    if (series_moved(kActionSeries, *p, *ad) || ad->has_histograms ||
+        a.native != p->native) {
+      d.actions.push_back(*std::move(ad));
+    }
   }
 
   for (const ClassTelemetry& c : now.classes) {
     const ClassTelemetry* p = find_by_name(prev.classes, c.name);
-    if (p == nullptr) {
-      if (c.matched != 0 || c.dropped != 0) d.classes.push_back(c);
-      continue;
-    }
-    if (c.matched < p->matched || c.dropped < p->dropped) return std::nullopt;
+    const ClassTelemetry none;
+    const ClassTelemetry& base = p != nullptr ? *p : none;
     ClassTelemetry cd;
     cd.name = c.name;
-    cd.matched = c.matched - p->matched;
-    cd.dropped = c.dropped - p->dropped;
-    if (cd.matched != 0 || cd.dropped != 0) d.classes.push_back(std::move(cd));
+    if (!diff_series(kClassSeries, base, c, cd)) return std::nullopt;
+    if (series_moved(kClassSeries, base, cd)) d.classes.push_back(std::move(cd));
   }
 
   // Host series carry absolute values (gauges move both ways); only
@@ -211,27 +192,17 @@ std::optional<EnclaveTelemetry> delta_between(const EnclaveTelemetry& prev,
 }
 
 bool delta_is_empty(const EnclaveTelemetry& d) {
-  return d.packets == 0 && d.matched == 0 && d.dropped_by_action == 0 &&
-         d.message_entries_created == 0 && d.message_entries_evicted == 0 &&
-         d.message_entries_expired == 0 && !d.state.present &&
+  return !series_moved(kEnclaveSeries, EnclaveTelemetry{}, d) &&
+         !d.state.present &&
          d.actions.empty() && d.classes.empty() && d.host_series.empty();
 }
 
 void apply_delta(EnclaveTelemetry& base, const EnclaveTelemetry& delta) {
   base.telemetry_enabled = delta.telemetry_enabled;
-  base.packets += delta.packets;
-  base.matched += delta.matched;
-  base.dropped_by_action += delta.dropped_by_action;
-  base.message_entries_created += delta.message_entries_created;
-  base.message_entries_evicted += delta.message_entries_evicted;
-  base.message_entries_expired += delta.message_entries_expired;
+  fold_series(kEnclaveSeries, base, delta);
   if (delta.state.present) {
     base.state.present = true;
-    base.state.live = delta.state.live;  // gauge: absolute
-    base.state.created += delta.state.created;
-    base.state.expired += delta.state.expired;
-    base.state.evicted += delta.state.evicted;
-    base.state.resizes += delta.state.resizes;
+    fold_series(kStateSeries, base.state, delta.state);
     base.state.probe_len.merge(delta.state.probe_len);
   }
   for (const ActionTelemetry& a : delta.actions) {
@@ -241,18 +212,8 @@ void apply_delta(EnclaveTelemetry& base, const EnclaveTelemetry& delta) {
       continue;
     }
     t->native = a.native;
-    t->executions += a.executions;
-    t->errors += a.errors;
-    t->steps += a.steps;
-    for (std::size_t i = 0; i < t->errors_by_status.size(); ++i) {
-      t->errors_by_status[i] += a.errors_by_status[i];
-    }
-    if (a.has_histograms) {
-      t->has_histograms = true;
-      t->latency_ns.merge(a.latency_ns);
-      t->steps_hist.merge(a.steps_hist);
-    }
-    // Profile state stays — deltas never carry it.
+    // Deltas never carry profiles, so the base's hot spots stay.
+    merge_action(*t, a);
   }
   for (const ClassTelemetry& c : delta.classes) {
     ClassTelemetry* t = find_by_name(base.classes, c.name);
@@ -260,8 +221,7 @@ void apply_delta(EnclaveTelemetry& base, const EnclaveTelemetry& delta) {
       base.classes.push_back(c);
       continue;
     }
-    t->matched += c.matched;
-    t->dropped += c.dropped;
+    fold_series(kClassSeries, *t, c);
   }
   for (const auto& [name, value] : delta.host_series) {
     auto it = std::find_if(base.host_series.begin(), base.host_series.end(),

@@ -19,8 +19,9 @@
 //
 // Any divergence — dropped response, duplicated request, agent restart
 // (a new agent means a new encoder), counter regression after a
-// clear_all + reinstall — lands in the mismatch arm on the next poll,
-// so the protocol self-heals with one full resync and needs no acks.
+// clear_all + reinstall, a removed action — lands in the mismatch arm
+// on the next poll, so the protocol self-heals with one full resync and
+// needs no acks.
 // Deltas never carry bytecode profiles; those refresh only on full
 // snapshots (they are bounded and sampled, not per-series counters, so
 // diffing them buys nothing).
@@ -56,8 +57,9 @@ struct DeltaPayload {
 // (new entries ride along whole — they diff against zero), host_series
 // restricted to changed keys but carrying ABSOLUTE values (gauges can
 // go down). Returns nullopt when any counter or bucket regressed —
-// e.g. an action was reinstalled after clear_all — which the caller
-// must answer with a full resync. An empty optional'd EnclaveTelemetry
+// e.g. an action was reinstalled after clear_all — or when an action or
+// the state section vanished (a delta cannot say "gone"), which the
+// caller must answer with a full resync. An empty optional'd EnclaveTelemetry
 // with everything zero means "unchanged"; use delta_is_empty() to
 // decide whether to omit it from the payload.
 std::optional<EnclaveTelemetry> delta_between(const EnclaveTelemetry& prev,

@@ -180,6 +180,15 @@ Json JsonParser::value() {
 
 // --- Snapshot loaders --------------------------------------------------
 
+namespace {
+
+template <typename T, std::size_t N>
+void read_series(const Json& j, const Series<T> (&table)[N], T& r) {
+  for (const Series<T>& s : table) r.*s.member = j.u64(s.key);
+}
+
+}  // namespace
+
 HistogramSnapshot histogram_from_json(const Json& j) {
   HistogramSnapshot h;
   h.count = j.u64("count");
@@ -204,9 +213,7 @@ ActionTelemetry action_from_json(const Json& j) {
   ActionTelemetry a;
   a.name = j.str("name");
   a.native = j.flag("native");
-  a.executions = j.u64("executions");
-  a.errors = j.u64("errors");
-  a.steps = j.u64("steps");
+  read_series(j, kActionSeries, a);
   if (const Json* errs = j.get("errors_by_status")) {
     for (const auto& [status, count] : errs->fields) {
       for (std::size_t i = 0; i < lang::kNumExecStatus; ++i) {
@@ -249,19 +256,10 @@ EnclaveTelemetry enclave_from_json(const Json& j) {
   EnclaveTelemetry e;
   e.enclave = j.str("name");
   e.telemetry_enabled = j.flag("telemetry_enabled");
-  e.packets = j.u64("packets");
-  e.matched = j.u64("matched");
-  e.dropped_by_action = j.u64("dropped_by_action");
-  e.message_entries_created = j.u64("message_entries_created");
-  e.message_entries_evicted = j.u64("message_entries_evicted");
-  e.message_entries_expired = j.u64("message_entries_expired");
+  read_series(j, kEnclaveSeries, e);
   if (const Json* st = j.get("state")) {
     e.state.present = true;
-    e.state.live = st->u64("live");
-    e.state.created = st->u64("created");
-    e.state.expired = st->u64("expired");
-    e.state.evicted = st->u64("evicted");
-    e.state.resizes = st->u64("resizes");
+    read_series(*st, kStateSeries, e.state);
     if (const Json* pl = st->get("probe_len")) {
       e.state.probe_len = histogram_from_json(*pl);
     }
@@ -275,8 +273,7 @@ EnclaveTelemetry enclave_from_json(const Json& j) {
     for (const Json& cj : classes->items) {
       ClassTelemetry c;
       c.name = cj.str("class");
-      c.matched = cj.u64("matched");
-      c.dropped = cj.u64("dropped");
+      read_series(cj, kClassSeries, c);
       e.classes.push_back(std::move(c));
     }
   }
@@ -295,23 +292,7 @@ SessionTelemetry session_from_json(const Json& j) {
   s.name = j.str("name");
   s.connected = j.flag("connected");
   s.ready = j.flag("ready");
-  s.agent_boot_id = j.u64("agent_boot_id");
-  s.connects = j.u64("connects");
-  s.connect_failures = j.u64("connect_failures");
-  s.teardowns = j.u64("teardowns");
-  s.resyncs = j.u64("resyncs");
-  s.last_resync_commands = j.u64("last_resync_commands");
-  s.requests_sent = j.u64("requests_sent");
-  s.responses_ok = j.u64("responses_ok");
-  s.responses_error = j.u64("responses_error");
-  s.request_timeouts = j.u64("request_timeouts");
-  s.heartbeats_sent = j.u64("heartbeats_sent");
-  s.heartbeats_acked = j.u64("heartbeats_acked");
-  s.liveness_timeouts = j.u64("liveness_timeouts");
-  s.corrupt_streams = j.u64("corrupt_streams");
-  s.txns_committed = j.u64("txns_committed");
-  s.txns_aborted = j.u64("txns_aborted");
-  s.agent_restarts_seen = j.u64("agent_restarts_seen");
+  read_series(j, kSessionSeries, s);
   if (const Json* rtt = j.get("rtt_ns")) s.rtt_ns = histogram_from_json(*rtt);
   if (const Json* rs = j.get("resync_commands")) {
     s.resync_commands = histogram_from_json(*rs);

@@ -33,75 +33,25 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-// Adds `a`'s counts into `t` (same action name). Shared by the
-// map-based aggregate() and the sorted-vector merge_aggregates().
-void accumulate_action(ActionTelemetry& t, const ActionTelemetry& a) {
-  t.executions += a.executions;
-  t.errors += a.errors;
-  t.steps += a.steps;
-  for (std::size_t i = 0; i < t.errors_by_status.size(); ++i) {
-    t.errors_by_status[i] += a.errors_by_status[i];
-  }
-  if (a.has_histograms) {
-    t.has_histograms = true;
-    t.latency_ns.merge(a.latency_ns);
-    t.steps_hist.merge(a.steps_hist);
-  }
-  if (a.has_profile) {
-    // Same action name = same program (the controller ships identical
-    // bytecode), so hot-spot rows merge by pc. Percentages are
-    // recomputed against the merged totals.
-    t.has_profile = true;
-    t.profile_runs += a.profile_runs;
-    t.profile_instructions += a.profile_instructions;
-    for (const HotSpot& h : a.hotspots) {
-      auto it = std::find_if(t.hotspots.begin(), t.hotspots.end(),
-                             [&](const HotSpot& x) { return x.pc == h.pc; });
-      if (it == t.hotspots.end()) {
-        t.hotspots.push_back(h);
-      } else {
-        it->count += h.count;
-        it->ticks += h.ticks;
-      }
-    }
-    std::sort(t.hotspots.begin(), t.hotspots.end(),
-              [](const HotSpot& x, const HotSpot& y) {
-                return x.count != y.count ? x.count > y.count : x.pc < y.pc;
-              });
-    std::uint64_t tick_total = 0;
-    for (const HotSpot& h : t.hotspots) tick_total += h.ticks;
-    for (HotSpot& h : t.hotspots) {
-      h.count_pct = t.profile_instructions > 0
-                        ? 100.0 * static_cast<double>(h.count) /
-                              static_cast<double>(t.profile_instructions)
-                        : 0.0;
-      h.ticks_pct = tick_total > 0 ? 100.0 * static_cast<double>(h.ticks) /
-                                         static_cast<double>(tick_total)
-                                   : 0.0;
-    }
-  }
+void accumulate(ActionTelemetry& t, const ActionTelemetry& a) {
+  merge_action(t, a);
 }
 
-void merge_action(std::map<std::string, ActionTelemetry>& into,
-                  const ActionTelemetry& a) {
-  auto [it, fresh] = into.try_emplace(a.name, a);
-  if (!fresh) accumulate_action(it->second, a);
+void accumulate(ClassTelemetry& t, const ClassTelemetry& c) {
+  fold_series(kClassSeries, t, c);
 }
 
-void merge_class(std::map<std::string, ClassTelemetry>& into,
-                 const ClassTelemetry& c) {
-  ClassTelemetry& t = into.try_emplace(c.name).first->second;
-  t.name = c.name;
-  t.matched += c.matched;
-  t.dropped += c.dropped;
+template <typename T>
+void merge_by_name(std::map<std::string, T>& into, const T& x) {
+  auto [it, fresh] = into.try_emplace(x.name, x);
+  if (!fresh) accumulate(it->second, x);
 }
 
 // Merges two name-sorted telemetry vectors, accumulating entries whose
 // names collide. Both inputs come out of aggregate()'s std::map walk,
 // so they are already sorted and the merge is linear.
-template <typename T, typename Fn>
-std::vector<T> merge_sorted(std::vector<T> a, std::vector<T> b,
-                            Fn&& accumulate) {
+template <typename T>
+std::vector<T> merge_sorted(std::vector<T> a, std::vector<T> b) {
   std::vector<T> out;
   out.reserve(a.size() + b.size());
   std::size_t i = 0;
@@ -154,17 +104,27 @@ void append_histogram_json(std::string& out, const char* key,
   out += "]}";
 }
 
+// Writes `r`'s series as "key":value pairs, each after a comma except
+// the first when `leading_comma` is false.
+template <typename T, std::size_t N>
+void append_series_json(std::string& out, const Series<T> (&table)[N],
+                        const T& r, bool leading_comma = true) {
+  for (const Series<T>& s : table) {
+    if (leading_comma) out += ',';
+    leading_comma = true;
+    out += '"';
+    out += s.key;
+    out += "\":";
+    out += std::to_string(r.*s.member);
+  }
+}
+
 void append_action_json(std::string& out, const ActionTelemetry& a) {
   out += "{\"name\":\"";
   out += json_escape(a.name);
   out += "\",\"native\":";
   out += a.native ? "true" : "false";
-  out += ",\"executions\":";
-  out += std::to_string(a.executions);
-  out += ",\"errors\":";
-  out += std::to_string(a.errors);
-  out += ",\"steps\":";
-  out += std::to_string(a.steps);
+  append_series_json(out, kActionSeries, a);
   out += ",\"errors_by_status\":{";
   bool first = true;
   for (std::size_t i = 0; i < a.errors_by_status.size(); ++i) {
@@ -217,10 +177,8 @@ void append_action_json(std::string& out, const ActionTelemetry& a) {
 void append_class_json(std::string& out, const ClassTelemetry& c) {
   out += "{\"class\":\"";
   out += json_escape(c.name);
-  out += "\",\"matched\":";
-  out += std::to_string(c.matched);
-  out += ",\"dropped\":";
-  out += std::to_string(c.dropped);
+  out += '"';
+  append_series_json(out, kClassSeries, c);
   out += '}';
 }
 
@@ -231,30 +189,7 @@ void append_session_json(std::string& out, const SessionTelemetry& s) {
   out += s.connected ? "true" : "false";
   out += ",\"ready\":";
   out += s.ready ? "true" : "false";
-  out += ",\"agent_boot_id\":";
-  out += std::to_string(s.agent_boot_id);
-  auto field = [&](const char* key, std::uint64_t value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  field("connects", s.connects);
-  field("connect_failures", s.connect_failures);
-  field("teardowns", s.teardowns);
-  field("resyncs", s.resyncs);
-  field("last_resync_commands", s.last_resync_commands);
-  field("requests_sent", s.requests_sent);
-  field("responses_ok", s.responses_ok);
-  field("responses_error", s.responses_error);
-  field("request_timeouts", s.request_timeouts);
-  field("heartbeats_sent", s.heartbeats_sent);
-  field("heartbeats_acked", s.heartbeats_acked);
-  field("liveness_timeouts", s.liveness_timeouts);
-  field("corrupt_streams", s.corrupt_streams);
-  field("txns_committed", s.txns_committed);
-  field("txns_aborted", s.txns_aborted);
-  field("agent_restarts_seen", s.agent_restarts_seen);
+  append_series_json(out, kSessionSeries, s);
   out += ',';
   append_histogram_json(out, "rtt_ns", s.rtt_ns);
   out += ',';
@@ -272,6 +207,31 @@ void append_array(std::string& out, const std::vector<T>& items, Fn&& fn) {
   out += ']';
 }
 
+void append_sample(std::string& out, const char* name, const Labels& labels,
+                   std::uint64_t value) {
+  out += name;
+  out += render_labels(labels);
+  out += ' ';
+  out += std::to_string(value);
+  out += '\n';
+}
+
+// One "# TYPE" block per exported series of `table`. `rows(series,
+// emit)` calls emit(labels, record) for each record the block covers.
+template <typename T, std::size_t N, typename Rows>
+void append_series_exposition(std::string& out, const Series<T> (&table)[N],
+                              Rows&& rows) {
+  for (const Series<T>& s : table) {
+    if (s.prom == nullptr) continue;
+    out += "# TYPE ";
+    out += s.prom;
+    out += s.kind == SeriesKind::counter ? " counter\n" : " gauge\n";
+    rows(s, [&](const Labels& labels, const T& r) {
+      append_sample(out, s.prom, labels, r.*s.member);
+    });
+  }
+}
+
 // Shortest round-trippable rendering of a host-series value (%.17g —
 // the parser keeps number text, so 64-bit-ish counters survive).
 void append_double(std::string& out, double v) {
@@ -282,6 +242,51 @@ void append_double(std::string& out, double v) {
 
 }  // namespace
 
+void merge_action(ActionTelemetry& t, const ActionTelemetry& a) {
+  fold_series(kActionSeries, t, a);
+  for (std::size_t i = 0; i < t.errors_by_status.size(); ++i) {
+    t.errors_by_status[i] += a.errors_by_status[i];
+  }
+  if (a.has_histograms) {
+    t.has_histograms = true;
+    t.latency_ns.merge(a.latency_ns);
+    t.steps_hist.merge(a.steps_hist);
+  }
+  if (a.has_profile) {
+    // Same action name = same program (the controller ships identical
+    // bytecode), so hot-spot rows merge by pc. Percentages are
+    // recomputed against the merged totals.
+    t.has_profile = true;
+    t.profile_runs += a.profile_runs;
+    t.profile_instructions += a.profile_instructions;
+    for (const HotSpot& h : a.hotspots) {
+      auto it = std::find_if(t.hotspots.begin(), t.hotspots.end(),
+                             [&](const HotSpot& x) { return x.pc == h.pc; });
+      if (it == t.hotspots.end()) {
+        t.hotspots.push_back(h);
+      } else {
+        it->count += h.count;
+        it->ticks += h.ticks;
+      }
+    }
+    std::sort(t.hotspots.begin(), t.hotspots.end(),
+              [](const HotSpot& x, const HotSpot& y) {
+                return x.count != y.count ? x.count > y.count : x.pc < y.pc;
+              });
+    std::uint64_t tick_total = 0;
+    for (const HotSpot& h : t.hotspots) tick_total += h.ticks;
+    for (HotSpot& h : t.hotspots) {
+      h.count_pct = t.profile_instructions > 0
+                        ? 100.0 * static_cast<double>(h.count) /
+                              static_cast<double>(t.profile_instructions)
+                        : 0.0;
+      h.ticks_pct = tick_total > 0 ? 100.0 * static_cast<double>(h.ticks) /
+                                         static_cast<double>(tick_total)
+                                   : 0.0;
+    }
+  }
+}
+
 AggregateTelemetry aggregate(std::vector<EnclaveTelemetry> enclaves) {
   AggregateTelemetry agg;
   std::map<std::string, ActionTelemetry> actions;
@@ -290,8 +295,8 @@ AggregateTelemetry aggregate(std::vector<EnclaveTelemetry> enclaves) {
     agg.packets += e.packets;
     agg.matched += e.matched;
     agg.dropped_by_action += e.dropped_by_action;
-    for (const ActionTelemetry& a : e.actions) merge_action(actions, a);
-    for (const ClassTelemetry& c : e.classes) merge_class(classes, c);
+    for (const ActionTelemetry& a : e.actions) merge_by_name(actions, a);
+    for (const ClassTelemetry& c : e.classes) merge_by_name(classes, c);
   }
   for (auto& [name, a] : actions) agg.actions.push_back(std::move(a));
   for (auto& [name, c] : classes) agg.classes.push_back(std::move(c));
@@ -311,16 +316,8 @@ AggregateTelemetry merge_aggregates(AggregateTelemetry a,
   out.sessions.insert(out.sessions.end(),
                       std::make_move_iterator(b.sessions.begin()),
                       std::make_move_iterator(b.sessions.end()));
-  out.actions = merge_sorted(
-      std::move(out.actions), std::move(b.actions),
-      [](ActionTelemetry& t, const ActionTelemetry& x) {
-        accumulate_action(t, x);
-      });
-  out.classes = merge_sorted(std::move(out.classes), std::move(b.classes),
-                             [](ClassTelemetry& t, const ClassTelemetry& x) {
-                               t.matched += x.matched;
-                               t.dropped += x.dropped;
-                             });
+  out.actions = merge_sorted(std::move(out.actions), std::move(b.actions));
+  out.classes = merge_sorted(std::move(out.classes), std::move(b.classes));
   return out;
 }
 
@@ -329,29 +326,10 @@ void append_enclave_json(std::string& out, const EnclaveTelemetry& e) {
   out += json_escape(e.enclave);
   out += "\",\"telemetry_enabled\":";
   out += e.telemetry_enabled ? "true" : "false";
-  out += ",\"packets\":";
-  out += std::to_string(e.packets);
-  out += ",\"matched\":";
-  out += std::to_string(e.matched);
-  out += ",\"dropped_by_action\":";
-  out += std::to_string(e.dropped_by_action);
-  out += ",\"message_entries_created\":";
-  out += std::to_string(e.message_entries_created);
-  out += ",\"message_entries_evicted\":";
-  out += std::to_string(e.message_entries_evicted);
-  out += ",\"message_entries_expired\":";
-  out += std::to_string(e.message_entries_expired);
+  append_series_json(out, kEnclaveSeries, e);
   if (e.state.present) {
-    out += ",\"state\":{\"live\":";
-    out += std::to_string(e.state.live);
-    out += ",\"created\":";
-    out += std::to_string(e.state.created);
-    out += ",\"expired\":";
-    out += std::to_string(e.state.expired);
-    out += ",\"evicted\":";
-    out += std::to_string(e.state.evicted);
-    out += ",\"resizes\":";
-    out += std::to_string(e.state.resizes);
+    out += ",\"state\":{";
+    append_series_json(out, kStateSeries, e.state, false);
     out += ',';
     append_histogram_json(out, "probe_len", e.state.probe_len);
     out += '}';
@@ -412,80 +390,19 @@ std::string to_json(const AggregateTelemetry& agg) {
 
 std::string to_prometheus(const AggregateTelemetry& agg) {
   std::string out;
-  auto series = [&](const char* name, const Labels& labels,
-                    std::uint64_t value) {
-    out += name;
-    out += render_labels(labels);
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  };
-
-  out += "# TYPE eden_enclave_packets_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    series("eden_enclave_packets_total", {{"enclave", e.enclave}}, e.packets);
-  }
-  out += "# TYPE eden_enclave_matched_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    series("eden_enclave_matched_total", {{"enclave", e.enclave}}, e.matched);
-  }
-  out += "# TYPE eden_enclave_dropped_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    series("eden_enclave_dropped_total", {{"enclave", e.enclave}},
-           e.dropped_by_action);
-  }
-  out += "# TYPE eden_enclave_message_entries_created_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    series("eden_enclave_message_entries_created_total",
-           {{"enclave", e.enclave}}, e.message_entries_created);
-  }
-  out += "# TYPE eden_enclave_message_entries_evicted_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    series("eden_enclave_message_entries_evicted_total",
-           {{"enclave", e.enclave}}, e.message_entries_evicted);
-  }
-  out += "# TYPE eden_enclave_message_entries_expired_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    series("eden_enclave_message_entries_expired_total",
-           {{"enclave", e.enclave}}, e.message_entries_expired);
-  }
+  append_series_exposition(out, kEnclaveSeries, [&](const auto&, auto&& emit) {
+    for (const EnclaveTelemetry& e : agg.enclaves) {
+      emit({{"enclave", e.enclave}}, e);
+    }
+  });
 
   // Message-state store section (FlowStore), one row set per enclave
   // that holds message state.
-  out += "# TYPE eden_state_live gauge\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    if (e.state.present) {
-      series("eden_state_live", {{"enclave", e.enclave}}, e.state.live);
+  append_series_exposition(out, kStateSeries, [&](const auto&, auto&& emit) {
+    for (const EnclaveTelemetry& e : agg.enclaves) {
+      if (e.state.present) emit({{"enclave", e.enclave}}, e.state);
     }
-  }
-  out += "# TYPE eden_state_created_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    if (e.state.present) {
-      series("eden_state_created_total", {{"enclave", e.enclave}},
-             e.state.created);
-    }
-  }
-  out += "# TYPE eden_state_expired_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    if (e.state.present) {
-      series("eden_state_expired_total", {{"enclave", e.enclave}},
-             e.state.expired);
-    }
-  }
-  out += "# TYPE eden_state_evicted_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    if (e.state.present) {
-      series("eden_state_evicted_total", {{"enclave", e.enclave}},
-             e.state.evicted);
-    }
-  }
-  out += "# TYPE eden_state_resizes_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    if (e.state.present) {
-      series("eden_state_resizes_total", {{"enclave", e.enclave}},
-             e.state.resizes);
-    }
-  }
+  });
   {
     bool state_hist_header = false;
     for (const EnclaveTelemetry& e : agg.enclaves) {
@@ -500,48 +417,35 @@ std::string to_prometheus(const AggregateTelemetry& agg) {
     }
   }
 
-  out += "# TYPE eden_class_matched_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    for (const ClassTelemetry& c : e.classes) {
-      series("eden_class_matched_total",
-             {{"enclave", e.enclave}, {"class", c.name}}, c.matched);
+  append_series_exposition(out, kClassSeries, [&](const auto&, auto&& emit) {
+    for (const EnclaveTelemetry& e : agg.enclaves) {
+      for (const ClassTelemetry& c : e.classes) {
+        emit({{"enclave", e.enclave}, {"class", c.name}}, c);
+      }
     }
-  }
-  out += "# TYPE eden_class_dropped_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    for (const ClassTelemetry& c : e.classes) {
-      series("eden_class_dropped_total",
-             {{"enclave", e.enclave}, {"class", c.name}}, c.dropped);
-    }
-  }
+  });
 
-  out += "# TYPE eden_action_executions_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    for (const ActionTelemetry& a : e.actions) {
-      series("eden_action_executions_total",
-             {{"enclave", e.enclave}, {"action", a.name}}, a.executions);
-    }
-  }
-  out += "# TYPE eden_action_steps_total counter\n";
-  for (const EnclaveTelemetry& e : agg.enclaves) {
-    for (const ActionTelemetry& a : e.actions) {
-      if (a.native) continue;
-      series("eden_action_steps_total",
-             {{"enclave", e.enclave}, {"action", a.name}}, a.steps);
-    }
-  }
+  append_series_exposition(
+      out, kActionSeries, [&](const auto& series, auto&& emit) {
+        for (const EnclaveTelemetry& e : agg.enclaves) {
+          for (const ActionTelemetry& a : e.actions) {
+            // A native twin runs no bytecode, so it has no steps series.
+            if (a.native && series.member == &ActionTelemetry::steps) continue;
+            emit({{"enclave", e.enclave}, {"action", a.name}}, a);
+          }
+        }
+      });
   out += "# TYPE eden_action_errors_total counter\n";
   for (const EnclaveTelemetry& e : agg.enclaves) {
     for (const ActionTelemetry& a : e.actions) {
       for (std::size_t i = 0; i < a.errors_by_status.size(); ++i) {
         if (a.errors_by_status[i] == 0) continue;
-        series("eden_action_errors_total",
-               {{"enclave", e.enclave},
-                {"action", a.name},
-                {"status",
-                 std::string(lang::exec_status_name(
-                     static_cast<lang::ExecStatus>(i)))}},
-               a.errors_by_status[i]);
+        append_sample(out, "eden_action_errors_total",
+                      {{"enclave", e.enclave},
+                       {"action", a.name},
+                       {"status", std::string(lang::exec_status_name(
+                                      static_cast<lang::ExecStatus>(i)))}},
+                      a.errors_by_status[i]);
       }
     }
   }
@@ -576,48 +480,16 @@ std::string to_prometheus(const AggregateTelemetry& agg) {
   }
 
   if (!agg.sessions.empty()) {
-    struct CounterSeries {
-      const char* name;
-      std::uint64_t SessionTelemetry::* member;
-    };
-    static constexpr CounterSeries kSessionCounters[] = {
-        {"eden_session_connects_total", &SessionTelemetry::connects},
-        {"eden_session_connect_failures_total",
-         &SessionTelemetry::connect_failures},
-        {"eden_session_teardowns_total", &SessionTelemetry::teardowns},
-        {"eden_session_resyncs_total", &SessionTelemetry::resyncs},
-        {"eden_session_requests_total", &SessionTelemetry::requests_sent},
-        {"eden_session_responses_ok_total", &SessionTelemetry::responses_ok},
-        {"eden_session_responses_error_total",
-         &SessionTelemetry::responses_error},
-        {"eden_session_request_timeouts_total",
-         &SessionTelemetry::request_timeouts},
-        {"eden_session_heartbeats_sent_total",
-         &SessionTelemetry::heartbeats_sent},
-        {"eden_session_heartbeats_acked_total",
-         &SessionTelemetry::heartbeats_acked},
-        {"eden_session_liveness_timeouts_total",
-         &SessionTelemetry::liveness_timeouts},
-        {"eden_session_corrupt_streams_total",
-         &SessionTelemetry::corrupt_streams},
-        {"eden_session_txns_committed_total",
-         &SessionTelemetry::txns_committed},
-        {"eden_session_txns_aborted_total", &SessionTelemetry::txns_aborted},
-        {"eden_session_agent_restarts_total",
-         &SessionTelemetry::agent_restarts_seen},
-    };
-    for (const CounterSeries& cs : kSessionCounters) {
-      out += "# TYPE ";
-      out += cs.name;
-      out += " counter\n";
-      for (const SessionTelemetry& s : agg.sessions) {
-        series(cs.name, {{"session", s.name}}, s.*cs.member);
-      }
-    }
+    append_series_exposition(
+        out, kSessionSeries, [&](const auto&, auto&& emit) {
+          for (const SessionTelemetry& s : agg.sessions) {
+            emit({{"session", s.name}}, s);
+          }
+        });
     out += "# TYPE eden_session_connected gauge\n";
     for (const SessionTelemetry& s : agg.sessions) {
-      series("eden_session_connected", {{"session", s.name}},
-             s.ready ? 1 : 0);
+      append_sample(out, "eden_session_connected", {{"session", s.name}},
+                    s.ready ? 1 : 0);
     }
     out += "# TYPE eden_session_rtt_ns histogram\n";
     for (const SessionTelemetry& s : agg.sessions) {

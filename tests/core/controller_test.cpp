@@ -208,6 +208,17 @@ TEST(Controller, TelemetrySourcesPollMatchesTheEnclaveSnapshot) {
   for (const char* section : {"\"latency_ns\"", "\"hotspots\"", "\"state\""}) {
     EXPECT_NE(polled.find(section), std::string::npos) << section;
   }
+
+  // A delta cannot say "gone": removing the only action (and with it the
+  // state section) forces a full resync, so the next poll drops both.
+  enclave.remove_action(action);
+  const std::string after_remove = telemetry::to_json(collector.poll());
+  EXPECT_EQ(after_remove,
+            telemetry::to_json(
+                telemetry::aggregate({enclave.telemetry_snapshot()})));
+  EXPECT_EQ(after_remove.find("\"pias\""), std::string::npos);
+  EXPECT_EQ(after_remove.find("\"state\""), std::string::npos);
+  EXPECT_EQ(collector.status(0).full_resyncs, 2u);
 }
 
 }  // namespace

@@ -1096,34 +1096,6 @@ TEST(EnclaveTelemetryTest, ErrorBreakdownSumsByStatus) {
             3u);
 }
 
-TEST(EnclaveTelemetryTest, WeightedStepsStableAcrossOptLevels) {
-  // Superinstructions charge the cost of the base ops they replace
-  // (lang::kOpStepCost), so the steps metric is comparable across
-  // optimization levels: the same program charges the same steps at
-  // -O0 and -O1 even though -O1 executes fewer instructions.
-  const char* source =
-      "fun(p, m, g) -> m.size <- m.size + p.size; "
-      "p.priority <- m.size / 1000";
-  std::uint64_t steps[2] = {0, 0};
-  for (int level = 0; level < 2; ++level) {
-    ClassRegistry registry;
-    Controller controller(registry);
-    EnclaveConfig config;
-    config.opt_level = level == 0 ? lang::OptLevel::O0 : lang::OptLevel::O1;
-    Enclave enclave("opt", registry, config);
-    const lang::CompiledProgram program =
-        controller.compile("accum", source, {});
-    const ActionId action = enclave.install_action("accum", program, {});
-    const TableId table = enclave.create_table("t");
-    enclave.add_rule(table, ClassPattern("*"), action);
-    netsim::Packet packet = tcp_packet();
-    for (int i = 0; i < 5; ++i) enclave.process(packet);
-    steps[level] = enclave.action_stats(action).steps;
-  }
-  EXPECT_GT(steps[0], 0u);
-  EXPECT_EQ(steps[0], steps[1]);
-}
-
 TEST(EnclaveTelemetryTest, ControllerCollectsAndAggregates) {
   ClassRegistry registry;
   Controller controller(registry);

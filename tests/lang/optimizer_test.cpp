@@ -332,6 +332,25 @@ TEST(Optimizer, FusedStepCostMatchesReplacedInstructions) {
   EXPECT_EQ(op_step_cost(Op::add_imm), 2u);
 }
 
+TEST(Optimizer, WeightedStepsStableAcrossOptLevels) {
+  // Superinstructions charge the cost of the base ops they replace
+  // (kOpStepCost), so the steps metric is comparable across
+  // optimization levels: the same program charges the same steps at
+  // -O0 and -O1 even though -O1 executes fewer instructions.
+  const StateSchema schema = testing::pias_schema();
+  auto pkt = StateBlock::from_schema(schema, Scope::packet);
+  auto msg = StateBlock::from_schema(schema, Scope::message);
+  pkt.scalars[0] = 1460;  // size
+  msg.scalars[0] = 9000;  // msg.size
+  const DiffPair r = run_diff(
+      "fun(p, m, g) -> m.size <- m.size + p.size; "
+      "p.priority <- m.size / 1000",
+      schema, pkt, msg, StateBlock::from_schema(schema, Scope::global));
+  EXPECT_GT(r.stats.fused, 0u);
+  EXPECT_GT(r.o0.steps, 0u);
+  EXPECT_EQ(r.o0.steps, r.o1.steps);
+}
+
 TEST(Optimizer, ThreadsJumpChains) {
   CompiledProgram p;
   p.code = {
