@@ -10,9 +10,11 @@
 // the traced overhead at 5%.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "controlplane/session.h"
 #include "core/controller.h"
@@ -228,10 +230,14 @@ BENCHMARK(BM_ControlPlane_ProcessAfterPublish);
 
 // --- Acceptance sweep ----------------------------------------------------
 //
-// Min-of-reps timing of the 64-rule batched repoint, tracing off vs
-// sampling 1-in-128. Both runs execute identical deterministic work, so
-// the ratio prices the tracing; host noise on a shared machine still
-// moves the smoke run's ratio by several percent.
+// Timing of the 64-rule batched repoint, tracing off vs sampling
+// 1-in-128. Both arms execute identical deterministic work, so their
+// ratio prices the tracing. A shared host runs whole stretches slower
+// than others, so the arms run in adjacent pairs (in alternating order)
+// and the gate reads the median of the per-pair overheads: a pair shares
+// the host's state, and a stretch that starts or ends mid-run moves only
+// the pairs it splits, where comparing each arm's best rep let it favour
+// one arm.
 
 // Adds the error responses the session saw to `errors`.
 double time_batched_repoint(std::size_t rules, int txns,
@@ -251,46 +257,61 @@ double time_batched_repoint(std::size_t rules, int txns,
 }
 
 int run_acceptance_sweep(const std::string& json_path) {
-  const int reps = g_smoke ? 3 : 7;
-  const int txns = g_smoke ? 40 : 200;
+  const int reps = g_smoke ? 21 : 31;
+  const int txns = g_smoke ? 100 : 200;
   const std::size_t rules = 64;
 
-  telemetry::SpanCollector::instance().disable();
-  telemetry::SpanCollector::instance().reset();
+  telemetry::SpanCollector& spans = telemetry::SpanCollector::instance();
   std::uint64_t errors = 0;
+  const auto time_arm = [&](bool traced) {
+    spans.disable();
+    spans.reset();
+    if (traced) spans.enable(128, 1 << 15);
+    return time_batched_repoint(rules, txns, errors);
+  };
   double off_ns = 0;
-  for (int r = 0; r < reps; ++r) {
-    const double t = time_batched_repoint(rules, txns, errors);
-    if (r == 0 || t < off_ns) off_ns = t;
-  }
-
-  telemetry::SpanCollector::instance().enable(128, 1 << 15);
   double on_ns = 0;
+  std::vector<double> overheads;
   for (int r = 0; r < reps; ++r) {
-    const double t = time_batched_repoint(rules, txns, errors);
-    if (r == 0 || t < on_ns) on_ns = t;
+    const bool on_first = r % 2 == 1;
+    const double first = time_arm(on_first);
+    const double second = time_arm(!on_first);
+    const double off = on_first ? second : first;
+    const double on = on_first ? first : second;
+    if (r == 0 || off < off_ns) off_ns = off;
+    if (r == 0 || on < on_ns) on_ns = on;
+    overheads.push_back((on - off) / off);
   }
-  telemetry::SpanCollector::instance().disable();
-  telemetry::SpanCollector::instance().reset();
+  spans.disable();
+  spans.reset();
 
-  const double overhead = off_ns > 0 ? (on_ns - off_ns) / off_ns : 0;
+  std::sort(overheads.begin(), overheads.end());
+  const double overhead = overheads[overheads.size() / 2];
+  const double q1 = overheads[overheads.size() / 4];
+  const double q3 = overheads[overheads.size() * 3 / 4];
   std::printf(
       "repoint batched txn (%zu rules): tracing off %.0f ns/txn, "
-      "1-in-128 %.0f ns/txn, overhead %.2f%%\n",
-      rules, off_ns, on_ns, 100 * overhead);
+      "1-in-128 %.0f ns/txn (best reps), overhead %.2f%% (median of %d "
+      "pairs, IQR %.2f%% .. %.2f%%)\n",
+      rules, off_ns, on_ns, 100 * overhead, reps, 100 * q1, 100 * q3);
 
   std::string json =
       "{\n  \"note\": \"64-rule batched repoint through the framed "
-      "session, min-of-" +
+      "session, best of " +
       std::to_string(reps) +
-      " reps. tracing_off runs with the span collector disabled "
+      " reps per arm; tracing_overhead is the median over the " +
+      std::to_string(reps) +
+      " adjacent off/on pairs. tracing_off runs with the span collector "
+      "disabled "
       "(untraced commands pay one branch per frame); tracing_on samples "
       "1 txn in 128, the production rate.\",\n";
   json += "  \"rows\": [\n";
   json += "    {\"rules\": " + std::to_string(rules) +
           ", \"txn_tracing_off_ns\": " + std::to_string(off_ns) +
           ", \"txn_tracing_on_128_ns\": " + std::to_string(on_ns) +
-          ", \"tracing_overhead\": " + std::to_string(overhead) + "}\n";
+          ", \"tracing_overhead\": " + std::to_string(overhead) +
+          ", \"tracing_overhead_q1\": " + std::to_string(q1) +
+          ", \"tracing_overhead_q3\": " + std::to_string(q3) + "}\n";
   json += "  ],\n  \"headline\": {\n";
   json += "    \"tracing_overhead_1_in_128\": " + std::to_string(overhead) +
           "\n  }\n}\n";
@@ -313,7 +334,7 @@ int run_acceptance_sweep(const std::string& json_path) {
   }
   if (overhead > 0.05) {
     std::fprintf(stderr,
-                 "FAIL: 1-in-128 tracing overhead %.2f%% > 5%%\n",
+                 "FAIL: 1-in-128 tracing overhead %.2f%% (median) > 5%%\n",
                  100 * overhead);
     return 1;
   }

@@ -88,38 +88,29 @@ void EnclaveAgent::on_bytes(std::span<const std::uint8_t> data) {
         }
         ++expected_request_id_;
         ++stats_.requests;
-        // Untraced requests pay exactly this branch; traced ones time
-        // the apply and link it under the controller's cp_send span.
+        // Untraced requests pay exactly this branch. Traced ones time
+        // every command, the lone one or each element of a batch, and
+        // link it under the cp_send span it was sent under.
+        Response response;
         std::int64_t apply_span = 0;
-        if (frame.trace_id != 0) {
-          const std::int64_t t0 = spans().now_ns();
-          const Response response =
+        if (frame.trace_id == 0) {
+          response =
               core::wire::apply(enclave_, frame.payload, telemetry_encoder_);
-          const std::optional<core::wire::Command> op =
-              core::wire::peek_command(frame.payload);
-          const std::int64_t opcode =
-              op.has_value() ? static_cast<std::int64_t>(*op) : 0;
-          apply_span = spans().record_linked(
-              frame.trace_id, Hop::cp_agent_apply, frame.parent_span,
-              spans().now_ns(), spans().now_ns() - t0, opcode);
-          if (op == core::wire::Command::commit_txn &&
-              response.status == core::wire::Status::ok) {
-            spans().record_linked(
-                frame.trace_id, Hop::cp_agent_publish, apply_span,
-                spans().now_ns(), 0,
-                static_cast<std::int64_t>(enclave_.ruleset_version()));
-          }
-          transport_->send(
-              encode_frame({FrameType::response, frame.id,
-                            core::wire::encode_response(response),
-                            frame.trace_id, apply_span}));
+        } else if (core::wire::peek_command(frame.payload) ==
+                   core::wire::Command::batch) {
+          response = core::wire::apply(
+              enclave_, frame.payload, telemetry_encoder_,
+              [&](const core::wire::BatchElement& e) {
+                return apply_traced(e.command, frame.trace_id, e.parent_span,
+                                    apply_span);
+              });
         } else {
-          const Response response =
-              core::wire::apply(enclave_, frame.payload, telemetry_encoder_);
-          transport_->send(encode_frame(
-              {FrameType::response, frame.id,
-               core::wire::encode_response(response)}));
+          response = apply_traced(frame.payload, frame.trace_id,
+                                  frame.parent_span, apply_span);
         }
+        transport_->send(encode_frame({FrameType::response, frame.id,
+                                       core::wire::encode_response(response),
+                                       frame.trace_id, apply_span}));
         break;
       }
       default:
@@ -137,6 +128,27 @@ void EnclaveAgent::on_bytes(std::span<const std::uint8_t> data) {
     abort_stale_txn();
     transport_->close();
   }
+}
+
+Response EnclaveAgent::apply_traced(std::span<const std::uint8_t> command,
+                                    std::int64_t trace_id,
+                                    std::int64_t parent_span,
+                                    std::int64_t& apply_span) {
+  const std::int64_t t0 = spans().now_ns();
+  Response response = core::wire::apply(enclave_, command, telemetry_encoder_);
+  const std::optional<core::wire::Command> op =
+      core::wire::peek_command(command);
+  const std::int64_t opcode =
+      op.has_value() ? static_cast<std::int64_t>(*op) : 0;
+  apply_span =
+      spans().record_linked(trace_id, Hop::cp_agent_apply, parent_span,
+                            spans().now_ns(), spans().now_ns() - t0, opcode);
+  if (op == core::wire::Command::commit_txn && response.status == Status::ok) {
+    spans().record_linked(
+        trace_id, Hop::cp_agent_publish, apply_span, spans().now_ns(), 0,
+        static_cast<std::int64_t>(enclave_.ruleset_version()));
+  }
+  return response;
 }
 
 void EnclaveAgent::on_disconnect() { abort_stale_txn(); }
@@ -179,9 +191,10 @@ void EnclaveSession::tick() {
   if (!inflight_.empty() &&
       now - inflight_.front().sent_at_ns >= config_.request_timeout_ns) {
     ++stats_.request_timeouts;
-    const Pending& head = inflight_.front();
-    if (head.trace_id != 0) {
-      spans().record_linked(head.trace_id, Hop::cp_timeout, head.span_id,
+    const RequestFrame& head = inflight_.front();
+    const Request& first = head.requests.front();
+    if (first.trace_id != 0) {
+      spans().record_linked(first.trace_id, Hop::cp_timeout, first.span_id,
                             spans().now_ns(), 0,
                             static_cast<std::int64_t>(head.id));
     }
@@ -270,6 +283,7 @@ void EnclaveSession::teardown(const char* reason) {
   state_ = State::disconnected;
   inflight_.clear();
   outbox_.clear();
+  staged_.clear();  // the journal still holds them; the resync replays it
   heartbeat_sent_at_.clear();
   deferred_removes_.clear();
   decoder_.reset();
@@ -344,25 +358,41 @@ void EnclaveSession::handle_frame(const Frame& frame) {
         teardown("response id mismatch");
         return;
       }
-      Pending pending = std::move(inflight_.front());
+      RequestFrame pending = std::move(inflight_.front());
       inflight_.pop_front();
       rtt_.record(now - pending.sent_at_ns);
-      if (pending.trace_id != 0) {
-        // Round-trip slice under the cp_send span; agent-side spans for
-        // the same request hang off that same parent, so the tree reads
-        // send -> {apply, response}.
-        const std::int64_t t = spans().now_ns();
-        spans().record_linked(pending.trace_id, Hop::cp_response,
-                              pending.span_id, t, t - pending.sent_span_ns,
-                              static_cast<std::int64_t>(frame.id));
-      }
       const Response response = core::wire::decode_response(frame.payload);
-      if (response.status == Status::ok) {
-        ++stats_.responses_ok;
-      } else {
-        ++stats_.responses_error;
+      std::optional<std::vector<Response>> elements;
+      if (pending.batch) {
+        elements = core::wire::batch_responses(response);
+        if (!elements.has_value() ||
+            elements->size() != pending.requests.size()) {
+          // The agent could not read the batch, or answered another
+          // one: as with a mismatched id, the stream is corrupt.
+          ++stats_.corrupt_streams;
+          teardown("bad batch response");
+          return;
+        }
       }
-      if (pending.done) pending.done(response);
+      for (std::size_t i = 0; i < pending.requests.size(); ++i) {
+        Request& request = pending.requests[i];
+        const Response& answer = pending.batch ? (*elements)[i] : response;
+        if (request.trace_id != 0) {
+          // Round-trip slice under the cp_send span; agent-side spans
+          // for the same command hang off that same parent, so the tree
+          // reads send -> {apply, response}.
+          const std::int64_t t = spans().now_ns();
+          spans().record_linked(request.trace_id, Hop::cp_response,
+                                request.span_id, t, t - request.sent_span_ns,
+                                static_cast<std::int64_t>(frame.id));
+        }
+        if (answer.status == Status::ok) {
+          ++stats_.responses_ok;
+        } else {
+          ++stats_.responses_error;
+        }
+        if (request.done) request.done(answer);
+      }
       pump_outbox();
       return;
     }
@@ -375,36 +405,89 @@ void EnclaveSession::handle_frame(const Frame& frame) {
 void EnclaveSession::send_request(std::vector<std::uint8_t> command,
                                   Completion done) {
   if (transport_ == nullptr || !transport_->connected()) return;
-  outbox_.push_back(
+  outbox_.emplace_back().requests.push_back(
       {std::move(command), std::move(done), trace_.id, trace_.root});
+  pump_outbox();
+}
+
+void EnclaveSession::stage(std::vector<std::uint8_t> command, Completion done,
+                           RuleHandle adds) {
+  staged_.push_back({std::move(command), std::move(done), trace_.id,
+                     trace_.root, 0, 0, adds});
+}
+
+void EnclaveSession::send_mutation(std::vector<std::uint8_t> command,
+                                   Completion done, RuleHandle adds) {
+  if (txn_snapshot_ != nullptr) {
+    stage(std::move(command), std::move(done), adds);
+  } else {
+    send_request(std::move(command), std::move(done));
+  }
+}
+
+void EnclaveSession::send_batch() {
+  // One oversized frame would tear the stream down, and the resync after
+  // it would send the same frame again: split under the frame limit.
+  RequestFrame* frame = nullptr;
+  std::size_t bytes = 0;
+  for (Request& request : staged_) {
+    const std::size_t size =
+        core::wire::kBatchElementMaxBytes + request.command.size();
+    if (frame == nullptr || bytes + size > kMaxFramePayload) {
+      frame = &outbox_.emplace_back();
+      frame->batch = true;
+      bytes = core::wire::kBatchHeaderBytes;
+    }
+    bytes += size;
+    frame->requests.push_back(std::move(request));
+  }
+  staged_.clear();
   pump_outbox();
 }
 
 void EnclaveSession::pump_outbox() {
   while (transport_ != nullptr && transport_->connected() &&
          inflight_.size() < config_.max_inflight && !outbox_.empty()) {
-    Outgoing out = std::move(outbox_.front());
+    RequestFrame& out = inflight_.emplace_back(std::move(outbox_.front()));
     outbox_.pop_front();
-    const std::uint64_t id = next_request_id_++;
-    ++stats_.requests_sent;
-    if (out.trace_id != 0) {
-      const std::int64_t send_span = spans().record_linked(
-          out.trace_id, Hop::cp_send, out.parent_span, spans().now_ns(), 0,
-          static_cast<std::int64_t>(id));
-      inflight_.push_back({id, clock_(), std::move(out.done), out.trace_id,
-                           send_span, spans().now_ns()});
-      Frame frame{FrameType::request, id, std::move(out.command)};
-      frame.trace_id = out.trace_id;
-      frame.parent_span = send_span;
-      // Publish the context for the layers under the session (the
-      // fault injector) for the duration of this send.
-      ScopedWireTrace wire_trace(out.trace_id, send_span);
+    out.id = next_request_id_++;
+    out.sent_at_ns = clock_();
+    stats_.requests_sent += out.requests.size();
+    // Each traced command gets its own cp_send span. The frame carries
+    // the first one's trace; a command of another trace rides along with
+    // no parent span.
+    Frame frame{FrameType::request, out.id, {}};
+    for (Request& request : out.requests) {
+      if (request.trace_id == 0) continue;
+      request.span_id = spans().record_linked(
+          request.trace_id, Hop::cp_send, request.parent_span,
+          spans().now_ns(), 0, static_cast<std::int64_t>(out.id));
+      request.sent_span_ns = spans().now_ns();
+      if (frame.trace_id == 0) {
+        frame.trace_id = request.trace_id;
+        frame.parent_span = request.span_id;
+      }
+    }
+    if (out.batch) {
+      std::vector<core::wire::BatchElement> elements;
+      elements.reserve(out.requests.size());
+      for (const Request& request : out.requests) {
+        elements.push_back(
+            {request.command,
+             request.trace_id == frame.trace_id ? request.span_id : 0});
+      }
+      frame.payload = core::wire::encode_batch(elements);
+      for (Request& request : out.requests) request.command = {};
+    } else {
+      frame.payload = std::move(out.requests.front().command);
+    }
+    if (frame.trace_id == 0) {
       transport_->send(encode_frame(frame));
     } else {
-      // Untraced commands pay exactly this branch.
-      inflight_.push_back({id, clock_(), std::move(out.done)});
-      transport_->send(
-          encode_frame({FrameType::request, id, std::move(out.command)}));
+      // Publish the context for the layers under the session (the fault
+      // injector) for the duration of this send.
+      ScopedWireTrace wire_trace(frame.trace_id, frame.parent_span);
+      transport_->send(encode_frame(frame));
     }
   }
 }
@@ -463,37 +546,36 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
     }
   }
 
-  std::uint64_t commands = 0;
-  const std::function<void(std::vector<std::uint8_t>, Completion)> push =
-      [&](std::vector<std::uint8_t> frame, Completion done) {
-        ++commands;
-        send_request(std::move(frame), std::move(done));
-      };
-
   // The committed state the enclave converges to: the whole journal, or
   // — with a client transaction open across the reconnect — only its
   // pre-transaction snapshot, so the staged mutations stay invisible.
+  // Like a client transaction, the begin leaves alone and the rest
+  // leaves with the commit as one batch.
   const bool txn_open = txn_snapshot_ != nullptr;
   const Journal& base = txn_open ? *txn_snapshot_ : journal_;
-  push(core::wire::encode_begin_txn(), {});
-  push(core::wire::encode_reset_state(), {});
-  replay_journal(base, /*snapshot_rules=*/txn_open, push);
-  push(core::wire::encode_commit_txn(), [this](const Response& response) {
+  send_request(core::wire::encode_begin_txn(), {});
+  stage(core::wire::encode_reset_state(), {});
+  replay_journal(base, /*snapshot_rules=*/txn_open);
+  stage(core::wire::encode_commit_txn(), [this](const Response& response) {
     if (response.status == Status::ok) ++stats_.txns_committed;
     // Terminal hop of a resync trace — and of a txn trace whose commit
     // was folded into this resync across a reconnect.
     finish_trace_unless_txn_open();
   });
+  std::uint64_t commands = 1 + staged_.size();
+  send_batch();
 
   if (txn_open) {
     // Re-open the interrupted transaction on the fresh connection and
     // re-stage its effects by replaying the full desired journal on
-    // top of a staged wipe; the client's eventual commit_txn/abort_txn
-    // finishes it, so the transaction still lands (or vanishes)
+    // top of a staged wipe. They wait in the session like any staged
+    // mutation: the client's eventual commit_txn sends them, abort_txn
+    // drops them, so the transaction still lands (or vanishes)
     // atomically despite the disconnect.
-    push(core::wire::encode_begin_txn(), {});
-    push(core::wire::encode_reset_state(), {});
-    replay_journal(journal_, /*snapshot_rules=*/false, push);
+    send_request(core::wire::encode_begin_txn(), {});
+    stage(core::wire::encode_reset_state(), {});
+    replay_journal(journal_, /*snapshot_rules=*/false);
+    commands += 1 + staged_.size();
   }
 
   stats_.last_resync_commands = commands;
@@ -511,58 +593,61 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
   }
 }
 
-void EnclaveSession::replay_journal(
-    const Journal& journal, bool snapshot_rules,
-    const std::function<void(std::vector<std::uint8_t>, Completion)>& push) {
+void EnclaveSession::replay_journal(const Journal& journal,
+                                    bool snapshot_rules) {
   for (const auto& action : journal.actions) {
-    push(core::wire::encode_install_action(action.name, action.program,
-                                           action.globals),
-         {});
+    stage(core::wire::encode_install_action(action.name, action.program,
+                                            action.globals),
+          {});
     for (const auto& [field, value] : action.scalars) {
-      push(core::wire::encode_set_global_scalar(action.name, field, value),
-           {});
+      stage(core::wire::encode_set_global_scalar(action.name, field, value),
+            {});
     }
     for (const auto& [field, data] : action.arrays) {
-      push(core::wire::encode_set_global_array(action.name, field, data), {});
+      stage(core::wire::encode_set_global_array(action.name, field, data),
+            {});
     }
   }
-  // Rule ids from a replay staged inside an open transaction are
-  // discarded if the client aborts; the epoch check keeps them from
-  // overwriting the ids the restored (snapshot) journal already has.
-  const bool staged = !snapshot_rules && txn_snapshot_ != nullptr;
-  const std::uint64_t epoch = txn_epoch_;
   for (const auto& table : journal.tables) {
-    push(core::wire::encode_create_table(table.name), {});
+    stage(core::wire::encode_create_table(table.name), {});
     for (const auto& rule : table.rules) {
-      push(core::wire::encode_add_rule_named(table.name, rule.pattern,
-                                             rule.action),
-           [this, handle = rule.handle, table_name = table.name,
-            snapshot_rules, staged, epoch](const Response& response) {
-             if (response.status != Status::ok) return;
-             if (staged && epoch != txn_epoch_) return;
-             // Snapshot rules record into the open transaction's
-             // snapshot — the journal the client falls back to on
-             // abort; once the transaction is finished the snapshot is
-             // gone and the live journal is the only target left.
-             Journal* target = snapshot_rules && txn_snapshot_ != nullptr
-                                   ? txn_snapshot_.get()
-                                   : &journal_;
-             for (auto& t : target->tables) {
-               if (t.name != table_name) continue;
-               for (auto& r : t.rules) {
-                 if (r.handle == handle) {
-                   r.remote_id =
-                       static_cast<core::MatchRuleId>(response.value);
-                   return;
-                 }
-               }
-             }
-           });
+      stage(core::wire::encode_add_rule_named(table.name, rule.spec->pattern,
+                                              rule.spec->action),
+            [this, handle = rule.handle, table_name = table.name,
+             snapshot_rules](const Response& response) {
+              if (response.status != Status::ok) return;
+              // Snapshot rules record into the open transaction's
+              // snapshot — the journal the client falls back to on
+              // abort; once the transaction is finished the snapshot is
+              // gone and the live journal is the only target left.
+              Journal& target = snapshot_rules && txn_snapshot_ != nullptr
+                                    ? *txn_snapshot_
+                                    : journal_;
+              target.set_remote_id(
+                  table_name, handle,
+                  static_cast<core::MatchRuleId>(response.value));
+            },
+            rule.handle);
     }
   }
   for (const auto& [rule, class_name] : journal.flow_rules) {
-    push(core::wire::encode_add_flow_rule(rule, class_name), {});
+    stage(core::wire::encode_add_flow_rule(rule, class_name), {});
   }
+}
+
+bool EnclaveSession::Journal::set_remote_id(const std::string& table,
+                                            RuleHandle handle,
+                                            core::MatchRuleId id) {
+  for (TableDef& t : tables) {
+    if (t.name != table) continue;
+    for (RuleDef& r : t.rules) {
+      if (r.handle == handle) {
+        r.remote_id = id;
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 EnclaveSession::Journal::ActionDef* EnclaveSession::find_action(
@@ -596,7 +681,7 @@ void EnclaveSession::install_action(const std::string& name,
   def->scalars.clear();
   def->arrays.clear();
   if (state_ == State::ready) {
-    send_request(
+    send_mutation(
         core::wire::encode_install_action(name, program, def->globals), {});
   }
 }
@@ -607,11 +692,12 @@ void EnclaveSession::remove_action(const std::string& name) {
   // Desired state: rules pointing at a removed action are gone too (the
   // live enclave leaves them as harmless no-ops until the next resync).
   for (auto& table : journal_.tables) {
-    std::erase_if(table.rules,
-                  [&](const Journal::RuleDef& r) { return r.action == name; });
+    std::erase_if(table.rules, [&](const Journal::RuleDef& r) {
+      return r.spec->action == name;
+    });
   }
   if (state_ == State::ready) {
-    send_request(core::wire::encode_remove_action(name), {});
+    send_mutation(core::wire::encode_remove_action(name), {});
   }
 }
 
@@ -619,7 +705,7 @@ void EnclaveSession::create_table(const std::string& name) {
   if (find_table(name) != nullptr) return;
   journal_.tables.emplace_back().name = name;
   if (state_ == State::ready) {
-    send_request(core::wire::encode_create_table(name), {});
+    send_mutation(core::wire::encode_create_table(name), {});
   }
 }
 
@@ -627,54 +713,53 @@ EnclaveSession::RuleHandle EnclaveSession::add_rule(const std::string& table,
                                                     const std::string& pattern,
                                                     const std::string& action) {
   create_table(table);  // implicit, like a filesystem mkdir -p
-  Journal::TableDef* t = find_table(table);
-  Journal::RuleDef rule;
-  rule.handle = next_handle_++;
-  rule.pattern = pattern;
-  rule.action = action;
-  t->rules.push_back(rule);
+  const RuleHandle handle = next_handle_++;
+  find_table(table)->rules.push_back(
+      {handle, std::make_shared<const Journal::RuleSpec>(
+                   Journal::RuleSpec{pattern, action})});
   if (state_ == State::ready) {
-    send_request(
+    send_mutation(
         core::wire::encode_add_rule_named(table, pattern, action),
-        [this, handle = rule.handle, table_name = table](
-            const Response& response) {
+        [this, handle, table_name = table](const Response& response) {
           if (response.status != Status::ok) return;
           const auto rid = static_cast<core::MatchRuleId>(response.value);
-          if (Journal::TableDef* td = find_table(table_name)) {
-            for (auto& r : td->rules) {
-              if (r.handle == handle) {
-                r.remote_id = rid;
-                return;
-              }
-            }
-          }
+          if (journal_.set_remote_id(table_name, handle, rid)) return;
           // The rule was removed before this response arrived: finish
           // the remove now that the remote id is known.
           auto it = deferred_removes_.find(handle);
           if (it != deferred_removes_.end()) {
-            send_request(core::wire::encode_remove_rule_named(it->second, rid),
-                         {});
+            send_mutation(
+                core::wire::encode_remove_rule_named(it->second, rid), {});
             deferred_removes_.erase(it);
           }
-        });
+        },
+        handle);
   }
-  return rule.handle;
+  return handle;
 }
 
 void EnclaveSession::remove_rule(const std::string& table, RuleHandle handle) {
   Journal::TableDef* t = find_table(table);
   if (t == nullptr) return;
-  core::MatchRuleId remote_id = 0;
-  bool found = false;
-  std::erase_if(t->rules, [&](const Journal::RuleDef& r) {
-    if (r.handle != handle) return false;
-    remote_id = r.remote_id;
-    found = true;
-    return true;
-  });
-  if (!found || state_ != State::ready) return;
+  const auto rule =
+      std::find_if(t->rules.begin(), t->rules.end(),
+                   [&](const Journal::RuleDef& r) { return r.handle == handle; });
+  if (rule == t->rules.end()) return;
+  const core::MatchRuleId remote_id = rule->remote_id;
+  t->rules.erase(rule);
+  if (state_ != State::ready) return;
   if (remote_id != 0) {
-    send_request(core::wire::encode_remove_rule_named(table, remote_id), {});
+    send_mutation(core::wire::encode_remove_rule_named(table, remote_id), {});
+    return;
+  }
+  // No remote id yet. An add still waiting in the staged batch is simply
+  // dropped, so the enclave never sees the rule; a sent add is removed
+  // as soon as its response brings the id.
+  const auto staged =
+      std::find_if(staged_.begin(), staged_.end(),
+                   [&](const Request& r) { return r.adds == handle; });
+  if (staged != staged_.end()) {
+    staged_.erase(staged);
   } else {
     deferred_removes_[handle] = table;
   }
@@ -690,8 +775,8 @@ void EnclaveSession::set_global_scalar(const std::string& action,
   if (def == nullptr) return;
   def->scalars[field] = value;
   if (state_ == State::ready) {
-    send_request(core::wire::encode_set_global_scalar(action, field, value),
-                 {});
+    send_mutation(core::wire::encode_set_global_scalar(action, field, value),
+                  {});
   }
 }
 
@@ -701,7 +786,8 @@ void EnclaveSession::set_global_array(const std::string& action,
   Journal::ActionDef* def = find_action(action);
   if (def == nullptr) return;
   if (state_ == State::ready) {
-    send_request(core::wire::encode_set_global_array(action, field, data), {});
+    send_mutation(core::wire::encode_set_global_array(action, field, data),
+                  {});
   }
   def->arrays[field] = std::move(data);
 }
@@ -710,14 +796,14 @@ void EnclaveSession::add_flow_rule(const core::FlowClassifierRule& rule,
                                    const std::string& class_name) {
   journal_.flow_rules.emplace_back(rule, class_name);
   if (state_ == State::ready) {
-    send_request(core::wire::encode_add_flow_rule(rule, class_name), {});
+    send_mutation(core::wire::encode_add_flow_rule(rule, class_name), {});
   }
 }
 
 void EnclaveSession::clear_flow_rules() {
   journal_.flow_rules.clear();
   if (state_ == State::ready) {
-    send_request(core::wire::encode_clear_flow_rules(), {});
+    send_mutation(core::wire::encode_clear_flow_rules(), {});
   }
 }
 
@@ -734,6 +820,8 @@ void EnclaveSession::begin_txn() {
           spans().record_linked(id, Hop::cp_txn_begin, 0, spans().now_ns());
     }
   }
+  // The begin leaves at once, so the enclave holds the staged copy; the
+  // mutations after it are staged here until the commit.
   if (state_ == State::ready) {
     send_request(core::wire::encode_begin_txn(), {});
   }
@@ -749,11 +837,12 @@ void EnclaveSession::commit_txn() {
                           spans().now_ns());
   }
   if (state_ == State::ready) {
-    send_request(core::wire::encode_commit_txn(),
-                 [this, owned](const Response& response) {
-                   if (response.status == Status::ok) ++stats_.txns_committed;
-                   if (owned) trace_ = ActiveTrace{};
-                 });
+    stage(core::wire::encode_commit_txn(),
+          [this, owned](const Response& response) {
+            if (response.status == Status::ok) ++stats_.txns_committed;
+            if (owned) trace_ = ActiveTrace{};
+          });
+    send_batch();
   } else if (owned) {
     // Disconnected commit: the next resync folds it in, so hand the
     // trace to the resync — its commit completion is the terminal hop
@@ -768,7 +857,7 @@ void EnclaveSession::abort_txn() {
   if (txn_snapshot_ == nullptr) return;
   journal_ = std::move(*txn_snapshot_);
   txn_snapshot_.reset();
-  ++txn_epoch_;  // in-flight staged rule ids are now meaningless
+  staged_.clear();  // the staged mutations never leave
   ++stats_.txns_aborted;
   FlightRecorder::instance().record(FlightEventType::txn_abort, name_);
   const bool owned = trace_.owner == TraceOwner::txn;

@@ -86,6 +86,12 @@ class EnclaveAgent {
   void on_disconnect();
   void abort_stale_txn();
   std::vector<std::uint8_t> greeting_payload() const;
+  // Applies one command of a traced frame as a cp_agent_apply span
+  // under `parent_span` (whose id lands in `apply_span`).
+  core::wire::Response apply_traced(std::span<const std::uint8_t> command,
+                                    std::int64_t trace_id,
+                                    std::int64_t parent_span,
+                                    std::int64_t& apply_span);
 
   core::Enclave& enclave_;
   std::uint64_t boot_id_;
@@ -109,7 +115,7 @@ struct SessionConfig {
   std::uint64_t backoff_max_ns = 1'000'000'000;       // 1 s
   double backoff_jitter = 0.2;  // +-20% around the nominal delay
   std::uint64_t seed = 1;       // jitter rng
-  std::size_t max_inflight = 64;  // pipelining window
+  std::size_t max_inflight = 64;  // pipelining window, in request frames
 };
 
 // Point-in-time counters for one session; the raw material for the
@@ -166,8 +172,11 @@ class EnclaveSession {
 
   // --- Transactions -------------------------------------------------
   // Mutations between begin_txn and commit_txn are staged on the
-  // enclave and published in one atomic rule-set swap. abort_txn rolls
-  // the journal back to the begin_txn snapshot. A transaction
+  // enclave and published in one atomic rule-set swap. begin_txn goes
+  // out at once; the mutations after it wait in the session and leave
+  // with commit_txn as one batch frame (several when they would exceed
+  // kMaxFramePayload). abort_txn drops them unsent and rolls the
+  // journal back to the begin_txn snapshot. A transaction
   // interrupted by a disconnect is aborted enclave-side; the next
   // resync commits the pre-transaction snapshot as the converged base
   // state, then re-opens the transaction on the fresh connection and
@@ -179,6 +188,7 @@ class EnclaveSession {
   bool txn_open() const { return txn_snapshot_ != nullptr; }
 
   // --- Reads --------------------------------------------------------
+  // A read leaves at once, never staged behind a transaction's batch.
   // Issues the query and drives `pump` until the response arrives (or
   // the event queue drains without one). Empty string when the session
   // is not ready or the reply never came — callers treat that as
@@ -199,7 +209,7 @@ class EnclaveSession {
   // table, the Prometheus eden_session_* series).
   telemetry::SessionTelemetry telemetry() const;
   std::uint64_t agent_boot_id() const { return agent_boot_id_; }
-  // Commands currently awaiting a response.
+  // Request frames (a lone command or a batch) awaiting a response.
   std::size_t inflight() const { return inflight_.size(); }
   std::uint64_t journal_size() const;
 
@@ -219,10 +229,15 @@ class EnclaveSession {
       std::map<std::string, std::int64_t> scalars;
       std::map<std::string, std::vector<std::int64_t>> arrays;
     };
-    struct RuleDef {
-      RuleHandle handle = 0;
+    struct RuleSpec {
       std::string pattern;
       std::string action;
+    };
+    struct RuleDef {
+      RuleHandle handle = 0;
+      // Shared with the transaction snapshot's copy, so neither the
+      // snapshot nor an erase moves strings.
+      std::shared_ptr<const RuleSpec> spec;
       core::MatchRuleId remote_id = 0;  // 0 until the add response lands
     };
     struct TableDef {
@@ -232,19 +247,33 @@ class EnclaveSession {
     std::vector<ActionDef> actions;
     std::vector<TableDef> tables;
     std::vector<std::pair<core::FlowClassifierRule, std::string>> flow_rules;
+
+    // Records a rule's remote id; false when the rule is gone.
+    bool set_remote_id(const std::string& table, RuleHandle handle,
+                       core::MatchRuleId id);
   };
 
   using Completion = std::function<void(const core::wire::Response&)>;
-  struct Pending {
-    std::uint64_t id = 0;
-    std::uint64_t sent_at_ns = 0;
-    Completion done;  // may be empty
-    // Trace context of the request (0 = untraced): the cp_send span the
-    // response/timeout events parent under, and the collector-clock
-    // send time the round-trip slice is measured against.
+  // One command on its way to the agent.
+  struct Request {
+    std::vector<std::uint8_t> command;  // emptied once encoded
+    Completion done;                    // may be empty
+    // Trace context (0 = untraced), captured when queued: the trace and
+    // the span its cp_send parents under. Once sent, the cp_send span
+    // and the collector-clock send time its response is measured from.
     std::int64_t trace_id = 0;
+    std::int64_t parent_span = 0;
     std::int64_t span_id = 0;
     std::int64_t sent_span_ns = 0;
+    RuleHandle adds = 0;  // the rule a staged add_rule_named adds
+  };
+  // One request frame: a lone command, or a batch of them. `id` and
+  // `sent_at_ns` are set when it leaves the outbox.
+  struct RequestFrame {
+    std::uint64_t id = 0;
+    std::uint64_t sent_at_ns = 0;
+    bool batch = false;
+    std::vector<Request> requests;
   };
 
   // The active controller-side trace. One logical operation at a time
@@ -266,20 +295,28 @@ class EnclaveSession {
   void schedule_reconnect();
   void try_connect();
   void start_resync(const AgentGreeting& greeting);
-  // Queues one command for sending; frames leave the outbox as the
-  // pipelining window (max_inflight) allows, FIFO. Only valid while
-  // connected.
+  // Queues one command in a request frame of its own; frames leave the
+  // outbox as the pipelining window (max_inflight) allows, FIFO. Only
+  // valid while connected.
   void send_request(std::vector<std::uint8_t> command, Completion done);
+  // Adds one command to the open transaction's staged batch.
+  void stage(std::vector<std::uint8_t> command, Completion done,
+             RuleHandle adds = 0);
+  // A mutation while ready: staged inside a client transaction, sent
+  // alone outside one.
+  void send_mutation(std::vector<std::uint8_t> command, Completion done,
+                     RuleHandle adds = 0);
+  // Queues the staged commands as batch frames, in order, each under
+  // kMaxFramePayload.
+  void send_batch();
   void pump_outbox();
   void send_hello();
   void send_heartbeat();
-  // Pushes one install/set/create/add command per journal fact through
-  // `push`. With `snapshot_rules` set the rule-add completions record
-  // remote ids into the open transaction's snapshot (the journal the
-  // client falls back to on abort) instead of the live journal.
-  void replay_journal(
-      const Journal& journal, bool snapshot_rules,
-      const std::function<void(std::vector<std::uint8_t>, Completion)>& push);
+  // Stages one install/set/create/add command per journal fact. With
+  // `snapshot_rules` set the rule-add completions record remote ids into
+  // the open transaction's snapshot (the journal the client falls back
+  // to on abort) instead of the live journal.
+  void replay_journal(const Journal& journal, bool snapshot_rules);
   Journal::ActionDef* find_action(const std::string& name);
   Journal::TableDef* find_table(const std::string& name);
   std::string fetch_payload(PipePump& pump,
@@ -299,17 +336,10 @@ class EnclaveSession {
   // on every connect) so the agent can detect lost or duplicated
   // commands by sequence; hello/heartbeat ids come from next_id_.
   std::uint64_t next_request_id_ = 1;
-  struct Outgoing {
-    std::vector<std::uint8_t> command;
-    Completion done;
-    // Captured at enqueue time so a command queued while a trace was
-    // active keeps its context even if the trace ends before the
-    // pipelining window lets it out.
-    std::int64_t trace_id = 0;
-    std::int64_t parent_span = 0;
-  };
-  std::deque<Outgoing> outbox_;
-  std::deque<Pending> inflight_;
+  std::deque<RequestFrame> outbox_;
+  std::deque<RequestFrame> inflight_;
+  // The open transaction's mutations, waiting for its commit.
+  std::vector<Request> staged_;
   std::map<std::uint64_t, std::uint64_t> heartbeat_sent_at_;
   std::uint64_t last_rx_ns_ = 0;
   std::uint64_t last_heartbeat_ns_ = 0;
@@ -320,14 +350,10 @@ class EnclaveSession {
 
   Journal journal_;
   RuleHandle next_handle_ = 1;
-  // Rules removed before their add response delivered a remote id; the
-  // remove is sent as soon as the id is known.
+  // Rules removed after their add was sent but before its response
+  // delivered a remote id; the remove is sent as soon as the id is known.
   std::map<RuleHandle, std::string> deferred_removes_;  // handle -> table
   std::unique_ptr<Journal> txn_snapshot_;
-  // Bumped on every abort_txn: rule-add completions staged for the
-  // aborted transaction check it and drop their (discarded) remote ids
-  // instead of corrupting the restored journal.
-  std::uint64_t txn_epoch_ = 0;
 
   // Clears the trace unless a client transaction still owns it — the
   // terminal hop of resync/poll traces and of txn traces whose commit

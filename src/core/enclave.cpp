@@ -603,8 +603,11 @@ MatchRuleId Enclave::add_rule(TableId table, ClassPattern pattern,
   // no stage has registered yet, so the data path finds it by id.
   const ClassId cls =
       pattern.exact() ? registry_.intern(pattern.name()) : kInvalidClass;
+  auto wildcard = cls == kInvalidClass
+                      ? std::make_shared<const ClassPattern>(std::move(pattern))
+                      : nullptr;
   const MatchRuleId id = next_rule_id_++;
-  t->rules.push_back(MatchRule{id, std::move(pattern), action, cls});
+  t->rules.push_back(MatchRule{id, std::move(wildcard), action, cls});
   end_mutation_locked(std::move(state));
   return id;
 }
@@ -827,14 +830,14 @@ Enclave::TableMatch Enclave::match_in_table(
   for (const std::uint32_t pos : table.wildcard_rules) {
     if (pos > best) break;
     const MatchRule& rule = table.rules[pos];
-    if (rule.pattern.match_any()) {
+    if (rule.pattern->match_any()) {
       // Attribute a match-any hit to the packet's primary class, if the
       // packet carries one.
       return {&rule,
               packet.classes.size() > 0 ? packet.classes[0] : kInvalidClass};
     }
     for (std::size_t i = 0; i < packet.classes.size(); ++i) {
-      if (rule.pattern.matches(packet.classes[i], registry_)) {
+      if (rule.pattern->matches(packet.classes[i], registry_)) {
         return {&rule, packet.classes[i]};
       }
     }

@@ -393,7 +393,10 @@ class Enclave {
 
   struct MatchRule {
     MatchRuleId id;
-    ClassPattern pattern;
+    // A wildcard or match-any rule's pattern, shared by every snapshot
+    // holding the rule; null for an exact rule, which `cls` names. So
+    // neither a snapshot copy nor an erase moves strings.
+    std::shared_ptr<const ClassPattern> pattern;
     ActionId action;
     // The class an exact pattern names, resolved (interned) at add_rule;
     // kInvalidClass for wildcard and match-any patterns.

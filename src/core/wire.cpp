@@ -75,9 +75,30 @@ bool is_command(std::uint8_t op) {
     case Command::add_rule_named:
     case Command::remove_rule_named:
     case Command::get_telemetry_delta:
+    case Command::batch:
       return true;
   }
   return false;
+}
+
+void write_response(ByteWriter& w, const Response& response) {
+  w.u8(static_cast<std::uint8_t>(response.status));
+  w.u64(response.value);
+  w.str(response.error);
+  w.bytes(response.payload);
+}
+
+Response read_response(ByteReader& r) {
+  Response resp;
+  const std::uint8_t status = r.u8();
+  if (status > static_cast<std::uint8_t>(Status::rejected)) {
+    throw util::ByteStreamError("invalid status");
+  }
+  resp.status = static_cast<Status>(status);
+  resp.value = r.u64();
+  resp.error = r.str();
+  resp.payload = r.bytes();
+  return resp;
 }
 
 }  // namespace
@@ -201,35 +222,51 @@ std::vector<std::uint8_t> encode_get_telemetry_delta(std::uint64_t epoch,
   return w.take();
 }
 
+std::vector<std::uint8_t> encode_batch(std::span<const BatchElement> elements) {
+  ByteWriter w = header(Command::batch);
+  w.u32(static_cast<std::uint32_t>(elements.size()));
+  for (const BatchElement& e : elements) {
+    w.varint(static_cast<std::uint64_t>(e.parent_span));
+    w.varint(e.command.size());
+    w.raw(e.command);
+  }
+  return w.take();
+}
+
 // --- Responses ----------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(response.status));
-  w.u64(response.value);
-  w.str(response.error);
-  w.bytes(response.payload);
+  write_response(w, response);
   return w.take();
 }
 
 Response decode_response(std::span<const std::uint8_t> frame) {
   try {
     ByteReader r(frame);
-    Response resp;
-    const std::uint8_t status = r.u8();
-    if (status > static_cast<std::uint8_t>(Status::rejected)) {
-      throw util::ByteStreamError("invalid status");
-    }
-    resp.status = static_cast<Status>(status);
-    resp.value = r.u64();
-    resp.error = r.str();
-    resp.payload = r.bytes();
-    return resp;
+    return read_response(r);
   } catch (const util::ByteStreamError& e) {
     Response resp;
     resp.status = Status::bad_request;
     resp.error = e.what();
     return resp;
+  }
+}
+
+std::optional<std::vector<Response>> batch_responses(const Response& answer) {
+  if (answer.status != Status::ok) return std::nullopt;
+  try {
+    ByteReader r(answer.payload);
+    std::vector<Response> out;
+    // Each read consumes bytes or throws, so a hostile count ends at
+    // the payload's end.
+    for (std::uint64_t i = 0; i < answer.value; ++i) {
+      out.push_back(read_response(r));
+    }
+    if (!r.exhausted()) return std::nullopt;
+    return out;
+  } catch (const util::ByteStreamError&) {
+    return std::nullopt;
   }
 }
 
@@ -251,7 +288,8 @@ Response ok(std::uint64_t value = 0) {
 }
 
 Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
-                       telemetry::DeltaEncoder& encoder) {
+                       telemetry::DeltaEncoder& encoder,
+                       const ElementFn& element) {
   ByteReader r(frame);
   if (r.u32() != kMagic) return fail(Status::bad_request, "bad magic");
   const std::uint8_t raw_cmd = r.u8();
@@ -405,6 +443,30 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       resp.payload.assign(json.begin(), json.end());
       return resp;
     }
+    case Command::batch: {
+      const std::uint32_t n = r.u32();
+      // An element costs at least a byte for its span id and one for its
+      // length; a count beyond that is a hostile header, not a short
+      // frame.
+      if (n > r.remaining() / 2) {
+        return fail(Status::bad_request, "batch count exceeds frame");
+      }
+      std::vector<BatchElement> elements(n);
+      for (BatchElement& e : elements) {
+        e.parent_span = static_cast<std::int64_t>(r.varint());
+        e.command = r.view(r.varint());
+      }
+      ByteWriter w;
+      for (const BatchElement& e : elements) {
+        write_response(w, peek_command(e.command) == Command::batch
+                              ? fail(Status::bad_request, "nested batch")
+                          : element ? element(e)
+                                    : apply(enclave, e.command, encoder));
+      }
+      Response resp = ok(n);
+      resp.payload = w.take();
+      return resp;
+    }
   }
   return fail(Status::bad_request, "unhandled command");
 }
@@ -412,9 +474,9 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
 }  // namespace
 
 Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
-               telemetry::DeltaEncoder& encoder) {
+               telemetry::DeltaEncoder& encoder, const ElementFn& element) {
   try {
-    return apply_checked(enclave, frame, encoder);
+    return apply_checked(enclave, frame, encoder, element);
   } catch (const util::ByteStreamError& e) {
     return fail(Status::bad_request, e.what());
   } catch (const std::invalid_argument& e) {

@@ -13,6 +13,7 @@
 // compiler produces is what crosses the wire to OS and NIC enclaves.
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "core/enclave.h"
@@ -57,6 +58,9 @@ enum class Command : std::uint8_t {
   // telemetry::DeltaPayload JSON — a delta when the echo matches its
   // state, a full snapshot under a fresh epoch otherwise.
   get_telemetry_delta = 24,
+  // Commands applied one by one as if each came in its own frame (see
+  // encode_batch() and apply()): a transaction's staged mutations.
+  batch = 25,
 };
 
 enum class Status : std::uint8_t {
@@ -71,7 +75,8 @@ struct Response {
   Status status = Status::ok;
   std::uint64_t value = 0;  // ids / versions
   std::string error;        // human-readable detail on failure
-  std::vector<std::uint8_t> payload;  // JSON read-backs (telemetry, spans)
+  // JSON read-backs (telemetry, spans); a batch's element responses.
+  std::vector<std::uint8_t> payload;
 };
 
 // --- Command encoders (controller side) --------------------------------
@@ -103,6 +108,27 @@ std::vector<std::uint8_t> encode_remove_rule_named(
 std::vector<std::uint8_t> encode_get_telemetry_delta(std::uint64_t epoch,
                                                      std::uint64_t seq);
 
+// One element of a batch: an encoded command and the span it was sent
+// under (0 when untraced).
+struct BatchElement {
+  std::span<const std::uint8_t> command;
+  std::int64_t parent_span = 0;
+};
+
+// Layout after the magic and opcode: u32 count, then per element
+// varint parent_span | varint length | command (varints are LEB128, so
+// an untraced element costs two bytes besides its command). The two
+// constants bound the bytes a batch spends besides its commands, so a
+// sender can keep a batch under a frame-size limit.
+inline constexpr std::size_t kBatchHeaderBytes = 9;
+inline constexpr std::size_t kBatchElementMaxBytes = 20;
+std::vector<std::uint8_t> encode_batch(std::span<const BatchElement> elements);
+
+// The per-element responses of a batch's answer, in element order;
+// nullopt when the answer does not hold a well-formed list (a batch the
+// agent could not decode answers bad_request, with no list).
+std::optional<std::vector<Response>> batch_responses(const Response& answer);
+
 // --- Agent ------------------------------------------------------------------
 
 // Reads the opcode off an encoded command frame without decoding the
@@ -112,12 +138,24 @@ std::vector<std::uint8_t> encode_get_telemetry_delta(std::uint64_t epoch,
 // spans with the command they applied.
 std::optional<Command> peek_command(std::span<const std::uint8_t> frame);
 
+// Applies one element of a batch for apply().
+using ElementFn = std::function<Response(const BatchElement&)>;
+
 // Decodes one command frame and applies it to `enclave`. Never throws:
 // malformed frames and failed validations come back as a Response.
 // `encoder` is the connection's telemetry::DeltaEncoder; it answers
 // get_telemetry_delta.
+//
+// A batch is decoded whole before any element runs, so a malformed one
+// answers bad_request and leaves the enclave untouched. Its elements
+// then run in order, each through `element` when set (the agent traces
+// them one by one) or else through apply() itself; a failing element
+// fails alone, and a nested batch answers bad_request. The answer is ok
+// with value = element count and the element responses as payload (see
+// batch_responses()).
 Response apply(Enclave& enclave, std::span<const std::uint8_t> frame,
-               telemetry::DeltaEncoder& encoder);
+               telemetry::DeltaEncoder& encoder,
+               const ElementFn& element = {});
 
 std::vector<std::uint8_t> encode_response(const Response& response);
 Response decode_response(std::span<const std::uint8_t> frame);

@@ -301,7 +301,10 @@ SessionTelemetry session_from_json(const Json& j) {
 }
 
 ParsedDump parse_telemetry_json(const std::string& text) {
-  const Json root = JsonParser(text).parse();
+  return parse_telemetry_json(JsonParser(text).parse());
+}
+
+ParsedDump parse_telemetry_json(const Json& root) {
   const Json* enclaves = root.get("enclaves");
   if (enclaves == nullptr) {
     throw std::runtime_error("telemetry dump has no \"enclaves\" array");

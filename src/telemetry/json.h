@@ -67,7 +67,9 @@ struct ParsedDump {
 };
 
 // Parses a single dump object (must contain an "enclaves" array).
-// Throws std::runtime_error on parse errors or a missing array.
+// Throws std::runtime_error on parse errors or a missing array. The
+// Json overload reads one dump out of an already parsed document.
 ParsedDump parse_telemetry_json(const std::string& text);
+ParsedDump parse_telemetry_json(const Json& root);
 
 }  // namespace eden::telemetry

@@ -31,6 +31,17 @@ class ByteWriter {
   }
   void bytes(std::span<const std::uint8_t> data) {
     u32(static_cast<std::uint32_t>(data.size()));
+    raw(data);
+  }
+  // LEB128: seven bits a byte, low bits first; a set top bit means more
+  // bytes follow. Small values take one byte.
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) {
+      out_.push_back(static_cast<std::uint8_t>(v | 0x80));
+    }
+    out_.push_back(static_cast<std::uint8_t>(v));
+  }
+  void raw(std::span<const std::uint8_t> data) {
     out_.insert(out_.end(), data.begin(), data.end());
   }
 
@@ -74,19 +85,28 @@ class ByteReader {
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
+    const std::span<const std::uint8_t> data = view(u32());
+    return {reinterpret_cast<const char*>(data.data()), data.size()};
   }
   std::vector<std::uint8_t> bytes() {
-    const std::uint32_t n = u32();
+    const std::span<const std::uint8_t> data = view(u32());
+    return {data.begin(), data.end()};
+  }
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t b = u8();
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+    throw ByteStreamError("varint too long");
+  }
+  // The next n bytes, viewed in place instead of copied.
+  std::span<const std::uint8_t> view(std::uint64_t n) {
     need(n);
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<long>(pos_),
-                                  bytes_.begin() + static_cast<long>(pos_ + n));
+    const std::span<const std::uint8_t> data = bytes_.subspan(pos_, n);
     pos_ += n;
-    return out;
+    return data;
   }
   bool exhausted() const { return pos_ == bytes_.size(); }
   // Bytes left to read. Decoders use it to sanity-check element counts
@@ -95,8 +115,8 @@ class ByteReader {
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
-  void need(std::size_t n) {
-    if (pos_ + n > bytes_.size()) {
+  void need(std::uint64_t n) {
+    if (n > bytes_.size() - pos_) {
       throw ByteStreamError("truncated byte stream");
     }
   }

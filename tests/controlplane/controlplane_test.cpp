@@ -271,7 +271,7 @@ class SessionTest : public ::testing::Test {
       dial_failures_ns_.push_back(now_ns_);
       return nullptr;
     }
-    auto [near, far] = make_pipe(pump_, 16);
+    auto [near, far] = make_pipe(pump_, chunk_bytes_);
     if (blackhole_) {
       blackhole_far_ = std::move(far);  // nobody answers on this end
     } else {
@@ -317,6 +317,8 @@ class SessionTest : public ::testing::Test {
   std::unique_ptr<EnclaveAgent> agent_ =
       std::make_unique<EnclaveAgent>(enclave_);
   std::uint64_t now_ns_ = 0;
+  // Pipe chunking: each send is delivered in pieces this size.
+  std::size_t chunk_bytes_ = 16;
   bool dial_ok_ = true;
   bool blackhole_ = false;
   bool mute_requests_ = false;
@@ -644,6 +646,172 @@ TEST_F(SessionTest, RemoveBeforeAddResponseIsDeferredNotLost) {
   const auto table = enclave_.find_table_id("t2");
   ASSERT_TRUE(table.has_value());
   EXPECT_EQ(enclave_.rule_count(*table), 0u);
+}
+
+TEST_F(SessionTest, RuleAddedAndRemovedInOneTxnIsNeverPublished) {
+  make_session();
+  session_->install_action("p7", priority_program("p7", 7), {});
+  session_->add_rule("egress", "memcached.egress.c0", "p7");
+  ASSERT_TRUE(settle());
+  const auto table = enclave_.find_table_id("egress");
+  ASSERT_TRUE(table.has_value());
+  ASSERT_EQ(enclave_.rule_count(*table), 1u);
+
+  session_->begin_txn();
+  const auto handle =
+      session_->add_rule("egress", "memcached.egress.c70", "p7");
+  session_->remove_rule("egress", handle);
+  session_->commit_txn();
+  // One delivery at a time: whenever no transaction is open, the
+  // published table holds only the rule it started with.
+  std::size_t step = 0;
+  do {
+    if (!enclave_.txn_open()) {
+      EXPECT_EQ(enclave_.rule_count(*table), 1u) << "after step " << step;
+    }
+    ++step;
+  } while (pump_.step());
+  ASSERT_TRUE(settle());
+  EXPECT_FALSE(enclave_.txn_open());
+  EXPECT_EQ(enclave_.rule_count(*table), 1u);
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+}
+
+TEST_F(SessionTest, RepointTxnLeavesAsTwoRequestFrames) {
+  make_session();
+  lang::FieldDef level;
+  level.name = "level";
+  level.access = lang::Access::read_write;
+  const auto leveler = [&](const std::string& name) {
+    return controller_.compile(name, "fun(p, m, g) -> p.priority <- g.level",
+                               {{level}});
+  };
+  session_->install_action("pa", leveler("pa"), {level});
+  session_->install_action("pb", leveler("pb"), {level});
+  session_->set_global_scalar("pa", "level", 1);
+  session_->set_global_scalar("pb", "level", 2);
+  constexpr int kRules = 64;
+  const auto pattern = [](int i) { return "c.r.k" + std::to_string(i); };
+  std::vector<EnclaveSession::RuleHandle> rules;
+  for (int i = 0; i < kRules; ++i) {
+    rules.push_back(session_->add_rule("egress", pattern(i), "pa"));
+  }
+  ASSERT_TRUE(settle());
+  const auto requests = agent_->stats().requests;
+  const SessionStats before = session_->stats();
+
+  session_->begin_txn();
+  for (int i = 0; i < kRules; ++i) {
+    session_->remove_rule("egress", rules[static_cast<std::size_t>(i)]);
+    rules[static_cast<std::size_t>(i)] =
+        session_->add_rule("egress", pattern(i), "pb");
+  }
+  session_->set_global_scalar("pb", "level", 3);
+  session_->commit_txn();
+  ASSERT_TRUE(settle());
+
+  // begin alone, then everything else and the commit in one batch.
+  EXPECT_EQ(agent_->stats().requests - requests, 2u);
+  // The session still counts commands, not frames.
+  const std::uint64_t commands = 1 + 2 * kRules + 1 + 1;
+  EXPECT_EQ(session_->stats().requests_sent - before.requests_sent, commands);
+  EXPECT_EQ(session_->stats().responses_ok - before.responses_ok, commands);
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+  EXPECT_EQ(session_->stats().txns_committed - before.txns_committed, 1u);
+  EXPECT_EQ(enclave_.rule_count(*enclave_.find_table_id("egress")),
+            static_cast<std::size_t>(kRules));
+  netsim::Packet packet;
+  packet.classes.add(registry_.intern(pattern(5)));
+  enclave_.process(packet);
+  EXPECT_EQ(packet.priority, 3);
+
+  // The new rules' ids came back with the batch: the next re-point
+  // removes them by id, again in two frames.
+  session_->begin_txn();
+  for (int i = 0; i < kRules; ++i) {
+    session_->remove_rule("egress", rules[static_cast<std::size_t>(i)]);
+    rules[static_cast<std::size_t>(i)] =
+        session_->add_rule("egress", pattern(i), "pa");
+  }
+  session_->commit_txn();
+  ASSERT_TRUE(settle());
+  EXPECT_EQ(agent_->stats().requests - requests, 4u);
+  EXPECT_EQ(enclave_.rule_count(*enclave_.find_table_id("egress")),
+            static_cast<std::size_t>(kRules));
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+}
+
+TEST_F(SessionTest, AbortBeforeCommitSendsOnlyBeginAndAbort) {
+  make_session();
+  session_->install_action("p7", priority_program("p7", 7), {});
+  const auto rule = session_->add_rule("t", "*", "p7");
+  ASSERT_TRUE(settle());
+  const auto requests = agent_->stats().requests;
+  const std::uint64_t version = enclave_.ruleset_version();
+
+  session_->begin_txn();
+  session_->install_action("p1", priority_program("p1", 1), {});
+  session_->remove_rule("t", rule);
+  session_->add_rule("t", "*", "p1");
+  session_->abort_txn();
+  ASSERT_TRUE(settle());
+
+  EXPECT_EQ(agent_->stats().requests - requests, 2u);
+  EXPECT_FALSE(enclave_.txn_open());
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+  EXPECT_EQ(enclave_.rule_count(*enclave_.find_table_id("t")), 1u);
+  EXPECT_FALSE(enclave_.find_action("p1").has_value());
+  EXPECT_EQ(processed_priority(), 7);
+}
+
+TEST_F(SessionTest, TxnLargerThanAFrameLeavesAsSeveralBatchesAtomically) {
+  chunk_bytes_ = 0;  // whole frames: this test moves ~19 MB
+  make_session();
+  std::vector<lang::FieldDef> fields;
+  for (const char* name : {"a", "b", "c"}) {
+    lang::FieldDef f;
+    f.name = name;
+    f.kind = lang::FieldKind::array;
+    fields.push_back(f);
+  }
+  session_->install_action(
+      "sum",
+      controller_.compile(
+          "sum", "fun(p, m, g) -> p.priority <- g.a[0] + g.b[0] + g.c[0]",
+          fields),
+      fields);
+  session_->add_rule("t", "*", "sum");
+  for (const char* name : {"a", "b", "c"}) {
+    session_->set_global_array("sum", name, {1});
+  }
+  ASSERT_TRUE(settle());
+  ASSERT_EQ(processed_priority(), 3);
+  const auto requests = agent_->stats().requests;
+
+  // Three 6 MB arrays: together more than one frame may carry.
+  const std::vector<std::int64_t> big((6u << 20) / 8, 2);
+  session_->begin_txn();
+  for (const char* name : {"a", "b", "c"}) {
+    session_->set_global_array("sum", name, big);
+  }
+  session_->commit_txn();
+  // The data path sees all three arrays flip at the commit, never part.
+  do {
+    const int priority = processed_priority();
+    EXPECT_TRUE(priority == 3 || priority == 6) << priority;
+    if (enclave_.txn_open()) {
+      EXPECT_EQ(priority, 3);
+    }
+  } while (pump_.step());
+  ASSERT_TRUE(settle());
+
+  // begin, then at least two batch frames.
+  EXPECT_GE(agent_->stats().requests - requests, 3u);
+  EXPECT_EQ(agent_->stats().corrupt_streams, 0u);
+  EXPECT_EQ(session_->stats().teardowns, 0u);
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+  EXPECT_FALSE(enclave_.txn_open());
+  EXPECT_EQ(processed_priority(), 6);
 }
 
 TEST_F(SessionTest, FetchTelemetryJsonRoundTripsAndFailsClosed) {

@@ -362,6 +362,113 @@ TEST_F(WireTest, RemoveRuleNamedOverTheWire) {
   EXPECT_EQ(p.priority, 0);
 }
 
+// A batch answers each element exactly as that command would be
+// answered in a frame of its own, and leaves the same state behind.
+TEST_F(WireTest, BatchAnswersLikeCommandsOneByOne) {
+  lang::FieldDef level;
+  level.name = "level";
+  lang::FieldDef weights;
+  weights.name = "weights";
+  weights.kind = lang::FieldKind::array;
+  const auto program = controller_.compile(
+      "tag", "fun(p, m, g) -> p.priority <- g.level", {{level, weights}});
+  const std::int64_t data[] = {1, 2, 3};
+
+  const std::vector<std::vector<std::uint8_t>> commands = {
+      encode_install_action("tag", program, {{level, weights}}),
+      encode_create_table("t"),
+      encode_add_rule_named("t", "a.b.c", "tag"),
+      encode_add_rule_named("t", "*", "tag"),
+      encode_remove_rule_named("t", 1),
+      encode_set_global_scalar("tag", "level", 9),
+      encode_set_global_array("tag", "weights", data),
+      encode_begin_txn(),
+      encode_add_rule_named("t", "x.y.*", "missing"),
+      encode_set_global_scalar("tag", "level", 11),
+      encode_commit_txn(),
+      encode_remove_rule_named("t", 99),
+  };
+
+  ClassRegistry registry_b;
+  Enclave enclave_b{"b", registry_b};
+  telemetry::DeltaEncoder encoder_b;
+  std::vector<BatchElement> elements;
+  std::vector<Response> one_by_one;
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    elements.push_back({commands[i], static_cast<std::int64_t>(i)});
+    one_by_one.push_back(roundtrip(enclave_b, commands[i], encoder_b));
+  }
+
+  const Response answer = send(encode_batch(elements));
+  ASSERT_EQ(answer.status, Status::ok);
+  EXPECT_EQ(answer.value, commands.size());
+  const auto batched = batch_responses(answer);
+  ASSERT_TRUE(batched.has_value());
+  ASSERT_EQ(batched->size(), commands.size());
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    EXPECT_EQ((*batched)[i].status, one_by_one[i].status) << "command " << i;
+    EXPECT_EQ((*batched)[i].value, one_by_one[i].value) << "command " << i;
+    EXPECT_EQ((*batched)[i].error, one_by_one[i].error) << "command " << i;
+    EXPECT_EQ((*batched)[i].payload, one_by_one[i].payload) << "command " << i;
+  }
+  // The list holds one failure, which failed alone.
+  EXPECT_EQ((*batched)[8].status, Status::unknown_action);
+  EXPECT_EQ((*batched)[10].status, Status::ok);
+
+  EXPECT_EQ(enclave_.ruleset_version(), enclave_b.ruleset_version());
+  const auto table = enclave_.find_table_id("t");
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(enclave_.rule_count(*table),
+            enclave_b.rule_count(*enclave_b.find_table_id("t")));
+  EXPECT_EQ(enclave_.rule_count(*table), 1u);
+  EXPECT_EQ(enclave_.read_global_scalar(*enclave_.find_action("tag"), "level"),
+            enclave_b.read_global_scalar(*enclave_b.find_action("tag"),
+                                         "level"));
+  EXPECT_EQ(enclave_.read_global_scalar(*enclave_.find_action("tag"), "level"),
+            11);
+}
+
+// A batch is decoded whole before any element runs: a count the frame
+// cannot hold or a truncated element answers bad_request, and so does a
+// batch nested in a batch, each leaving the enclave untouched.
+TEST_F(WireTest, MalformedAndNestedBatchesAnswerBadRequest) {
+  const std::uint64_t version = enclave_.ruleset_version();
+  const auto create_t = encode_create_table("t");
+  const auto create_u = encode_create_table("u");
+  const BatchElement pair[] = {{create_t, 0}, {create_u, 0}};
+  const auto good = encode_batch(pair);
+
+  // Layout: magic(4) cmd(1) count(4).
+  auto oversized = good;
+  oversized[5] = 0xff;
+  oversized[6] = 0xff;
+  oversized[7] = 0xff;
+  oversized[8] = 0x7f;
+  EXPECT_EQ(send(oversized).status, Status::bad_request);
+
+  const std::span<const std::uint8_t> truncated(good.data(), good.size() - 1);
+  EXPECT_EQ(send(truncated).status, Status::bad_request);
+
+  const BatchElement inner[] = {{create_u, 0}};
+  const auto nested_frame = encode_batch(inner);
+  const BatchElement outer[] = {{nested_frame, 0}};
+  const Response nested = send(encode_batch(outer));
+  ASSERT_EQ(nested.status, Status::ok);
+  const auto responses = batch_responses(nested);
+  ASSERT_TRUE(responses.has_value());
+  ASSERT_EQ(responses->size(), 1u);
+  EXPECT_EQ((*responses)[0].status, Status::bad_request);
+
+  EXPECT_FALSE(enclave_.find_table_id("t").has_value());
+  EXPECT_FALSE(enclave_.find_table_id("u").has_value());
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+
+  // The same elements, well framed, apply in order.
+  ASSERT_EQ(send(good).status, Status::ok);
+  EXPECT_TRUE(enclave_.find_table_id("t").has_value());
+  EXPECT_TRUE(enclave_.find_table_id("u").has_value());
+}
+
 // Hardening check: a frame for *every* command value survives
 // truncation to any prefix and a flip of any single byte without
 // throwing or reading past the buffer — errors come back as statuses.
@@ -372,6 +479,10 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
   const std::int64_t arr[] = {1, 2, 3};
   FlowClassifierRule flow;
   flow.dst_port = 80;
+  const auto create = encode_create_table("t");
+  const auto add = encode_add_rule_named("t", "*", "f");
+  const auto scalar = encode_set_global_scalar("f", "g", 7);
+  const BatchElement batch[] = {{create, 3}, {add, 4}, {scalar, 0}};
 
   const std::vector<std::vector<std::uint8_t>> frames = {
       encode_install_action("f", program, {{g}}),
@@ -389,6 +500,7 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
       encode_add_rule_named("t", "*", "f"),
       encode_remove_rule_named("t", 1),
       encode_get_telemetry_delta(1, 2),
+      encode_batch(batch),
   };
 
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {

@@ -36,10 +36,12 @@
 //   --agents=N  farm size in watch mode (default 8)
 //   --rounds=N  poll cycles in watch mode (default 10)
 //   --chaos     wrap the farm's pipes in seeded FaultyTransports
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -115,8 +117,9 @@ void install_functions(experiments::TestHost& client,
 
 // --- TELEMETRY_*.json loader -------------------------------------------
 
-// Rebuilds the aggregate from a saved dump using telemetry/json.h. Only
-// the per-enclave snapshots and session entries are read back; totals
+// Rebuilds the aggregate from a saved dump, one
+// telemetry::parse_telemetry_json per dump it holds. Only the
+// per-enclave snapshots and session entries are read back; totals
 // and cross-enclave merges are recomputed by aggregate(), the same path
 // the live snapshot takes. Bench dumps may concatenate runs as
 // {"run label": {...}, ...}; every object with an "enclaves" array
@@ -162,14 +165,11 @@ telemetry::AggregateTelemetry load_telemetry_file(const std::string& path) {
                    path.c_str(), static_cast<unsigned long long>(version),
                    telemetry::kTelemetrySchemaVersion);
     }
-    for (const telemetry::Json& ej : dump->get("enclaves")->items) {
-      enclaves.push_back(telemetry::enclave_from_json(ej));
-    }
-    if (const telemetry::Json* sj = dump->get("sessions")) {
-      for (const telemetry::Json& s : sj->items) {
-        sessions.push_back(telemetry::session_from_json(s));
-      }
-    }
+    telemetry::ParsedDump parsed = telemetry::parse_telemetry_json(*dump);
+    std::move(parsed.enclaves.begin(), parsed.enclaves.end(),
+              std::back_inserter(enclaves));
+    std::move(parsed.sessions.begin(), parsed.sessions.end(),
+              std::back_inserter(sessions));
   }
   telemetry::AggregateTelemetry agg =
       telemetry::aggregate(std::move(enclaves));
