@@ -135,9 +135,14 @@ void BM_MessageState_Miss(benchmark::State& state) {
 BENCHMARK(BM_MessageState_Miss);
 
 // Batched execution (Section 6): amortizes message lookup, locking and
-// the state copy across the batch. Items processed = packets.
+// the state copy across the batch. Arguments: packets per batch, and
+// the messages they interleave over round-robin (packet i belongs to
+// message i mod M), so the grouping pass sees one run (M = 1), a few
+// interleaved groups (M = 8) or a group per packet (M = batch size).
+// Items processed = packets.
 void BM_ProcessBatch(benchmark::State& state) {
   const auto batch_size = static_cast<std::size_t>(state.range(0));
+  const auto messages = static_cast<std::size_t>(state.range(1));
   core::ClassRegistry registry;
   core::Enclave enclave("bench", registry);
   const core::ClassId cls = registry.intern("app.rs.cls");
@@ -151,6 +156,7 @@ void BM_ProcessBatch(benchmark::State& state) {
   for (std::size_t i = 0; i < batch_size; ++i) {
     batch.push_back(netsim::make_packet());
     *batch.back() = make_test_packet(cls);
+    batch.back()->meta.msg_id = 77 + static_cast<std::int64_t>(i % messages);
   }
   for (auto _ : state) {
     enclave.process_batch(batch);
@@ -158,7 +164,14 @@ void BM_ProcessBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch_size));
 }
-BENCHMARK(BM_ProcessBatch)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_ProcessBatch)
+    ->ArgNames({"batch", "msgs"})
+    ->Args({1, 1})
+    ->Args({8, 1})
+    ->Args({32, 1})
+    ->Args({64, 1})
+    ->Args({64, 8})
+    ->Args({64, 64});
 
 // The enclave's own stage: five-tuple classification of unmarked
 // traffic (Table 2, last row).

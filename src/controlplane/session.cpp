@@ -23,6 +23,16 @@ std::atomic<std::uint64_t> g_next_boot_id{1};
 telemetry::SpanCollector& spans() {
   return telemetry::SpanCollector::instance();
 }
+
+// Whether a command can reach the agent at all: alone, or as the one
+// element of a batch frame. A larger one would be rejected by the
+// agent's frame decoder, which closes the stream, and every resync
+// would replay it into the same frame.
+bool fits_a_frame(const std::vector<std::uint8_t>& command) {
+  return core::wire::kBatchHeaderBytes + core::wire::kBatchElementMaxBytes +
+             command.size() <=
+         kMaxFramePayload;
+}
 }  // namespace
 
 EnclaveAgent::EnclaveAgent(core::Enclave& enclave)
@@ -285,7 +295,6 @@ void EnclaveSession::teardown(const char* reason) {
   outbox_.clear();
   staged_.clear();  // the journal still holds them; the resync replays it
   heartbeat_sent_at_.clear();
-  deferred_removes_.clear();
   decoder_.reset();
   if (backoff_attempts_ < 32) ++backoff_attempts_;
   schedule_reconnect();
@@ -403,25 +412,84 @@ void EnclaveSession::handle_frame(const Frame& frame) {
 }
 
 void EnclaveSession::send_request(std::vector<std::uint8_t> command,
-                                  Completion done) {
+                                  Completion done, RuleHandle adds,
+                                  RuleHandle removes) {
   if (transport_ == nullptr || !transport_->connected()) return;
-  outbox_.emplace_back().requests.push_back(
-      {std::move(command), std::move(done), trace_.id, trace_.root});
+  RequestFrame& frame = outbox_.emplace_back();
+  frame.waiting = removes != 0 ? 1 : 0;
+  frame.requests.push_back({std::move(command), std::move(done), trace_.id,
+                            trace_.root, 0, 0, adds, removes});
   pump_outbox();
 }
 
 void EnclaveSession::stage(std::vector<std::uint8_t> command, Completion done,
-                           RuleHandle adds) {
+                           RuleHandle adds, RuleHandle removes) {
   staged_.push_back({std::move(command), std::move(done), trace_.id,
-                     trace_.root, 0, 0, adds});
+                     trace_.root, 0, 0, adds, removes});
 }
 
 void EnclaveSession::send_mutation(std::vector<std::uint8_t> command,
-                                   Completion done, RuleHandle adds) {
+                                   Completion done, RuleHandle adds,
+                                   RuleHandle removes) {
   if (txn_snapshot_ != nullptr) {
-    stage(std::move(command), std::move(done), adds);
+    stage(std::move(command), std::move(done), adds, removes);
   } else {
-    send_request(std::move(command), std::move(done));
+    send_request(std::move(command), std::move(done), adds, removes);
+  }
+}
+
+bool EnclaveSession::add_unanswered(RuleHandle handle) const {
+  for (const auto* queue : {&outbox_, &inflight_}) {
+    for (const RequestFrame& frame : *queue) {
+      for (const Request& request : frame.requests) {
+        if (request.adds == handle) return true;
+      }
+    }
+  }
+  return false;
+}
+
+void EnclaveSession::rule_added(const std::string& table, RuleHandle handle,
+                                bool snapshot_rules,
+                                const Response& response) {
+  const bool ok = response.status == Status::ok;
+  const auto id = static_cast<core::MatchRuleId>(response.value);
+  if (ok) {
+    // Snapshot rules record into the open transaction's snapshot — the
+    // journal the client falls back to on abort; once the transaction
+    // is finished the snapshot is gone and the live journal is the only
+    // target left. Any other answered add is committed on the enclave,
+    // so a snapshot taken before the answer learns its id too, or an
+    // abort would bring the rule back without one.
+    if (txn_snapshot_ != nullptr) {
+      txn_snapshot_->set_remote_id(table, handle, id);
+      if (snapshot_rules) return;
+    }
+    if (journal_.set_remote_id(table, handle, id)) return;
+  }
+  // The rule is gone from the journal. If a remove waits for this
+  // answer, it becomes the real command now; a failed add left nothing
+  // to remove.
+  const auto resolve = [&](std::vector<Request>& requests) {
+    const auto it = std::find_if(
+        requests.begin(), requests.end(),
+        [&](const Request& r) { return r.removes == handle; });
+    if (it == requests.end()) return false;
+    if (ok) {
+      it->command = core::wire::encode_remove_rule_named(table, id);
+      it->removes = 0;
+    } else {
+      requests.erase(it);
+    }
+    return true;
+  };
+  if (resolve(staged_)) return;
+  for (auto frame = outbox_.begin(); frame != outbox_.end(); ++frame) {
+    if (!resolve(frame->requests)) continue;
+    --frame->waiting;
+    if (frame->requests.empty()) outbox_.erase(frame);
+    pump_outbox();
+    return;
   }
 }
 
@@ -439,6 +507,7 @@ void EnclaveSession::send_batch() {
       bytes = core::wire::kBatchHeaderBytes;
     }
     bytes += size;
+    if (request.removes != 0) ++frame->waiting;
     frame->requests.push_back(std::move(request));
   }
   staged_.clear();
@@ -447,7 +516,8 @@ void EnclaveSession::send_batch() {
 
 void EnclaveSession::pump_outbox() {
   while (transport_ != nullptr && transport_->connected() &&
-         inflight_.size() < config_.max_inflight && !outbox_.empty()) {
+         inflight_.size() < config_.max_inflight && !outbox_.empty() &&
+         outbox_.front().waiting == 0) {
     RequestFrame& out = inflight_.emplace_back(std::move(outbox_.front()));
     outbox_.pop_front();
     out.id = next_request_id_++;
@@ -536,7 +606,6 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
     resync_span = spans().next_span_id();
     trace_.root = resync_span;
   }
-  deferred_removes_.clear();
   for (auto& table : journal_.tables) {
     for (auto& rule : table.rules) rule.remote_id = 0;
   }
@@ -615,17 +684,7 @@ void EnclaveSession::replay_journal(const Journal& journal,
                                               rule.spec->action),
             [this, handle = rule.handle, table_name = table.name,
              snapshot_rules](const Response& response) {
-              if (response.status != Status::ok) return;
-              // Snapshot rules record into the open transaction's
-              // snapshot — the journal the client falls back to on
-              // abort; once the transaction is finished the snapshot is
-              // gone and the live journal is the only target left.
-              Journal& target = snapshot_rules && txn_snapshot_ != nullptr
-                                    ? *txn_snapshot_
-                                    : journal_;
-              target.set_remote_id(
-                  table_name, handle,
-                  static_cast<core::MatchRuleId>(response.value));
+              rule_added(table_name, handle, snapshot_rules, response);
             },
             rule.handle);
     }
@@ -666,9 +725,12 @@ EnclaveSession::Journal::TableDef* EnclaveSession::find_table(
   return nullptr;
 }
 
-void EnclaveSession::install_action(const std::string& name,
+bool EnclaveSession::install_action(const std::string& name,
                                     const lang::CompiledProgram& program,
                                     std::vector<lang::FieldDef> global_fields) {
+  std::vector<std::uint8_t> command =
+      core::wire::encode_install_action(name, program, global_fields);
+  if (!fits_a_frame(command)) return false;
   Journal::ActionDef* def = find_action(name);
   if (def == nullptr) {
     def = &journal_.actions.emplace_back();
@@ -680,13 +742,13 @@ void EnclaveSession::install_action(const std::string& name,
   // not be replayed over the new program.
   def->scalars.clear();
   def->arrays.clear();
-  if (state_ == State::ready) {
-    send_mutation(
-        core::wire::encode_install_action(name, program, def->globals), {});
-  }
+  if (state_ == State::ready) send_mutation(std::move(command), {});
+  return true;
 }
 
 void EnclaveSession::remove_action(const std::string& name) {
+  std::vector<std::uint8_t> command = core::wire::encode_remove_action(name);
+  if (!fits_a_frame(command)) return;
   std::erase_if(journal_.actions,
                 [&](const Journal::ActionDef& a) { return a.name == name; });
   // Desired state: rules pointing at a removed action are gone too (the
@@ -696,22 +758,23 @@ void EnclaveSession::remove_action(const std::string& name) {
       return r.spec->action == name;
     });
   }
-  if (state_ == State::ready) {
-    send_mutation(core::wire::encode_remove_action(name), {});
-  }
+  if (state_ == State::ready) send_mutation(std::move(command), {});
 }
 
 void EnclaveSession::create_table(const std::string& name) {
   if (find_table(name) != nullptr) return;
+  std::vector<std::uint8_t> command = core::wire::encode_create_table(name);
+  if (!fits_a_frame(command)) return;
   journal_.tables.emplace_back().name = name;
-  if (state_ == State::ready) {
-    send_mutation(core::wire::encode_create_table(name), {});
-  }
+  if (state_ == State::ready) send_mutation(std::move(command), {});
 }
 
 EnclaveSession::RuleHandle EnclaveSession::add_rule(const std::string& table,
                                                     const std::string& pattern,
                                                     const std::string& action) {
+  std::vector<std::uint8_t> command =
+      core::wire::encode_add_rule_named(table, pattern, action);
+  if (!fits_a_frame(command)) return 0;
   create_table(table);  // implicit, like a filesystem mkdir -p
   const RuleHandle handle = next_handle_++;
   find_table(table)->rules.push_back(
@@ -719,19 +782,9 @@ EnclaveSession::RuleHandle EnclaveSession::add_rule(const std::string& table,
                    Journal::RuleSpec{pattern, action})});
   if (state_ == State::ready) {
     send_mutation(
-        core::wire::encode_add_rule_named(table, pattern, action),
+        std::move(command),
         [this, handle, table_name = table](const Response& response) {
-          if (response.status != Status::ok) return;
-          const auto rid = static_cast<core::MatchRuleId>(response.value);
-          if (journal_.set_remote_id(table_name, handle, rid)) return;
-          // The rule was removed before this response arrived: finish
-          // the remove now that the remote id is known.
-          auto it = deferred_removes_.find(handle);
-          if (it != deferred_removes_.end()) {
-            send_mutation(
-                core::wire::encode_remove_rule_named(it->second, rid), {});
-            deferred_removes_.erase(it);
-          }
+          rule_added(table_name, handle, /*snapshot_rules=*/false, response);
         },
         handle);
   }
@@ -753,15 +806,19 @@ void EnclaveSession::remove_rule(const std::string& table, RuleHandle handle) {
     return;
   }
   // No remote id yet. An add still waiting in the staged batch is simply
-  // dropped, so the enclave never sees the rule; a sent add is removed
-  // as soon as its response brings the id.
+  // dropped, so the enclave never sees the rule. A sent add is removed
+  // by the id its answer brings: the remove takes its place in the
+  // request order now, with a stand-in command, and holds its frame
+  // (and all behind it) until rule_added fills it in. An add that was
+  // answered without an id failed, and left nothing to remove.
   const auto staged =
       std::find_if(staged_.begin(), staged_.end(),
                    [&](const Request& r) { return r.adds == handle; });
   if (staged != staged_.end()) {
     staged_.erase(staged);
-  } else {
-    deferred_removes_[handle] = table;
+  } else if (add_unanswered(handle)) {
+    send_mutation(core::wire::encode_remove_rule_named(table, 0), {}, 0,
+                  handle);
   }
 }
 
@@ -773,31 +830,33 @@ void EnclaveSession::set_global_scalar(const std::string& action,
   // resync, so it must not be sent either.
   Journal::ActionDef* def = find_action(action);
   if (def == nullptr) return;
+  std::vector<std::uint8_t> command =
+      core::wire::encode_set_global_scalar(action, field, value);
+  if (!fits_a_frame(command)) return;
   def->scalars[field] = value;
-  if (state_ == State::ready) {
-    send_mutation(core::wire::encode_set_global_scalar(action, field, value),
-                  {});
-  }
+  if (state_ == State::ready) send_mutation(std::move(command), {});
 }
 
-void EnclaveSession::set_global_array(const std::string& action,
+bool EnclaveSession::set_global_array(const std::string& action,
                                       const std::string& field,
                                       std::vector<std::int64_t> data) {
   Journal::ActionDef* def = find_action(action);
-  if (def == nullptr) return;
-  if (state_ == State::ready) {
-    send_mutation(core::wire::encode_set_global_array(action, field, data),
-                  {});
-  }
+  if (def == nullptr) return false;
+  std::vector<std::uint8_t> command =
+      core::wire::encode_set_global_array(action, field, data);
+  if (!fits_a_frame(command)) return false;
   def->arrays[field] = std::move(data);
+  if (state_ == State::ready) send_mutation(std::move(command), {});
+  return true;
 }
 
 void EnclaveSession::add_flow_rule(const core::FlowClassifierRule& rule,
                                    const std::string& class_name) {
+  std::vector<std::uint8_t> command =
+      core::wire::encode_add_flow_rule(rule, class_name);
+  if (!fits_a_frame(command)) return;
   journal_.flow_rules.emplace_back(rule, class_name);
-  if (state_ == State::ready) {
-    send_mutation(core::wire::encode_add_flow_rule(rule, class_name), {});
-  }
+  if (state_ == State::ready) send_mutation(std::move(command), {});
 }
 
 void EnclaveSession::clear_flow_rules() {

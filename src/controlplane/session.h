@@ -154,17 +154,27 @@ class EnclaveSession {
   bool ready() const { return state_ == State::ready; }
 
   // --- Desired-state mutations (journaled; sent when ready) ---------
-  void install_action(const std::string& name,
+  // Each mutation is encoded first. One whose command could not reach
+  // the agent in any frame (kMaxFramePayload) is refused: nothing is
+  // journaled and nothing is sent, so no resync can replay it either.
+  // install_action and set_global_array return false when they refuse
+  // (set_global_array also when the journal knows no such action), and
+  // add_rule returns handle 0.
+  bool install_action(const std::string& name,
                       const lang::CompiledProgram& program,
                       std::vector<lang::FieldDef> global_fields);
   void remove_action(const std::string& name);
   void create_table(const std::string& name);
   RuleHandle add_rule(const std::string& table, const std::string& pattern,
                       const std::string& action);
+  // A rule whose add is still unanswered is removed by id once the
+  // answer brings it: the remove keeps its place in the request order,
+  // and the requests behind it (a transaction's commit included) wait
+  // for it.
   void remove_rule(const std::string& table, RuleHandle handle);
   void set_global_scalar(const std::string& action, const std::string& field,
                          std::int64_t value);
-  void set_global_array(const std::string& action, const std::string& field,
+  bool set_global_array(const std::string& action, const std::string& field,
                         std::vector<std::int64_t> data);
   void add_flow_rule(const core::FlowClassifierRule& rule,
                      const std::string& class_name);
@@ -265,14 +275,19 @@ class EnclaveSession {
     std::int64_t parent_span = 0;
     std::int64_t span_id = 0;
     std::int64_t sent_span_ns = 0;
-    RuleHandle adds = 0;  // the rule a staged add_rule_named adds
+    RuleHandle adds = 0;  // the rule an add_rule_named adds
+    // The rule a remove_rule_named removes once its add is answered;
+    // until then `command` is a stand-in of the same size (remote id 0).
+    RuleHandle removes = 0;
   };
   // One request frame: a lone command, or a batch of them. `id` and
-  // `sent_at_ns` are set when it leaves the outbox.
+  // `sent_at_ns` are set when it leaves the outbox, which it does only
+  // once none of its removes waits for an add's answer.
   struct RequestFrame {
     std::uint64_t id = 0;
     std::uint64_t sent_at_ns = 0;
     bool batch = false;
+    std::size_t waiting = 0;  // requests with `removes` still set
     std::vector<Request> requests;
   };
 
@@ -298,14 +313,24 @@ class EnclaveSession {
   // Queues one command in a request frame of its own; frames leave the
   // outbox as the pipelining window (max_inflight) allows, FIFO. Only
   // valid while connected.
-  void send_request(std::vector<std::uint8_t> command, Completion done);
+  void send_request(std::vector<std::uint8_t> command, Completion done,
+                    RuleHandle adds = 0, RuleHandle removes = 0);
   // Adds one command to the open transaction's staged batch.
   void stage(std::vector<std::uint8_t> command, Completion done,
-             RuleHandle adds = 0);
+             RuleHandle adds = 0, RuleHandle removes = 0);
   // A mutation while ready: staged inside a client transaction, sent
   // alone outside one.
   void send_mutation(std::vector<std::uint8_t> command, Completion done,
-                     RuleHandle adds = 0);
+                     RuleHandle adds = 0, RuleHandle removes = 0);
+  // The completion of every add_rule_named: records the rule's remote id
+  // in the journal and in an open transaction's snapshot (only there,
+  // with `snapshot_rules`), or, when the rule was removed while the add
+  // was unanswered, turns the remove waiting for it into the real
+  // command (dropped if the add failed) and lets its frame go.
+  void rule_added(const std::string& table, RuleHandle handle,
+                  bool snapshot_rules, const core::wire::Response& response);
+  // True while an add_rule_named of `handle` is queued or in flight.
+  bool add_unanswered(RuleHandle handle) const;
   // Queues the staged commands as batch frames, in order, each under
   // kMaxFramePayload.
   void send_batch();
@@ -350,9 +375,6 @@ class EnclaveSession {
 
   Journal journal_;
   RuleHandle next_handle_ = 1;
-  // Rules removed after their add was sent but before its response
-  // delivered a remote id; the remove is sent as soon as the id is known.
-  std::map<RuleHandle, std::string> deferred_removes_;  // handle -> table
   std::unique_ptr<Journal> txn_snapshot_;
 
   // Clears the trace unless a client transaction still owns it — the

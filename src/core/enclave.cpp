@@ -1,6 +1,7 @@
 #include "core/enclave.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -76,18 +77,34 @@ struct ThreadState {
   std::uint64_t cached_epoch = ~0ull;
 
   // process_batch scratch, reused so a steady-state batch allocates
-  // nothing: matched packets tagged with their (action, message) group,
-  // their arrival index (the sort tiebreak that keeps per-message
-  // order) and their per-class counter slot for post-run drop
-  // attribution, plus one contiguous per-group packet list.
+  // nothing. One pass groups the matched packets by (action, message):
+  // `batch_groups` holds the groups in the order their first packet
+  // arrived, each chaining its packets through `batch_items` in arrival
+  // order. `group_slots` finds a packet's group: an open-addressed table
+  // whose slots count as empty unless stamped with this batch's
+  // `group_stamp`, so it is never cleared between batches.
+  static constexpr std::uint32_t kNoItem = 0xffffffffu;
   struct BatchItem {
+    netsim::Packet* pkt;
+    Enclave::ClassCounters* cls;  // per-class slot, for drop attribution
+    std::uint32_t group;
+    std::uint32_t next;  // the group's next packet; kNoItem at its tail
+  };
+  struct BatchGroup {
     Enclave::ActionEntry* entry;
     std::int64_t key;
-    std::uint32_t order;
-    netsim::Packet* pkt;
-    Enclave::ClassCounters* cls;
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+  struct GroupSlot {
+    std::uint32_t stamp = 0;
+    std::uint32_t group = 0;
   };
   std::vector<BatchItem> batch_items;
+  std::vector<BatchGroup> batch_groups;
+  std::vector<GroupSlot> group_slots;  // power-of-two size
+  unsigned group_shift = 64;           // 64 - log2(group_slots.size())
+  std::uint32_t group_stamp = 0;
   std::vector<netsim::Packet*> batch_group;
 
   ThreadState(const EnclaveConfig& config, const lang::StateSchema& schema)
@@ -97,6 +114,67 @@ struct ThreadState {
         message_block(
             lang::StateBlock::from_schema(schema, lang::Scope::message)),
         rng(config.rng_seed ^ 0x517cc1b727220a95ULL) {}
+
+  // Readies the grouping scratch for a batch of `packets` packets: at
+  // most that many groups, so a table twice that size stays at most
+  // half full. The table only grows; a new stamp empties it.
+  void begin_grouping(std::size_t packets) {
+    batch_items.clear();
+    batch_groups.clear();
+    std::size_t slots = 16;
+    while (slots < 2 * packets) slots <<= 1;
+    if (group_slots.size() < slots) {
+      group_slots.assign(slots, GroupSlot{});
+      group_shift = 64 - static_cast<unsigned>(std::countr_zero(slots));
+      group_stamp = 0;
+    }
+    if (++group_stamp == 0) {
+      std::fill(group_slots.begin(), group_slots.end(), GroupSlot{});
+      group_stamp = 1;
+    }
+  }
+
+  // Appends a matched packet to its (entry, key) group, opening the
+  // group if this batch has not seen it. Runs of one group skip the
+  // table.
+  void group_packet(Enclave::ActionEntry* entry, std::int64_t key,
+                    netsim::Packet* pkt, Enclave::ClassCounters* cls) {
+    const auto item = static_cast<std::uint32_t>(batch_items.size());
+    std::uint32_t g = batch_items.empty() ? kNoItem : batch_items.back().group;
+    if (g == kNoItem || batch_groups[g].entry != entry ||
+        batch_groups[g].key != key) {
+      // Fibonacci hashing: the top bits of the product mix every bit of
+      // the key and the entry address.
+      std::size_t i = static_cast<std::size_t>(
+          ((static_cast<std::uint64_t>(key) ^
+            reinterpret_cast<std::uintptr_t>(entry)) *
+           0x9e3779b97f4a7c15ULL) >>
+          group_shift);
+      const std::size_t mask = group_slots.size() - 1;
+      for (;; i = (i + 1) & mask) {
+        GroupSlot& slot = group_slots[i];
+        if (slot.stamp != group_stamp) {
+          g = static_cast<std::uint32_t>(batch_groups.size());
+          slot = GroupSlot{group_stamp, g};
+          batch_groups.push_back(BatchGroup{entry, key, kNoItem, kNoItem});
+          break;
+        }
+        const BatchGroup& seen = batch_groups[slot.group];
+        if (seen.entry == entry && seen.key == key) {
+          g = slot.group;
+          break;
+        }
+      }
+    }
+    batch_items.push_back(BatchItem{pkt, cls, g, kNoItem});
+    BatchGroup& group = batch_groups[g];
+    if (group.tail == kNoItem) {
+      group.head = item;
+    } else {
+      batch_items[group.tail].next = item;
+    }
+    group.tail = item;
+  }
 };
 
 }  // namespace detail
@@ -939,15 +1017,16 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
 
   const Table* table = rules.tables.empty() ? nullptr : &rules.tables.front();
 
-  // Pre-process: classify, match, and split by (action, message) so the
+  // Pre-process: classify, match, and group by (action, message) so the
   // lock and state copy are taken once per message rather than once per
-  // packet. Grouping reuses the thread's scratch vectors — a sort of
-  // (entry, key, arrival index) triples — so a steady-state batch costs
-  // no allocation; the arrival-index tiebreak preserves order within
-  // each message.
-  ts.batch_items.clear();
+  // packet. One linear pass over reusable per-thread scratch: a
+  // steady-state batch allocates nothing, each group keeps its packets
+  // in arrival order, and groups run in the order their first packet
+  // arrived.
+  ts.begin_grouping(batch.size());
   const bool span_start = config_.telemetry.span_sample_every != 0;
-  std::uint32_t order = 0;
+  // Matches with no per-class slot, added to the enclave total once.
+  std::uint64_t matched = 0;
   for (std::size_t bi = 0; bi < batch.size(); ++bi) {
     // Prefetch-ahead: packet bi+k's header/meta lines are on their way
     // while bi classifies and matches, hiding the pointer-chase miss
@@ -980,7 +1059,7 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     if (cls != nullptr) {
       cls->matched.fetch_add(1, std::memory_order_relaxed);
     } else {
-      counters_.matched.fetch_add(1, std::memory_order_relaxed);
+      ++matched;
     }
     // global_sharded actions group by key even without message state:
     // the stripe lock is per message key, so batching same-key packets
@@ -988,15 +1067,11 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     const std::int64_t key = entry->touches_message || entry->global_sharded
                                  ? message_key(*p)
                                  : 0;
-    ts.batch_items.push_back({entry, key, order++, p.get(), cls});
+    ts.group_packet(entry, key, p.get(), cls);
   }
-  std::sort(ts.batch_items.begin(), ts.batch_items.end(),
-            [](const ThreadState::BatchItem& a,
-               const ThreadState::BatchItem& b) {
-              if (a.entry != b.entry) return a.entry < b.entry;
-              if (a.key != b.key) return a.key < b.key;
-              return a.order < b.order;
-            });
+  if (matched != 0) {
+    counters_.matched.fetch_add(matched, std::memory_order_relaxed);
+  }
   if (ts.batch_items.empty()) return batch.size();
   {
     // One epoch pin for the whole batch: the guard each group takes in
@@ -1007,62 +1082,50 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     // first wave warms each group's table lines, the second chases the
     // slot pointers and pulls both entry lines write-intent, so the
     // acquire and the payload copy inside run_action_batch hit cache
-    // even at millions of live messages. Group heads only — the groups
-    // share entries.
-    const auto is_head = [&](std::size_t i) {
-      const ThreadState::BatchItem& it = ts.batch_items[i];
-      if (!it.entry->touches_message || it.entry->messages == nullptr) {
-        return false;
-      }
-      return i == 0 || it.entry != ts.batch_items[i - 1].entry ||
-             it.key != ts.batch_items[i - 1].key;
+    // even at millions of live messages.
+    const auto has_store = [](const ThreadState::BatchGroup& g) {
+      return g.entry->touches_message && g.entry->messages != nullptr;
     };
-    for (std::size_t i = 0; i < ts.batch_items.size(); ++i) {
-      if (is_head(i)) {
-        const ThreadState::BatchItem& it = ts.batch_items[i];
-        it.entry->messages->prefetch(guard, it.key);
-      }
+    for (const ThreadState::BatchGroup& g : ts.batch_groups) {
+      if (has_store(g)) g.entry->messages->prefetch(guard, g.key);
     }
-    for (std::size_t i = 0; i < ts.batch_items.size(); ++i) {
-      if (is_head(i)) {
-        const ThreadState::BatchItem& it = ts.batch_items[i];
-        it.entry->messages->prefetch_entry(guard, it.key);
-      }
+    for (const ThreadState::BatchGroup& g : ts.batch_groups) {
+      if (has_store(g)) g.entry->messages->prefetch_entry(guard, g.key);
     }
-    for (std::size_t i = 0; i < ts.batch_items.size();) {
-      const ThreadState::BatchItem& head = ts.batch_items[i];
+    for (std::size_t gi = 0; gi < ts.batch_groups.size(); ++gi) {
+      const ThreadState::BatchGroup& group = ts.batch_groups[gi];
       ts.batch_group.clear();
-      std::size_t j = i;
-      for (; j < ts.batch_items.size() &&
-             ts.batch_items[j].entry == head.entry &&
-             ts.batch_items[j].key == head.key;
-           ++j) {
-        ts.batch_group.push_back(ts.batch_items[j].pkt);
+      for (std::uint32_t i = group.head; i != ThreadState::kNoItem;
+           i = ts.batch_items[i].next) {
+        ts.batch_group.push_back(ts.batch_items[i].pkt);
       }
       // Warm the next group's head while this group executes.
-      if (j < ts.batch_items.size()) {
-        util::prefetch_write(ts.batch_items[j].pkt);
+      if (gi + 1 < ts.batch_groups.size()) {
+        util::prefetch_write(ts.batch_items[ts.batch_groups[gi + 1].head].pkt);
       }
-      run_action_batch(ts, *head.entry, ts.batch_group);
-      i = j;
+      run_action_batch(ts, *group.entry, ts.batch_group);
     }
   }
 
   // Only an action drops a packet, so the matched items are the only
   // candidates; each drop is attributed exactly as process_one does.
   std::size_t kept = batch.size();
+  std::uint64_t dropped = 0;  // drops with no per-class slot
   for (const ThreadState::BatchItem& it : ts.batch_items) {
     if (!it.pkt->drop_mark) continue;
     --kept;
     if (it.cls != nullptr) {
       it.cls->dropped.fetch_add(1, std::memory_order_relaxed);
     } else {
-      counters_.dropped_by_action.fetch_add(1, std::memory_order_relaxed);
+      ++dropped;
     }
     if (it.pkt->meta.trace_id != 0) {
       spans_.record_now(it.pkt->meta.trace_id, telemetry::Hop::enclave_drop,
-                        it.entry->id);
+                        ts.batch_groups[it.group].entry->id);
     }
+  }
+  if (dropped != 0) {
+    counters_.dropped_by_action.fetch_add(dropped, std::memory_order_relaxed);
   }
   return kept;
 }
@@ -1158,6 +1221,9 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
       entry.latency_hist != nullptr ? config_.telemetry.histogram_sample_every
                                     : 0;
 
+  // The group's executions and steps reach the shared counters once,
+  // after the loop; each fault still counts under its status.
+  std::uint64_t group_steps = 0;
   for (std::size_t pi = 0; pi < packets.size(); ++pi) {
     netsim::Packet* packet = packets[pi];
     // Overlap the next packet's state-load miss with this execution.
@@ -1186,7 +1252,7 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
           entry.program, &ts.packet_block, msg_block, &entry.global_state);
       status = result.status;
       steps = result.steps;
-      entry.counters.steps.fetch_add(steps, std::memory_order_relaxed);
+      group_steps += steps;
     }
 
     if (sampled) {
@@ -1202,7 +1268,6 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
           packet->classes.size() > 0 ? packet->classes[0] : kInvalidClass,
           static_cast<std::uint8_t>(status), steps);
     }
-    entry.counters.executions.fetch_add(1, std::memory_order_relaxed);
 
     if (status != lang::ExecStatus::ok) {
       // A faulty execution terminates without touching the packet or
@@ -1219,6 +1284,11 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
     if (msg_entry != nullptr && writes_message) {
       std::memcpy(msg_entry->payload, msg_scratch, kMessageBytes);
     }
+  }
+  entry.counters.executions.fetch_add(packets.size(),
+                                      std::memory_order_relaxed);
+  if (!entry.native) {
+    entry.counters.steps.fetch_add(group_steps, std::memory_order_relaxed);
   }
 
   if (profile_lock.owns_lock()) ts.interp.set_profile(nullptr);

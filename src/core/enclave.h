@@ -273,7 +273,8 @@ class Enclave {
   // splits it by message, and runs each message's packets under a single
   // lock acquisition and state copy. Semantically identical to calling
   // process() per packet (packet order inside each message is
-  // preserved; a faulty execution still rolls back only its own
+  // preserved, messages run in the order their first packet arrived,
+  // and a faulty execution still rolls back only its own
   // packet). Falls back to per-packet processing when more than one
   // table is installed. Sets drop_mark on dropped packets and returns
   // the number of surviving packets.

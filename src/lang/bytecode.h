@@ -203,6 +203,7 @@ struct FunctionInfo {
 // (Section 3.4.4): writable global state fully serializes the function;
 // writable message state serializes packets of the same message; a
 // function that only writes packet state can run fully in parallel.
+// Ordered from weakest to strongest.
 enum class ConcurrencyMode : std::uint8_t {
   parallel = 0,
   per_message = 1,
@@ -227,6 +228,12 @@ struct StateUsage {
   bool touches_scope(Scope scope) const {
     const int s = static_cast<int>(scope);
     return scalar_read[s] != 0 || array_read[s] != 0 || writes_scope(scope);
+  }
+  // The weakest mode these writes allow.
+  ConcurrencyMode required_concurrency() const {
+    if (writes_scope(Scope::global)) return ConcurrencyMode::serialized;
+    if (writes_scope(Scope::message)) return ConcurrencyMode::per_message;
+    return ConcurrencyMode::parallel;
   }
 };
 

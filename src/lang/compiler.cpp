@@ -144,7 +144,7 @@ class Compiler {
       compile_function(*def);
     }
 
-    derive_concurrency();
+    out_.concurrency = out_.usage.required_concurrency();
     return std::move(out_);
   }
 
@@ -851,16 +851,6 @@ class Compiler {
     }
     // Assignment evaluates to unit (0), like F#.
     if (want_value) emit(Op::push, 0, 0);
-  }
-
-  void derive_concurrency() {
-    if (out_.usage.writes_scope(Scope::global)) {
-      out_.concurrency = ConcurrencyMode::serialized;
-    } else if (out_.usage.writes_scope(Scope::message)) {
-      out_.concurrency = ConcurrencyMode::per_message;
-    } else {
-      out_.concurrency = ConcurrencyMode::parallel;
-    }
   }
 
   const Program& program_;

@@ -535,6 +535,34 @@ void verify_program(const CompiledProgram& p, const StateSchema& schema,
     err("entry frame exceeds the locals limit");
   }
 
+  // The schema's read-only fields as usage-mask bits, scalar and array
+  // slots apart (each kind numbers its slots in declaration order).
+  std::uint64_t read_only_scalars[kNumScopes] = {0, 0, 0};
+  std::uint64_t read_only_arrays[kNumScopes] = {0, 0, 0};
+  for (int s = 0; s < kNumScopes; ++s) {
+    std::size_t scalars = 0;
+    std::size_t arrays = 0;
+    for (const FieldDef& f : schema.fields(static_cast<Scope>(s))) {
+      const bool scalar = f.kind == FieldKind::scalar;
+      std::size_t& slot = scalar ? scalars : arrays;
+      if (f.access == Access::read_only && slot < 64) {
+        (scalar ? read_only_scalars : read_only_arrays)[s] |=
+            std::uint64_t{1} << slot;
+      }
+      ++slot;
+    }
+  }
+  // The state the code actually reads and writes, as usage masks.
+  StateUsage code;
+  const auto note = [&](std::uint64_t* masks, std::int32_t a, std::size_t i) {
+    if (operand_slot(a) >= 64) {
+      err("state slot beyond the usage masks at instruction " +
+          std::to_string(i));
+    }
+    masks[static_cast<int>(operand_scope(a))] |= std::uint64_t{1}
+                                                 << operand_slot(a);
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     const Instr& instr = p.code[i];
     const auto opb = static_cast<std::uint8_t>(instr.op);
@@ -582,6 +610,15 @@ void verify_program(const CompiledProgram& p, const StateSchema& schema,
           err("scalar slot outside schema at instruction " +
               std::to_string(i));
         }
+        if (instr.op == Op::store_state) {
+          note(code.scalar_write, instr.a, i);
+          if ((read_only_scalars[scope] >> operand_slot(instr.a)) & 1) {
+            err("store to a read-only field at instruction " +
+                std::to_string(i));
+          }
+        } else {
+          note(code.scalar_read, instr.a, i);
+        }
         break;
       }
       case Op::array_load:
@@ -598,11 +635,42 @@ void verify_program(const CompiledProgram& p, const StateSchema& schema,
             schema.array_count(static_cast<Scope>(scope))) {
           err("array slot outside schema at instruction " + std::to_string(i));
         }
+        if (instr.op == Op::array_store) {
+          note(code.array_write, instr.a, i);
+          if ((read_only_arrays[scope] >> operand_slot(instr.a)) & 1) {
+            err("store to a read-only field at instruction " +
+                std::to_string(i));
+          }
+        } else {
+          note(code.array_read, instr.a, i);
+        }
         break;
       }
       default:
         break;
     }
+  }
+
+  // The runtime takes its locks and materializes message state from the
+  // declared masks and mode, which travel with the code: they may claim
+  // more than the code does, never less, and the mode must cover the
+  // writes the masks declare.
+  for (int s = 0; s < kNumScopes; ++s) {
+    const StateUsage& u = p.usage;
+    if ((code.scalar_read[s] & ~u.scalar_read[s]) != 0 ||
+        (code.scalar_write[s] & ~u.scalar_write[s]) != 0 ||
+        (code.array_read[s] & ~u.array_read[s]) != 0 ||
+        (code.array_write[s] & ~u.array_write[s]) != 0) {
+      err("usage masks understate the code's " +
+          std::string(scope_name(static_cast<Scope>(s))) + " state accesses");
+    }
+  }
+  const ConcurrencyMode needed = p.usage.required_concurrency();
+  if (p.concurrency < needed) {
+    err("concurrency mode '" +
+        std::string(concurrency_mode_name(p.concurrency)) +
+        "' understates the '" + std::string(concurrency_mode_name(needed)) +
+        "' its state writes need");
   }
 
   // The pre-verified dispatch path skips the per-instruction pc bounds

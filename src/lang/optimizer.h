@@ -57,7 +57,12 @@ CompiledProgram optimize(CompiledProgram program, OptLevel level,
 // per-dispatch structural checks: opcodes in range, branch targets and
 // function indices valid, state operands within the schema, local slots
 // within the frame limit, nargs <= nlocals for every function, and the
-// code cannot run off the end. Throws LangError with a diagnostic on
+// code cannot run off the end. It also derives the state the code reads
+// and writes: the declared usage masks must cover it, the concurrency
+// mode must cover the masks' writes (global => serialized, message =>
+// per_message), and no store may target a field the schema marks
+// read-only. Declaring more than the code needs is legal. Throws
+// LangError with a diagnostic on
 // the first violation. On success the caller may set
 // program.preverified = true.
 void verify_program(const CompiledProgram& program, const StateSchema& schema,

@@ -648,6 +648,122 @@ TEST_F(SessionTest, RemoveBeforeAddResponseIsDeferredNotLost) {
   EXPECT_EQ(enclave_.rule_count(*table), 0u);
 }
 
+// A rule removed inside a transaction while its add, sent before the
+// transaction, is still unanswered: the remove waits for the add's id
+// and leaves inside the commit's batch, so the commit never publishes
+// the rule.
+TEST_F(SessionTest, RemoveInTxnOfUnansweredAddLandsWithTheCommit) {
+  make_session();
+  session_->install_action("p7", priority_program("p7", 7), {});
+  session_->add_rule("egress", "memcached.egress.c0", "p7");
+  ASSERT_TRUE(settle());
+  const auto table = enclave_.find_table_id("egress");
+  ASSERT_TRUE(table.has_value());
+  ASSERT_EQ(enclave_.rule_count(*table), 1u);
+
+  const auto handle =
+      session_->add_rule("egress", "memcached.egress.c70", "p7");
+  session_->begin_txn();
+  session_->remove_rule("egress", handle);
+  session_->commit_txn();
+  // One delivery at a time: once the commit has published (the enclave
+  // opened the transaction and closed it again), the removed rule is
+  // never live.
+  bool opened = false;
+  bool committed = false;
+  std::size_t step = 0;
+  do {
+    if (enclave_.txn_open()) opened = true;
+    if (opened && !enclave_.txn_open()) committed = true;
+    if (committed) {
+      EXPECT_EQ(enclave_.rule_count(*table), 1u) << "after step " << step;
+    }
+    ++step;
+  } while (pump_.step());
+  EXPECT_TRUE(committed);
+  ASSERT_TRUE(settle());
+  EXPECT_FALSE(enclave_.txn_open());
+  EXPECT_EQ(enclave_.rule_count(*table), 1u);
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+
+  // Nothing queued behind the commit overtook it, and the session
+  // still works: a second transaction removes the remaining rule.
+  const auto remaining = session_->add_rule("egress", "*", "p7");
+  ASSERT_TRUE(settle());
+  ASSERT_EQ(enclave_.rule_count(*table), 2u);
+  session_->begin_txn();
+  session_->remove_rule("egress", remaining);
+  session_->commit_txn();
+  ASSERT_TRUE(settle());
+  EXPECT_EQ(enclave_.rule_count(*table), 1u);
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+}
+
+// An add answered while a transaction is open is committed on the
+// enclave, so aborting the transaction must not lose its id: a later
+// remove of the rule still reaches the enclave.
+TEST_F(SessionTest, AbortKeepsTheIdOfAnAddAnsweredDuringTheTxn) {
+  make_session();
+  session_->install_action("p7", priority_program("p7", 7), {});
+  session_->add_rule("egress", "memcached.egress.c0", "p7");
+  ASSERT_TRUE(settle());
+  const auto table = enclave_.find_table_id("egress");
+  ASSERT_TRUE(table.has_value());
+
+  const auto handle =
+      session_->add_rule("egress", "memcached.egress.c70", "p7");
+  session_->begin_txn();  // snapshots the journal before the answer
+  ASSERT_TRUE(settle());
+  session_->abort_txn();
+  ASSERT_TRUE(settle());
+  ASSERT_EQ(enclave_.rule_count(*table), 2u);
+
+  session_->remove_rule("egress", handle);
+  ASSERT_TRUE(settle());
+  EXPECT_EQ(enclave_.rule_count(*table), 1u);
+  EXPECT_EQ(session_->stats().responses_error, 0u);
+}
+
+// A command no frame can carry is refused before it is journaled or
+// sent: the session stays up, and the journal keeps the value it had.
+TEST_F(SessionTest, CommandLargerThanAFrameIsRefused) {
+  chunk_bytes_ = 0;  // whole frames
+  make_session();
+  lang::FieldDef w;
+  w.name = "w";
+  w.kind = lang::FieldKind::array;
+  const std::vector<lang::FieldDef> globals = {w};
+  ASSERT_TRUE(session_->install_action(
+      "pw",
+      controller_.compile("pw", "fun(p, m, g) -> p.priority <- g.w[0]",
+                          globals),
+      globals));
+  session_->add_rule("t", "*", "pw");
+  ASSERT_TRUE(session_->set_global_array("pw", "w", {5}));
+  ASSERT_TRUE(settle());
+  ASSERT_EQ(processed_priority(), 5);
+  const SessionStats before = session_->stats();
+
+  const std::vector<std::int64_t> huge((17u << 20) / 8, 6);
+  EXPECT_FALSE(session_->set_global_array("pw", "w", huge));
+  for (int i = 0; i < 3000; ++i) step_ms();
+  EXPECT_EQ(session_->stats().teardowns, before.teardowns);
+  EXPECT_EQ(session_->stats().resyncs, before.resyncs);
+  EXPECT_EQ(session_->stats().requests_sent, before.requests_sent);
+  EXPECT_EQ(agent_->stats().corrupt_streams, 0u);
+  EXPECT_TRUE(session_->ready());
+  EXPECT_EQ(processed_priority(), 5);
+
+  // The journal still holds the earlier value: an enclave that lost its
+  // state is resynced to it.
+  agent_->detach();
+  enclave_.clear_all();
+  agent_ = std::make_unique<EnclaveAgent>(enclave_);
+  ASSERT_TRUE(settle());
+  EXPECT_EQ(processed_priority(), 5);
+  EXPECT_EQ(agent_->stats().corrupt_streams, 0u);
+}
+
 TEST_F(SessionTest, RuleAddedAndRemovedInOneTxnIsNeverPublished) {
   make_session();
   session_->install_action("p7", priority_program("p7", 7), {});

@@ -678,6 +678,204 @@ TEST_F(EnclaveTest, EmptyBatchIsFine) {
   EXPECT_EQ(enclave_.process_batch(batch), 0u);
 }
 
+// The grouped path against process() packet by packet, over batches of
+// 1-300 packets interleaving 48 messages across six actions behind one
+// table: parallel, dropping, per_message, fully serialized, key-sharded
+// serialized, and one that faults on some inputs. Every output, every
+// message-state slot and every counter must agree, with per-class
+// telemetry off and on.
+TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
+  constexpr std::int64_t kMessages = 48;
+  lang::FieldDef total;
+  total.name = "total";
+  total.access = lang::Access::read_write;
+  lang::FieldDef counts;
+  counts.name = "counts";
+  counts.kind = lang::FieldKind::array;
+  counts.access = lang::Access::read_write;
+  counts.key_partitioned = true;
+  lang::FieldDef xs;
+  xs.name = "xs";
+  xs.kind = lang::FieldKind::array;
+  struct Spec {
+    const char* name;
+    const char* source;
+    std::vector<lang::FieldDef> globals;
+  };
+  const std::vector<Spec> specs = {
+      {"par", "fun(p, m, g) -> p.priority <- p.size / 200", {}},
+      {"dropper",
+       "fun(p, m, g) -> p.drop <- p.size % 5 = 0; p.path <- p.size % 7",
+       {}},
+      {"accum",
+       "fun(p, m, g) -> m.size <- m.size + p.size; "
+       "m.packets <- m.packets + 1; "
+       "p.priority <- (if m.size > 6000 then 2 else 6); p.path <- m.packets",
+       {}},
+      {"serial",
+       "fun(p, m, g) -> g.total <- g.total + p.size; "
+       "p.path <- g.total % 1000",
+       {total}},
+      {"sharded",
+       "fun(p, m, g) -> g.counts[p.msg_id] <- g.counts[p.msg_id] + p.size; "
+       "p.path <- g.counts[p.msg_id] % 1000",
+       {counts}},
+      {"faulty",
+       "fun(p, m, g) -> m.state0 <- m.state0 + 1; "
+       "p.path <- m.state0 + g.xs[p.size % 4] / (p.size % 3)",
+       {xs}},
+  };
+  const lang::ConcurrencyMode modes[] = {
+      lang::ConcurrencyMode::parallel,    lang::ConcurrencyMode::parallel,
+      lang::ConcurrencyMode::per_message, lang::ConcurrencyMode::serialized,
+      lang::ConcurrencyMode::serialized,  lang::ConcurrencyMode::per_message};
+
+  for (const bool telemetry : {false, true}) {
+    for (const std::uint64_t seed : {3, 17, 2024}) {
+      SCOPED_TRACE(std::string(telemetry ? "telemetry on" : "telemetry off") +
+                   ", seed " + std::to_string(seed));
+      EnclaveConfig config;
+      config.telemetry.enabled = telemetry;
+      ClassRegistry registry;
+      Controller controller(registry);
+      Enclave per_packet("per-packet", registry, config);
+      Enclave batched("batched", registry, config);
+      std::vector<ActionId> actions;
+      std::vector<ClassId> classes;
+      for (Enclave* e : {&per_packet, &batched}) {
+        const TableId table = e->create_table("t");
+        for (std::size_t a = 0; a < specs.size(); ++a) {
+          const Spec& spec = specs[a];
+          const lang::CompiledProgram program =
+              controller.compile(spec.name, spec.source, spec.globals);
+          ASSERT_EQ(program.concurrency, modes[a]) << spec.name;
+          const ActionId id =
+              e->install_action(spec.name, program, spec.globals);
+          if (e == &per_packet) actions.push_back(id);
+          e->add_rule(table, ClassPattern(std::string("t.c.") + spec.name), id);
+        }
+        // Classes no exact rule names fall through to this wildcard.
+        e->add_rule(table, ClassPattern("t.c.*"), actions[0]);
+        e->set_global_array(actions[4], "counts",
+                            std::vector<std::int64_t>(kMessages + 1, 0));
+        e->set_global_array(actions[5], "xs", {5, 6, 7});
+      }
+      ASSERT_TRUE(batched.action_global_sharded(actions[4]));
+      for (std::size_t a = 0; a < specs.size(); ++a) {
+        classes.push_back(registry.intern(std::string("t.c.") + specs[a].name));
+      }
+      const ClassId other = registry.intern("t.c.other");
+
+      util::Rng rng(seed);
+      std::uint64_t matched = 0;
+      for (int round = 0; round < 12; ++round) {
+        const std::size_t n = 1 + rng.below(300);
+        std::vector<netsim::PacketPtr> batch;
+        std::vector<netsim::Packet> expect;
+        std::size_t expect_kept = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          netsim::Packet p =
+              tcp_packet(1 + static_cast<std::int64_t>(rng.below(kMessages)));
+          p.size_bytes = static_cast<std::uint32_t>(64 + rng.below(1451));
+          const std::uint64_t pick = rng.below(20);
+          if (pick < specs.size() * 3) {
+            p.classes.add(classes[pick % specs.size()]);
+            ++matched;
+          } else if (pick < 19) {
+            p.classes.add(other);
+            ++matched;
+          }  // else: no class, no rule matches
+          batch.push_back(netsim::make_packet());
+          *batch.back() = p;
+          if (per_packet.process(p)) ++expect_kept;
+          expect.push_back(p);
+        }
+        ASSERT_EQ(batched.process_batch(batch), expect_kept) << "round " << round;
+        for (std::size_t i = 0; i < n; ++i) {
+          SCOPED_TRACE("round " + std::to_string(round) + " packet " +
+                       std::to_string(i));
+          EXPECT_EQ(batch[i]->drop_mark, expect[i].drop_mark);
+          EXPECT_EQ(batch[i]->priority, expect[i].priority);
+          EXPECT_EQ(batch[i]->path_label, expect[i].path_label);
+        }
+        if (HasFailure()) return;
+      }
+
+      for (std::size_t a = 0; a < specs.size(); ++a) {
+        SCOPED_TRACE(specs[a].name);
+        const ActionStats want = per_packet.action_stats(actions[a]);
+        const ActionStats got = batched.action_stats(actions[a]);
+        EXPECT_GT(want.executions, 0u);
+        EXPECT_EQ(got.executions, want.executions);
+        EXPECT_EQ(got.steps, want.steps);
+        EXPECT_EQ(got.errors, want.errors);
+        EXPECT_EQ(got.errors_by_status, want.errors_by_status);
+        for (std::int64_t key = 1; key <= kMessages; ++key) {
+          for (std::uint16_t slot = 0; slot < MessageSlot::count_; ++slot) {
+            EXPECT_EQ(batched.peek_message_state(actions[a], key, slot),
+                      per_packet.peek_message_state(actions[a], key, slot))
+                << "message " << key << " slot " << slot;
+          }
+        }
+      }
+      const ActionStats faults = per_packet.action_stats(actions[5]);
+      EXPECT_GT(faults.errors_by_status[static_cast<std::size_t>(
+                    lang::ExecStatus::out_of_bounds)],
+                0u);
+      EXPECT_GT(faults.errors_by_status[static_cast<std::size_t>(
+                    lang::ExecStatus::div_by_zero)],
+                0u);
+      const EnclaveStats want = per_packet.stats();
+      const EnclaveStats got = batched.stats();
+      EXPECT_EQ(want.matched, matched);
+      EXPECT_EQ(got.packets, want.packets);
+      EXPECT_EQ(got.matched, want.matched);
+      EXPECT_EQ(got.dropped_by_action, want.dropped_by_action);
+      EXPECT_GT(want.dropped_by_action, 0u);
+    }
+  }
+}
+
+// Groups run in the order their first packet arrived, each message's
+// packets back to back and in arrival order: a serialized action that
+// reads its message state appends (msg_id, packet number) to a global
+// log, which probe packets then read back through p.path.
+TEST_F(EnclaveTest, BatchRunsGroupsInFirstArrivalOrder) {
+  lang::FieldDef log;
+  log.name = "log";
+  log.kind = lang::FieldKind::array;
+  log.access = lang::Access::read_write;
+  lang::FieldDef count;
+  count.name = "n";
+  count.access = lang::Access::read_write;
+  const ActionId action = install_with_rule("logger", R"(fun(p, m, g) ->
+      if p.msg_type = 1 then p.path <- g.log[p.seq]
+      else (m.packets <- m.packets + 1;
+            g.log[g.n] <- p.msg_id * 100 + m.packets;
+            g.n <- g.n + 1))",
+                                            {log, count});
+  enclave_.set_global_array(action, "log", std::vector<std::int64_t>(16, 0));
+
+  const std::int64_t arrivals[] = {7, 3, 7, 9, 3, 3, 7, 1, 9, 7};
+  std::vector<netsim::PacketPtr> batch;
+  for (const std::int64_t msg : arrivals) {
+    batch.push_back(netsim::make_packet());
+    *batch.back() = tcp_packet(msg);
+  }
+  EXPECT_EQ(enclave_.process_batch(batch), batch.size());
+  ASSERT_EQ(enclave_.read_global_scalar(action, "n"), 10);
+
+  const std::int32_t want[] = {701, 702, 703, 704, 301, 302,
+                               303, 901, 902, 101};
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    netsim::Packet probe = tcp_packet(1000);
+    probe.meta.msg_type = 1;
+    probe.seq = i;
+    enclave_.process(probe);
+    EXPECT_EQ(probe.path_label, want[i]) << "log entry " << i;
+  }
+}
+
 // The concurrency model under real threads: a serialized (global-
 // writing) action must not lose updates.
 TEST_F(EnclaveTest, SerializedActionIsThreadSafe) {

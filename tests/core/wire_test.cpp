@@ -9,6 +9,7 @@
 #include "core/controller.h"
 #include "functions/scheduling.h"
 #include "lang/optimizer.h"
+#include "lang/source_loc.h"
 #include "telemetry/delta.h"
 #include "util/bytes.h"
 
@@ -38,6 +39,32 @@ class WireTest : public ::testing::Test {
   Controller controller_{registry_};
   telemetry::DeltaEncoder encoder_;
 };
+
+// A program whose declared mode and masks understate its code would run
+// its global writes under a shared lock: the enclave refuses to install
+// it, in process and over the wire, and stays as it was.
+TEST_F(WireTest, InstallRejectsUnderstatedConcurrency) {
+  lang::FieldDef packets;
+  packets.name = "packets";
+  packets.access = lang::Access::read_write;
+  const std::vector<lang::FieldDef> globals = {packets};
+  lang::CompiledProgram tampered = controller_.compile(
+      "count", "fun(p, m, g) -> g.packets <- g.packets + 1", globals);
+  ASSERT_EQ(tampered.concurrency, lang::ConcurrencyMode::serialized);
+  tampered.concurrency = lang::ConcurrencyMode::parallel;
+  for (auto& mask : tampered.usage.scalar_write) mask = 0;
+  for (auto& mask : tampered.usage.array_write) mask = 0;
+  tampered = lang::CompiledProgram::deserialize(tampered.serialize());
+
+  EXPECT_THROW(enclave_.install_action("count", tampered, globals),
+               lang::LangError);
+  const std::uint64_t version = enclave_.ruleset_version();
+  const Response r = send(encode_install_action("count", tampered, globals));
+  EXPECT_EQ(r.status, Status::rejected);
+  EXPECT_NE(r.error.find("understate"), std::string::npos) << r.error;
+  EXPECT_FALSE(enclave_.find_action("count").has_value());
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+}
 
 TEST_F(WireTest, InstallAndDriveActionRemotely) {
   // The full controller workflow over the wire: compile locally, ship

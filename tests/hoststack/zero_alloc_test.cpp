@@ -95,7 +95,7 @@ TEST_F(ZeroAllocTest, ProcessBatchSteadyStateIsAllocFree) {
   }
 
   // Warm-up: thread state, interpreter scratch, message entries for
-  // every key, sort scratch sized to the batch.
+  // every key, grouping scratch sized to the batch.
   for (int i = 0; i < 100; ++i) {
     enclave_.process_batch(std::span(batch.data(), batch.size()));
   }

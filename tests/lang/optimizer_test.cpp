@@ -517,6 +517,95 @@ TEST(Verifier, RejectsStructurallyInvalidPrograms) {
   }
 }
 
+// The declared concurrency mode and usage masks travel with the code,
+// and the enclave takes its locks and message state from them, so the
+// verifier checks them against what the code does. A serialized global
+// counter relabelled `parallel` with its write masks cleared survives a
+// serialize/deserialize round trip but not verification.
+TEST(Verifier, DerivesModeAndMasksFromTheCode) {
+  StateSchema schema = core::make_enclave_schema([] {
+    FieldDef packets;
+    packets.name = "packets";
+    packets.access = Access::read_write;
+    FieldDef limit;
+    limit.name = "limit";
+    return std::vector<FieldDef>{packets, limit};
+  }());
+  const ExecLimits limits;
+  const CompiledProgram honest =
+      compile_source("fun(p, m, g) -> g.packets <- g.packets + 1", schema);
+  ASSERT_EQ(honest.concurrency, ConcurrencyMode::serialized);
+  ASSERT_NO_THROW(verify_program(honest, schema, limits));
+
+  const auto rejects = [&](const CompiledProgram& p, const char* what) {
+    SCOPED_TRACE(what);
+    const CompiledProgram wire =
+        CompiledProgram::deserialize(p.serialize());
+    EXPECT_THROW(verify_program(wire, schema, limits), LangError);
+  };
+  {
+    CompiledProgram p = honest;
+    p.concurrency = ConcurrencyMode::parallel;
+    p.usage.scalar_write[static_cast<int>(Scope::global)] = 0;
+    rejects(p, "relabelled parallel, write masks cleared");
+  }
+  {
+    CompiledProgram p = honest;
+    p.concurrency = ConcurrencyMode::per_message;
+    rejects(p, "mode understated");
+  }
+  {
+    CompiledProgram p = honest;
+    p.usage.scalar_write[static_cast<int>(Scope::global)] = 0;
+    rejects(p, "write mask cleared");
+  }
+  {
+    CompiledProgram p = honest;
+    p.usage.scalar_read[static_cast<int>(Scope::global)] = 0;
+    rejects(p, "read mask cleared");
+  }
+  {
+    // Message state read but not declared: the enclave would hand the
+    // code no message block.
+    CompiledProgram p = compile_source(
+        "fun(p, m, g) -> m.size <- m.size + p.size", schema);
+    ASSERT_EQ(p.concurrency, ConcurrencyMode::per_message);
+    p.usage.scalar_read[static_cast<int>(Scope::message)] = 0;
+    rejects(p, "message read undeclared");
+    p = compile_source("fun(p, m, g) -> m.size <- m.size + p.size", schema);
+    p.concurrency = ConcurrencyMode::parallel;
+    rejects(p, "per-message writes relabelled parallel");
+  }
+  {
+    // Stores to fields the schema marks read-only: a packet field and
+    // a global, both declared in the masks.
+    CompiledProgram p = honest;
+    p.code = {{Op::push, 0, 1},
+              {Op::store_state, state_operand(Scope::packet, 0), 0},
+              {Op::halt, 0, 0}};
+    p.usage = StateUsage{};
+    p.usage.scalar_write[static_cast<int>(Scope::packet)] = 1;
+    rejects(p, "store to packet.size");
+    const auto limit = schema.find(Scope::global, "limit");
+    ASSERT_TRUE(limit.has_value());
+    p.code[1].a = state_operand(Scope::global, limit->slot);
+    p.usage = StateUsage{};
+    p.usage.scalar_write[static_cast<int>(Scope::global)] = std::uint64_t{1}
+                                                            << limit->slot;
+    rejects(p, "store to g.limit");
+  }
+  {
+    // Declaring more than the code needs stays legal.
+    CompiledProgram p =
+        compile_source("fun(p, m, g) -> p.priority <- 3", schema);
+    ASSERT_EQ(p.concurrency, ConcurrencyMode::parallel);
+    p.usage.scalar_read[static_cast<int>(Scope::message)] = 0xff;
+    p.usage.scalar_write[static_cast<int>(Scope::global)] = 1;
+    p.concurrency = ConcurrencyMode::serialized;
+    EXPECT_NO_THROW(verify_program(p, schema, limits));
+  }
+}
+
 // --- Wire round-trip with fused opcodes ---------------------------------
 
 TEST(OptimizerWire, FusedProgramRoundTrips) {
