@@ -412,84 +412,24 @@ void EnclaveSession::handle_frame(const Frame& frame) {
 }
 
 void EnclaveSession::send_request(std::vector<std::uint8_t> command,
-                                  Completion done, RuleHandle adds,
-                                  RuleHandle removes) {
+                                  Completion done) {
   if (transport_ == nullptr || !transport_->connected()) return;
-  RequestFrame& frame = outbox_.emplace_back();
-  frame.waiting = removes != 0 ? 1 : 0;
-  frame.requests.push_back({std::move(command), std::move(done), trace_.id,
-                            trace_.root, 0, 0, adds, removes});
+  outbox_.emplace_back().requests.push_back(
+      {std::move(command), std::move(done), trace_.id, trace_.root});
   pump_outbox();
 }
 
-void EnclaveSession::stage(std::vector<std::uint8_t> command, Completion done,
-                           RuleHandle adds, RuleHandle removes) {
-  staged_.push_back({std::move(command), std::move(done), trace_.id,
-                     trace_.root, 0, 0, adds, removes});
+void EnclaveSession::stage(std::vector<std::uint8_t> command, Completion done) {
+  staged_.push_back(
+      {std::move(command), std::move(done), trace_.id, trace_.root});
 }
 
-void EnclaveSession::send_mutation(std::vector<std::uint8_t> command,
-                                   Completion done, RuleHandle adds,
-                                   RuleHandle removes) {
+void EnclaveSession::send_mutation(std::vector<std::uint8_t> command) {
+  if (state_ != State::ready) return;
   if (txn_snapshot_ != nullptr) {
-    stage(std::move(command), std::move(done), adds, removes);
+    stage(std::move(command), {});
   } else {
-    send_request(std::move(command), std::move(done), adds, removes);
-  }
-}
-
-bool EnclaveSession::add_unanswered(RuleHandle handle) const {
-  for (const auto* queue : {&outbox_, &inflight_}) {
-    for (const RequestFrame& frame : *queue) {
-      for (const Request& request : frame.requests) {
-        if (request.adds == handle) return true;
-      }
-    }
-  }
-  return false;
-}
-
-void EnclaveSession::rule_added(const std::string& table, RuleHandle handle,
-                                bool snapshot_rules,
-                                const Response& response) {
-  const bool ok = response.status == Status::ok;
-  const auto id = static_cast<core::MatchRuleId>(response.value);
-  if (ok) {
-    // Snapshot rules record into the open transaction's snapshot — the
-    // journal the client falls back to on abort; once the transaction
-    // is finished the snapshot is gone and the live journal is the only
-    // target left. Any other answered add is committed on the enclave,
-    // so a snapshot taken before the answer learns its id too, or an
-    // abort would bring the rule back without one.
-    if (txn_snapshot_ != nullptr) {
-      txn_snapshot_->set_remote_id(table, handle, id);
-      if (snapshot_rules) return;
-    }
-    if (journal_.set_remote_id(table, handle, id)) return;
-  }
-  // The rule is gone from the journal. If a remove waits for this
-  // answer, it becomes the real command now; a failed add left nothing
-  // to remove.
-  const auto resolve = [&](std::vector<Request>& requests) {
-    const auto it = std::find_if(
-        requests.begin(), requests.end(),
-        [&](const Request& r) { return r.removes == handle; });
-    if (it == requests.end()) return false;
-    if (ok) {
-      it->command = core::wire::encode_remove_rule_named(table, id);
-      it->removes = 0;
-    } else {
-      requests.erase(it);
-    }
-    return true;
-  };
-  if (resolve(staged_)) return;
-  for (auto frame = outbox_.begin(); frame != outbox_.end(); ++frame) {
-    if (!resolve(frame->requests)) continue;
-    --frame->waiting;
-    if (frame->requests.empty()) outbox_.erase(frame);
-    pump_outbox();
-    return;
+    send_request(std::move(command), {});
   }
 }
 
@@ -507,7 +447,6 @@ void EnclaveSession::send_batch() {
       bytes = core::wire::kBatchHeaderBytes;
     }
     bytes += size;
-    if (request.removes != 0) ++frame->waiting;
     frame->requests.push_back(std::move(request));
   }
   staged_.clear();
@@ -516,8 +455,7 @@ void EnclaveSession::send_batch() {
 
 void EnclaveSession::pump_outbox() {
   while (transport_ != nullptr && transport_->connected() &&
-         inflight_.size() < config_.max_inflight && !outbox_.empty() &&
-         outbox_.front().waiting == 0) {
+         inflight_.size() < config_.max_inflight && !outbox_.empty()) {
     RequestFrame& out = inflight_.emplace_back(std::move(outbox_.front()));
     outbox_.pop_front();
     out.id = next_request_id_++;
@@ -606,14 +544,6 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
     resync_span = spans().next_span_id();
     trace_.root = resync_span;
   }
-  for (auto& table : journal_.tables) {
-    for (auto& rule : table.rules) rule.remote_id = 0;
-  }
-  if (txn_snapshot_ != nullptr) {
-    for (auto& table : txn_snapshot_->tables) {
-      for (auto& rule : table.rules) rule.remote_id = 0;
-    }
-  }
 
   // The committed state the enclave converges to: the whole journal, or
   // — with a client transaction open across the reconnect — only its
@@ -624,7 +554,7 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
   const Journal& base = txn_open ? *txn_snapshot_ : journal_;
   send_request(core::wire::encode_begin_txn(), {});
   stage(core::wire::encode_reset_state(), {});
-  replay_journal(base, /*snapshot_rules=*/txn_open);
+  replay_journal(base);
   stage(core::wire::encode_commit_txn(), [this](const Response& response) {
     if (response.status == Status::ok) ++stats_.txns_committed;
     // Terminal hop of a resync trace — and of a txn trace whose commit
@@ -643,7 +573,7 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
     // atomically despite the disconnect.
     send_request(core::wire::encode_begin_txn(), {});
     stage(core::wire::encode_reset_state(), {});
-    replay_journal(journal_, /*snapshot_rules=*/false);
+    replay_journal(journal_);
     commands += 1 + staged_.size();
   }
 
@@ -662,8 +592,7 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
   }
 }
 
-void EnclaveSession::replay_journal(const Journal& journal,
-                                    bool snapshot_rules) {
+void EnclaveSession::replay_journal(const Journal& journal) {
   for (const auto& action : journal.actions) {
     stage(core::wire::encode_install_action(action.name, action.program,
                                             action.globals),
@@ -680,33 +609,15 @@ void EnclaveSession::replay_journal(const Journal& journal,
   for (const auto& table : journal.tables) {
     stage(core::wire::encode_create_table(table.name), {});
     for (const auto& rule : table.rules) {
-      stage(core::wire::encode_add_rule_named(table.name, rule.spec->pattern,
+      stage(core::wire::encode_add_rule_named(table.name, rule.handle,
+                                              rule.spec->pattern,
                                               rule.spec->action),
-            [this, handle = rule.handle, table_name = table.name,
-             snapshot_rules](const Response& response) {
-              rule_added(table_name, handle, snapshot_rules, response);
-            },
-            rule.handle);
+            {});
     }
   }
   for (const auto& [rule, class_name] : journal.flow_rules) {
     stage(core::wire::encode_add_flow_rule(rule, class_name), {});
   }
-}
-
-bool EnclaveSession::Journal::set_remote_id(const std::string& table,
-                                            RuleHandle handle,
-                                            core::MatchRuleId id) {
-  for (TableDef& t : tables) {
-    if (t.name != table) continue;
-    for (RuleDef& r : t.rules) {
-      if (r.handle == handle) {
-        r.remote_id = id;
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 EnclaveSession::Journal::ActionDef* EnclaveSession::find_action(
@@ -742,7 +653,7 @@ bool EnclaveSession::install_action(const std::string& name,
   // not be replayed over the new program.
   def->scalars.clear();
   def->arrays.clear();
-  if (state_ == State::ready) send_mutation(std::move(command), {});
+  send_mutation(std::move(command));
   return true;
 }
 
@@ -751,14 +662,14 @@ void EnclaveSession::remove_action(const std::string& name) {
   if (!fits_a_frame(command)) return;
   std::erase_if(journal_.actions,
                 [&](const Journal::ActionDef& a) { return a.name == name; });
-  // Desired state: rules pointing at a removed action are gone too (the
-  // live enclave leaves them as harmless no-ops until the next resync).
+  // Rules pointing at the action go with it, in the journal as on the
+  // enclave (Enclave::remove_action erases them).
   for (auto& table : journal_.tables) {
     std::erase_if(table.rules, [&](const Journal::RuleDef& r) {
       return r.spec->action == name;
     });
   }
-  if (state_ == State::ready) send_mutation(std::move(command), {});
+  send_mutation(std::move(command));
 }
 
 void EnclaveSession::create_table(const std::string& name) {
@@ -766,59 +677,32 @@ void EnclaveSession::create_table(const std::string& name) {
   std::vector<std::uint8_t> command = core::wire::encode_create_table(name);
   if (!fits_a_frame(command)) return;
   journal_.tables.emplace_back().name = name;
-  if (state_ == State::ready) send_mutation(std::move(command), {});
+  send_mutation(std::move(command));
 }
 
 EnclaveSession::RuleHandle EnclaveSession::add_rule(const std::string& table,
                                                     const std::string& pattern,
                                                     const std::string& action) {
+  const RuleHandle handle = next_handle_;
   std::vector<std::uint8_t> command =
-      core::wire::encode_add_rule_named(table, pattern, action);
+      core::wire::encode_add_rule_named(table, handle, pattern, action);
   if (!fits_a_frame(command)) return 0;
   create_table(table);  // implicit, like a filesystem mkdir -p
-  const RuleHandle handle = next_handle_++;
+  ++next_handle_;
   find_table(table)->rules.push_back(
       {handle, std::make_shared<const Journal::RuleSpec>(
                    Journal::RuleSpec{pattern, action})});
-  if (state_ == State::ready) {
-    send_mutation(
-        std::move(command),
-        [this, handle, table_name = table](const Response& response) {
-          rule_added(table_name, handle, /*snapshot_rules=*/false, response);
-        },
-        handle);
-  }
+  send_mutation(std::move(command));
   return handle;
 }
 
 void EnclaveSession::remove_rule(const std::string& table, RuleHandle handle) {
   Journal::TableDef* t = find_table(table);
   if (t == nullptr) return;
-  const auto rule =
-      std::find_if(t->rules.begin(), t->rules.end(),
-                   [&](const Journal::RuleDef& r) { return r.handle == handle; });
-  if (rule == t->rules.end()) return;
-  const core::MatchRuleId remote_id = rule->remote_id;
-  t->rules.erase(rule);
-  if (state_ != State::ready) return;
-  if (remote_id != 0) {
-    send_mutation(core::wire::encode_remove_rule_named(table, remote_id), {});
-    return;
-  }
-  // No remote id yet. An add still waiting in the staged batch is simply
-  // dropped, so the enclave never sees the rule. A sent add is removed
-  // by the id its answer brings: the remove takes its place in the
-  // request order now, with a stand-in command, and holds its frame
-  // (and all behind it) until rule_added fills it in. An add that was
-  // answered without an id failed, and left nothing to remove.
-  const auto staged =
-      std::find_if(staged_.begin(), staged_.end(),
-                   [&](const Request& r) { return r.adds == handle; });
-  if (staged != staged_.end()) {
-    staged_.erase(staged);
-  } else if (add_unanswered(handle)) {
-    send_mutation(core::wire::encode_remove_rule_named(table, 0), {}, 0,
-                  handle);
+  const auto gone = std::erase_if(
+      t->rules, [&](const Journal::RuleDef& r) { return r.handle == handle; });
+  if (gone != 0) {
+    send_mutation(core::wire::encode_remove_rule_named(table, handle));
   }
 }
 
@@ -834,7 +718,7 @@ void EnclaveSession::set_global_scalar(const std::string& action,
       core::wire::encode_set_global_scalar(action, field, value);
   if (!fits_a_frame(command)) return;
   def->scalars[field] = value;
-  if (state_ == State::ready) send_mutation(std::move(command), {});
+  send_mutation(std::move(command));
 }
 
 bool EnclaveSession::set_global_array(const std::string& action,
@@ -846,7 +730,7 @@ bool EnclaveSession::set_global_array(const std::string& action,
       core::wire::encode_set_global_array(action, field, data);
   if (!fits_a_frame(command)) return false;
   def->arrays[field] = std::move(data);
-  if (state_ == State::ready) send_mutation(std::move(command), {});
+  send_mutation(std::move(command));
   return true;
 }
 
@@ -856,14 +740,12 @@ void EnclaveSession::add_flow_rule(const core::FlowClassifierRule& rule,
       core::wire::encode_add_flow_rule(rule, class_name);
   if (!fits_a_frame(command)) return;
   journal_.flow_rules.emplace_back(rule, class_name);
-  if (state_ == State::ready) send_mutation(std::move(command), {});
+  send_mutation(std::move(command));
 }
 
 void EnclaveSession::clear_flow_rules() {
   journal_.flow_rules.clear();
-  if (state_ == State::ready) {
-    send_mutation(core::wire::encode_clear_flow_rules(), {});
-  }
+  send_mutation(core::wire::encode_clear_flow_rules());
 }
 
 void EnclaveSession::begin_txn() {

@@ -134,8 +134,9 @@ class EnclaveSession {
   // Monotonic nanoseconds. Injectable so tests drive virtual time.
   using ClockFn = std::function<std::uint64_t()>;
 
-  // Session-local stable rule identity; survives resyncs (the remote
-  // MatchRuleId does not).
+  // Stable rule identity, chosen by the session: the wire names a rule
+  // by its handle, so the enclave holds it under that id in every
+  // incarnation the resyncs build.
   using RuleHandle = std::uint64_t;
 
   EnclaveSession(std::string name, Connector connector, ClockFn clock,
@@ -167,10 +168,8 @@ class EnclaveSession {
   void create_table(const std::string& name);
   RuleHandle add_rule(const std::string& table, const std::string& pattern,
                       const std::string& action);
-  // A rule whose add is still unanswered is removed by id once the
-  // answer brings it: the remove keeps its place in the request order,
-  // and the requests behind it (a transaction's commit included) wait
-  // for it.
+  // Leaves at once (staged inside a transaction): requests are applied
+  // in order, so the remove always lands behind its add.
   void remove_rule(const std::string& table, RuleHandle handle);
   void set_global_scalar(const std::string& action, const std::string& field,
                          std::int64_t value);
@@ -248,7 +247,6 @@ class EnclaveSession {
       // Shared with the transaction snapshot's copy, so neither the
       // snapshot nor an erase moves strings.
       std::shared_ptr<const RuleSpec> spec;
-      core::MatchRuleId remote_id = 0;  // 0 until the add response lands
     };
     struct TableDef {
       std::string name;
@@ -257,10 +255,6 @@ class EnclaveSession {
     std::vector<ActionDef> actions;
     std::vector<TableDef> tables;
     std::vector<std::pair<core::FlowClassifierRule, std::string>> flow_rules;
-
-    // Records a rule's remote id; false when the rule is gone.
-    bool set_remote_id(const std::string& table, RuleHandle handle,
-                       core::MatchRuleId id);
   };
 
   using Completion = std::function<void(const core::wire::Response&)>;
@@ -275,19 +269,13 @@ class EnclaveSession {
     std::int64_t parent_span = 0;
     std::int64_t span_id = 0;
     std::int64_t sent_span_ns = 0;
-    RuleHandle adds = 0;  // the rule an add_rule_named adds
-    // The rule a remove_rule_named removes once its add is answered;
-    // until then `command` is a stand-in of the same size (remote id 0).
-    RuleHandle removes = 0;
   };
   // One request frame: a lone command, or a batch of them. `id` and
-  // `sent_at_ns` are set when it leaves the outbox, which it does only
-  // once none of its removes waits for an add's answer.
+  // `sent_at_ns` are set when it leaves the outbox.
   struct RequestFrame {
     std::uint64_t id = 0;
     std::uint64_t sent_at_ns = 0;
     bool batch = false;
-    std::size_t waiting = 0;  // requests with `removes` still set
     std::vector<Request> requests;
   };
 
@@ -313,35 +301,20 @@ class EnclaveSession {
   // Queues one command in a request frame of its own; frames leave the
   // outbox as the pipelining window (max_inflight) allows, FIFO. Only
   // valid while connected.
-  void send_request(std::vector<std::uint8_t> command, Completion done,
-                    RuleHandle adds = 0, RuleHandle removes = 0);
+  void send_request(std::vector<std::uint8_t> command, Completion done);
   // Adds one command to the open transaction's staged batch.
-  void stage(std::vector<std::uint8_t> command, Completion done,
-             RuleHandle adds = 0, RuleHandle removes = 0);
-  // A mutation while ready: staged inside a client transaction, sent
-  // alone outside one.
-  void send_mutation(std::vector<std::uint8_t> command, Completion done,
-                     RuleHandle adds = 0, RuleHandle removes = 0);
-  // The completion of every add_rule_named: records the rule's remote id
-  // in the journal and in an open transaction's snapshot (only there,
-  // with `snapshot_rules`), or, when the rule was removed while the add
-  // was unanswered, turns the remove waiting for it into the real
-  // command (dropped if the add failed) and lets its frame go.
-  void rule_added(const std::string& table, RuleHandle handle,
-                  bool snapshot_rules, const core::wire::Response& response);
-  // True while an add_rule_named of `handle` is queued or in flight.
-  bool add_unanswered(RuleHandle handle) const;
+  void stage(std::vector<std::uint8_t> command, Completion done);
+  // Sends a journaled mutation when ready (else the resync replays it):
+  // staged inside a client transaction, alone outside one.
+  void send_mutation(std::vector<std::uint8_t> command);
   // Queues the staged commands as batch frames, in order, each under
   // kMaxFramePayload.
   void send_batch();
   void pump_outbox();
   void send_hello();
   void send_heartbeat();
-  // Stages one install/set/create/add command per journal fact. With
-  // `snapshot_rules` set the rule-add completions record remote ids into
-  // the open transaction's snapshot (the journal the client falls back
-  // to on abort) instead of the live journal.
-  void replay_journal(const Journal& journal, bool snapshot_rules);
+  // Stages one install/set/create/add command per journal fact.
+  void replay_journal(const Journal& journal);
   Journal::ActionDef* find_action(const std::string& name);
   Journal::TableDef* find_table(const std::string& name);
   std::string fetch_payload(PipePump& pump,

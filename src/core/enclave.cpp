@@ -664,6 +664,13 @@ std::optional<TableId> Enclave::find_table_id(const std::string& name) const {
 MatchRuleId Enclave::add_rule(TableId table, ClassPattern pattern,
                               ActionId action) {
   std::lock_guard lock(control_mutex_);
+  const MatchRuleId id = next_rule_id_;
+  add_rule_locked(table, std::move(pattern), action, id);
+  return id;
+}
+
+bool Enclave::add_rule_locked(TableId table, ClassPattern pattern,
+                              ActionId action, MatchRuleId id) {
   auto state = begin_mutation_locked();
   Table* t = nullptr;
   for (Table& candidate : state->tables) {
@@ -677,6 +684,10 @@ MatchRuleId Enclave::add_rule(TableId table, ClassPattern pattern,
       state->actions[action] == nullptr) {
     throw std::invalid_argument("no such action");
   }
+  if (std::any_of(t->rules.begin(), t->rules.end(),
+                  [id](const MatchRule& r) { return r.id == id; })) {
+    return false;
+  }
   // An exact pattern names one class: resolve it now, interning a name
   // no stage has registered yet, so the data path finds it by id.
   const ClassId cls =
@@ -684,10 +695,10 @@ MatchRuleId Enclave::add_rule(TableId table, ClassPattern pattern,
   auto wildcard = cls == kInvalidClass
                       ? std::make_shared<const ClassPattern>(std::move(pattern))
                       : nullptr;
-  const MatchRuleId id = next_rule_id_++;
   t->rules.push_back(MatchRule{id, std::move(wildcard), action, cls});
+  next_rule_id_ = std::max(next_rule_id_, id + 1);
   end_mutation_locked(std::move(state));
-  return id;
+  return true;
 }
 
 bool Enclave::remove_rule(TableId table, MatchRuleId rule) {

@@ -46,6 +46,9 @@ namespace eden::core {
 namespace detail {
 struct ThreadState;  // per-thread execution resources (enclave.cpp)
 }
+namespace wire {
+struct AgentAccess;  // the wire agent's way to add_rule's id form (wire.cpp)
+}
 
 using ActionId = std::uint32_t;
 using TableId = std::uint32_t;
@@ -207,6 +210,8 @@ class Enclave {
   TableId create_table(const std::string& name);
   void delete_table(TableId table);
   std::optional<TableId> find_table_id(const std::string& name) const;
+  // Adds a rule under a fresh enclave-assigned id and returns it. Throws
+  // std::invalid_argument for an unknown table or action.
   MatchRuleId add_rule(TableId table, ClassPattern pattern, ActionId action);
   bool remove_rule(TableId table, MatchRuleId rule);
   std::size_t rule_count(TableId table) const;
@@ -434,6 +439,7 @@ class Enclave {
   struct RuleState;
   struct Txn;
   friend struct detail::ThreadState;
+  friend struct wire::AgentAccess;
 
   bool process_one(detail::ThreadState& ts, const RuleState& rules,
                    netsim::Packet& packet);
@@ -474,6 +480,12 @@ class Enclave {
   std::uint64_t publish_locked(std::shared_ptr<RuleState> next);
   std::shared_ptr<ActionEntry> checked_entry(ActionId id) const;
   ActionId install_entry(std::shared_ptr<ActionEntry> entry);
+  // The one rule add, under `id`: a fresh enclave id (add_rule) or the
+  // rule handle a remote controller's session chose (the wire agent's
+  // add_rule_named). False, with nothing changed, when the table
+  // already holds a rule with that id. Throws like add_rule.
+  bool add_rule_locked(TableId table, ClassPattern pattern, ActionId action,
+                       MatchRuleId id);
 
   std::string name_;
   ClassRegistry& registry_;
@@ -497,6 +509,7 @@ class Enclave {
   std::uint64_t next_version_ = 1;
   std::unique_ptr<Txn> txn_;
   std::uint64_t next_txn_id_ = 1;
+  // Above every id a table holds, so add_rule never meets a live one.
   MatchRuleId next_rule_id_ = 1;
   TableId next_table_id_ = 0;
 

@@ -72,10 +72,10 @@ bool is_command(std::uint8_t op) {
     case Command::commit_txn:
     case Command::abort_txn:
     case Command::reset_state:
-    case Command::add_rule_named:
     case Command::remove_rule_named:
     case Command::get_telemetry_delta:
     case Command::batch:
+    case Command::add_rule_named:
       return true;
   }
   return false;
@@ -197,10 +197,11 @@ std::vector<std::uint8_t> encode_reset_state() {
 }
 
 std::vector<std::uint8_t> encode_add_rule_named(
-    const std::string& table_name, const std::string& pattern,
-    const std::string& action_name) {
+    const std::string& table_name, MatchRuleId rule,
+    const std::string& pattern, const std::string& action_name) {
   ByteWriter w = header(Command::add_rule_named);
   w.str(table_name);
+  w.u64(rule);
   w.str(pattern);
   w.str(action_name);
   return w.take();
@@ -271,6 +272,15 @@ std::optional<std::vector<Response>> batch_responses(const Response& answer) {
 }
 
 // --- Agent ------------------------------------------------------------------
+
+// Enclave befriends this to give add_rule_named its id-taking add.
+struct AgentAccess {
+  static bool add_rule(Enclave& enclave, TableId table, ClassPattern pattern,
+                       ActionId action, MatchRuleId id) {
+    std::lock_guard lock(enclave.control_mutex_);
+    return enclave.add_rule_locked(table, std::move(pattern), action, id);
+  }
+};
 
 namespace {
 
@@ -411,6 +421,7 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       return ok();
     case Command::add_rule_named: {
       const std::string table_name = r.str();
+      const MatchRuleId rule = r.u64();
       const std::string pattern = r.str();
       const auto id = resolve_action(r.str());
       if (!id) return fail(Status::unknown_action, "no such action");
@@ -420,7 +431,9 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       const auto table = enclave.find_table_id(table_name);
       if (!table) return fail(Status::unknown_table, "no such table");
       try {
-        return ok(enclave.add_rule(*table, parsed, *id));
+        return AgentAccess::add_rule(enclave, *table, parsed, *id, rule)
+                   ? ok()
+                   : fail(Status::rejected, "rule id already in the table");
       } catch (const std::invalid_argument& e) {
         return fail(Status::unknown_table, e.what());
       }

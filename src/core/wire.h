@@ -25,9 +25,10 @@ class DeltaEncoder;
 namespace eden::core::wire {
 
 // The command numbers are part of the frame format. The gaps (4-6,
-// 11-15 and 23) are retired commands that no client sends any more.
-// The agent answers them bad_request and they are never reused, so a
-// frame from another build can never decode as a different command.
+// 11-15, 21 and 23) are retired commands that no client sends any more;
+// 21 added a rule whose id the enclave chose. The agent answers them
+// bad_request and they are never reused, so a frame from another build
+// can never decode as a different command.
 enum class Command : std::uint8_t {
   install_action = 1,
   remove_action = 2,
@@ -50,8 +51,8 @@ enum class Command : std::uint8_t {
   reset_state = 20,
   // Rules are addressed by *table name*, so a resync replay can
   // pipeline table creation and rule installs without waiting for
-  // create_table responses.
-  add_rule_named = 21,  // value = MatchRuleId
+  // create_table responses, and named by the id the session chose (its
+  // RuleHandle), so a remove never waits for its add's answer.
   remove_rule_named = 22,
   // Stats read-back: the request echoes the (epoch, seq) the controller
   // last decoded; the agent's telemetry::DeltaEncoder answers with a
@@ -61,6 +62,9 @@ enum class Command : std::uint8_t {
   // Commands applied one by one as if each came in its own frame (see
   // encode_batch() and apply()): a transaction's staged mutations.
   batch = 25,
+  // Adds a rule under the session's id (see remove_rule_named). Answers
+  // rejected, changing nothing, when the table already holds that id.
+  add_rule_named = 26,
 };
 
 enum class Status : std::uint8_t {
@@ -101,6 +105,7 @@ std::vector<std::uint8_t> encode_commit_txn();
 std::vector<std::uint8_t> encode_abort_txn();
 std::vector<std::uint8_t> encode_reset_state();
 std::vector<std::uint8_t> encode_add_rule_named(const std::string& table_name,
+                                                MatchRuleId rule,
                                                 const std::string& pattern,
                                                 const std::string& action_name);
 std::vector<std::uint8_t> encode_remove_rule_named(

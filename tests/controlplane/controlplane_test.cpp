@@ -637,8 +637,8 @@ TEST_F(SessionTest, RemoveBeforeAddResponseIsDeferredNotLost) {
   session_->install_action("p7", priority_program("p7", 7), {});
   ASSERT_TRUE(settle());
 
-  // The add request is in flight (no pump between the calls): the rule
-  // has no remote id yet, so the remove must wait for it.
+  // The add request is in flight (no pump between the calls): the
+  // remove follows it in request order.
   const auto handle = session_->add_rule("t2", "*", "p7");
   session_->remove_rule("t2", handle);
   ASSERT_TRUE(settle());
@@ -649,9 +649,9 @@ TEST_F(SessionTest, RemoveBeforeAddResponseIsDeferredNotLost) {
 }
 
 // A rule removed inside a transaction while its add, sent before the
-// transaction, is still unanswered: the remove waits for the add's id
-// and leaves inside the commit's batch, so the commit never publishes
-// the rule.
+// transaction, is still unanswered: the remove leaves inside the
+// commit's batch, behind the add, so the commit never publishes the
+// rule.
 TEST_F(SessionTest, RemoveInTxnOfUnansweredAddLandsWithTheCommit) {
   make_session();
   session_->install_action("p7", priority_program("p7", 7), {});
@@ -700,8 +700,8 @@ TEST_F(SessionTest, RemoveInTxnOfUnansweredAddLandsWithTheCommit) {
 }
 
 // An add answered while a transaction is open is committed on the
-// enclave, so aborting the transaction must not lose its id: a later
-// remove of the rule still reaches the enclave.
+// enclave, so aborting the transaction must keep the rule: a later
+// remove of it still reaches the enclave.
 TEST_F(SessionTest, AbortKeepsTheIdOfAnAddAnsweredDuringTheTxn) {
   make_session();
   session_->install_action("p7", priority_program("p7", 7), {});
@@ -722,6 +722,30 @@ TEST_F(SessionTest, AbortKeepsTheIdOfAnAddAnsweredDuringTheTxn) {
   ASSERT_TRUE(settle());
   EXPECT_EQ(enclave_.rule_count(*table), 1u);
   EXPECT_EQ(session_->stats().responses_error, 0u);
+}
+
+// A rule whose add failed (its action is not installed) stays in the
+// journal, so its remove is sent too. The enclave answers it
+// unknown_table: one more error response, and nothing torn down.
+TEST_F(SessionTest, RemoveOfARuleWhoseAddFailedIsAnswered) {
+  make_session();
+  ASSERT_TRUE(settle());
+  const auto handle = session_->add_rule("t", "*", "ghost");
+  ASSERT_TRUE(settle());
+  const SessionStats before = session_->stats();
+  ASSERT_EQ(before.responses_error, 1u);  // the add: unknown_action
+
+  session_->remove_rule("t", handle);
+  ASSERT_TRUE(settle());
+  EXPECT_TRUE(session_->ready());
+  EXPECT_EQ(session_->stats().requests_sent, before.requests_sent + 1);
+  EXPECT_EQ(session_->stats().responses_ok, before.responses_ok);
+  EXPECT_EQ(session_->stats().responses_error, before.responses_error + 1);
+  EXPECT_EQ(session_->stats().teardowns, 0u);
+  EXPECT_EQ(session_->stats().resyncs, 1u);
+  const auto table = enclave_.find_table_id("t");
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(enclave_.rule_count(*table), 0u);
 }
 
 // A command no frame can carry is refused before it is journaled or
@@ -841,8 +865,8 @@ TEST_F(SessionTest, RepointTxnLeavesAsTwoRequestFrames) {
   enclave_.process(packet);
   EXPECT_EQ(packet.priority, 3);
 
-  // The new rules' ids came back with the batch: the next re-point
-  // removes them by id, again in two frames.
+  // The new rules are named by their handles: the next re-point removes
+  // them by handle, again in two frames.
   session_->begin_txn();
   for (int i = 0; i < kRules; ++i) {
     session_->remove_rule("egress", rules[static_cast<std::size_t>(i)]);

@@ -13,7 +13,9 @@
 // The link drops, delays, duplicates, truncates and hard-closes with a
 // seeded profile, and the enclave is periodically hard-restarted (blank
 // state, new agent boot id), so convergence happens through the journal
-// resync path, not just the happy path. Run under TSan this is the
+// resync path, not just the happy path. Whenever the session is quiet,
+// and once more on each side of a final clean reconnect, each table
+// must hold exactly the last epoch's rule. Run under TSan this is the
 // regression test for the RCU snapshot publication in Enclave::process.
 //
 // Environment knobs (for the CI soak matrix):
@@ -134,6 +136,29 @@ TEST(ControlPlaneSoak, CommitsStayAtomicUnderChaos) {
   const auto queue_program =
       controller.compile("queue_fn", epoch_program("queue"), fields);
 
+  // Every request answered and no transaction open on the enclave: the
+  // enclave then holds exactly what the session's journal says.
+  auto quiet = [&]() {
+    return session.ready() && session.inflight() == 0 && pump.pending() == 0 &&
+           !enclave.txn_open();
+  };
+  auto converge = [&]() {
+    for (int i = 0; i < 20000; ++i) {
+      step();
+      if (quiet()) return true;
+    }
+    return false;
+  };
+  // Each table holds the last epoch's rule and nothing else: a remove by
+  // handle that leaked a rule, or removed one twice, shows here.
+  auto expect_one_rule_each = [&](const char* when) {
+    for (const char* name : {"paths", "queues"}) {
+      const auto table = enclave.find_table_id(name);
+      ASSERT_TRUE(table.has_value()) << name << " " << when;
+      EXPECT_EQ(enclave.rule_count(*table), 1u) << name << " " << when;
+    }
+  };
+
   EnclaveSession::RuleHandle path_rule = 0;
   EnclaveSession::RuleHandle queue_rule = 0;
   std::uint64_t restarts = 0;
@@ -158,6 +183,9 @@ TEST(ControlPlaneSoak, CommitsStayAtomicUnderChaos) {
     session.commit_txn();
 
     for (int i = 0; i < 8; ++i) step();
+    // Chaos resyncs often; between them, rules come and go by the live
+    // adds and removes alone.
+    if (quiet()) expect_one_rule_each("mid-chaos");
 
     if (s % 15 == 0) {
       // Hard enclave restart: blank state, new boot id. The session must
@@ -169,16 +197,14 @@ TEST(ControlPlaneSoak, CommitsStayAtomicUnderChaos) {
     }
   }
 
-  // Calm the link and let the session converge on the final journal.
+  // Calm the link and let the session converge on the final journal,
+  // first over the connection the chaos left, then over a clean one.
   chaos = false;
+  ASSERT_TRUE(converge()) << "session never converged after chaos ended";
+  expect_one_rule_each("before the reconnect");
   agent->detach();  // force one clean reconnect
-  bool converged = false;
-  for (int i = 0; i < 20000 && !converged; ++i) {
-    step();
-    converged = session.ready() && session.inflight() == 0 &&
-                pump.pending() == 0 && !enclave.txn_open();
-  }
-  ASSERT_TRUE(converged) << "session never converged after chaos ended";
+  ASSERT_TRUE(converge()) << "session never converged after the reconnect";
+  expect_one_rule_each("after the reconnect");
 
   // The committed state is exactly the last epoch, in both tables.
   netsim::Packet probe;

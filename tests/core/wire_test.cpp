@@ -81,7 +81,7 @@ TEST_F(WireTest, InstallAndDriveActionRemotely) {
   ASSERT_EQ(r.status, Status::ok);
 
   ASSERT_EQ(send(encode_create_table("main")).status, Status::ok);
-  ASSERT_EQ(send(encode_add_rule_named("main", "*", "express")).status,
+  ASSERT_EQ(send(encode_add_rule_named("main", 1, "*", "express")).status,
             Status::ok);
   ASSERT_EQ(send(encode_set_global_scalar("express", "cutoff", 500)).status,
             Status::ok);
@@ -139,14 +139,14 @@ TEST_F(WireTest, UnknownActionReported) {
             Status::unknown_action);
   EXPECT_EQ(send(encode_remove_action("ghost")).status, Status::unknown_action);
   ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
-  EXPECT_EQ(send(encode_add_rule_named("t", "*", "ghost")).status,
+  EXPECT_EQ(send(encode_add_rule_named("t", 1, "*", "ghost")).status,
             Status::unknown_action);
 }
 
 TEST_F(WireTest, UnknownTableAndRuleReported) {
   const auto program = controller_.compile("noop", "fun(p, m, g) -> 0", {});
   send(encode_install_action("noop", program, {}));
-  EXPECT_EQ(send(encode_add_rule_named("nope", "*", "noop")).status,
+  EXPECT_EQ(send(encode_add_rule_named("nope", 1, "*", "noop")).status,
             Status::unknown_table);
   EXPECT_EQ(send(encode_remove_rule_named("nope", 1)).status,
             Status::unknown_table);
@@ -165,7 +165,8 @@ TEST_F(WireTest, MalformedClassPatternRejected) {
   const Response t = send(encode_create_table("t"));
   ASSERT_EQ(t.status, Status::ok);
   const auto table = static_cast<TableId>(t.value);
-  const Response r = send(encode_add_rule_named("t", "not-a-class", "noop"));
+  const Response r =
+      send(encode_add_rule_named("t", 1, "not-a-class", "noop"));
   EXPECT_EQ(r.status, Status::rejected);
   EXPECT_NE(r.error.find("malformed class pattern"), std::string::npos);
   EXPECT_EQ(enclave_.rule_count(table), 0u);
@@ -176,11 +177,10 @@ TEST_F(WireTest, RemoveActionAndRuleLifecycle) {
       controller_.compile("p3", "fun(p, m, g) -> p.priority <- 3", {});
   send(encode_install_action("p3", program, {}));
   const auto table = static_cast<TableId>(send(encode_create_table("t")).value);
-  const Response rule = send(encode_add_rule_named("t", "*", "p3"));
-  ASSERT_EQ(rule.status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", 7, "*", "p3")).status, Status::ok);
   EXPECT_EQ(enclave_.rule_count(table), 1u);
-  EXPECT_EQ(send(encode_remove_rule_named("t", rule.value)).status, Status::ok);
-  EXPECT_EQ(send(encode_remove_rule_named("t", rule.value)).status,
+  EXPECT_EQ(send(encode_remove_rule_named("t", 7)).status, Status::ok);
+  EXPECT_EQ(send(encode_remove_rule_named("t", 7)).status,
             Status::unknown_table);
   EXPECT_EQ(enclave_.rule_count(table), 0u);
   EXPECT_EQ(send(encode_remove_action("p3")).status, Status::ok);
@@ -192,7 +192,7 @@ TEST_F(WireTest, FlowRulesOverTheWire) {
       "p6", "fun(p, m, g) -> p.priority <- 6", {});
   send(encode_install_action("p6", program, {}));
   send(encode_create_table("t"));
-  send(encode_add_rule_named("t", "enclave.flows.tcp", "p6"));
+  send(encode_add_rule_named("t", 1, "enclave.flows.tcp", "p6"));
 
   FlowClassifierRule rule;
   rule.proto = static_cast<std::int64_t>(netsim::Protocol::tcp);
@@ -215,7 +215,7 @@ TEST_F(WireTest, TelemetryPullOverTheWire) {
       "p6", "fun(p, m, g) -> p.priority <- 6", {});
   send(encode_install_action("p6", program, {}));
   send(encode_create_table("t"));
-  send(encode_add_rule_named("t", "*", "p6"));
+  send(encode_add_rule_named("t", 1, "*", "p6"));
   netsim::Packet packet;
   packet.size_bytes = 100;
   enclave_.process(packet);
@@ -247,7 +247,7 @@ TEST_F(WireTest, PreOptimizedProgramInstallsAndRuns) {
 
   ASSERT_EQ(send(encode_install_action("express", o1, {})).status, Status::ok);
   ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
-  ASSERT_EQ(send(encode_add_rule_named("t", "*", "express")).status,
+  ASSERT_EQ(send(encode_add_rule_named("t", 1, "*", "express")).status,
             Status::ok);
 
   netsim::Packet small;
@@ -321,10 +321,11 @@ TEST_F(WireTest, TransactionCommandsOverTheWire) {
   EXPECT_EQ(send(encode_begin_txn()).status, Status::rejected);
 
   ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
-  ASSERT_EQ(send(encode_add_rule_named("t", "*", "tag")).status,
+  ASSERT_EQ(send(encode_add_rule_named("t", 1, "*", "tag")).status,
             Status::unknown_table);
   ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
-  ASSERT_EQ(send(encode_add_rule_named("t", "*", "tag")).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", 1, "*", "tag")).status,
+            Status::ok);
 
   // Staged, not visible: the data path still runs the empty rule set.
   netsim::Packet staged;
@@ -357,7 +358,8 @@ TEST_F(WireTest, AbortDropsStagedMutations) {
       controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
   ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
   ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
-  ASSERT_EQ(send(encode_add_rule_named("t", "*", "tag")).status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", 1, "*", "tag")).status,
+            Status::ok);
 
   ASSERT_EQ(send(encode_begin_txn()).status, Status::ok);
   ASSERT_EQ(send(encode_reset_state()).status, Status::ok);
@@ -374,19 +376,54 @@ TEST_F(WireTest, RemoveRuleNamedOverTheWire) {
       controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
   ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
   ASSERT_EQ(send(encode_create_table("t")).status, Status::ok);
-  const Response added = send(encode_add_rule_named("t", "*", "tag"));
-  ASSERT_EQ(added.status, Status::ok);
-
-  EXPECT_EQ(send(encode_remove_rule_named(
-                     "t", static_cast<MatchRuleId>(added.value)))
-                .status,
+  ASSERT_EQ(send(encode_add_rule_named("t", 1, "*", "tag")).status,
             Status::ok);
+
+  EXPECT_EQ(send(encode_remove_rule_named("t", 1)).status, Status::ok);
   EXPECT_EQ(send(encode_remove_rule_named("nope", 1)).status,
             Status::unknown_table);
 
   netsim::Packet p;
   enclave_.process(p);
   EXPECT_EQ(p.priority, 0);
+}
+
+// A rule is named by the id its controller chose, one per table: an id
+// already live in the table answers rejected and changes nothing, the
+// same id in another table is a different rule, and a remove by that id
+// removes only its own table's rule.
+TEST_F(WireTest, RuleIdLiveInItsTableIsRejected) {
+  const auto program =
+      controller_.compile("tag", "fun(p, m, g) -> p.priority <- 3", {});
+  ASSERT_EQ(send(encode_install_action("tag", program, {})).status, Status::ok);
+  const auto t = static_cast<TableId>(send(encode_create_table("t")).value);
+  const auto u = static_cast<TableId>(send(encode_create_table("u")).value);
+  ASSERT_EQ(send(encode_add_rule_named("t", 5, "*", "tag")).status,
+            Status::ok);
+
+  const std::uint64_t version = enclave_.ruleset_version();
+  const std::size_t classes = registry_.size();
+  const Response dup = send(encode_add_rule_named("t", 5, "a.b.c", "tag"));
+  EXPECT_EQ(dup.status, Status::rejected);
+  EXPECT_FALSE(dup.error.empty());
+  EXPECT_EQ(enclave_.rule_count(t), 1u);
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+  EXPECT_EQ(registry_.size(), classes);
+
+  ASSERT_EQ(send(encode_add_rule_named("u", 5, "*", "tag")).status,
+            Status::ok);
+  EXPECT_EQ(enclave_.rule_count(u), 1u);
+  EXPECT_EQ(send(encode_remove_rule_named("t", 5)).status, Status::ok);
+  EXPECT_EQ(enclave_.rule_count(t), 0u);
+  EXPECT_EQ(enclave_.rule_count(u), 1u);
+
+  // An in-process add takes a fresh id, never one a session has named.
+  ASSERT_EQ(send(encode_add_rule_named("u", 1, "*", "tag")).status,
+            Status::ok);
+  const MatchRuleId local =
+      enclave_.add_rule(u, ClassPattern("*"), *enclave_.find_action("tag"));
+  EXPECT_GT(local, 5u);
+  EXPECT_EQ(enclave_.rule_count(u), 3u);
 }
 
 // A batch answers each element exactly as that command would be
@@ -404,13 +441,13 @@ TEST_F(WireTest, BatchAnswersLikeCommandsOneByOne) {
   const std::vector<std::vector<std::uint8_t>> commands = {
       encode_install_action("tag", program, {{level, weights}}),
       encode_create_table("t"),
-      encode_add_rule_named("t", "a.b.c", "tag"),
-      encode_add_rule_named("t", "*", "tag"),
+      encode_add_rule_named("t", 1, "a.b.c", "tag"),
+      encode_add_rule_named("t", 2, "*", "tag"),
       encode_remove_rule_named("t", 1),
       encode_set_global_scalar("tag", "level", 9),
       encode_set_global_array("tag", "weights", data),
       encode_begin_txn(),
-      encode_add_rule_named("t", "x.y.*", "missing"),
+      encode_add_rule_named("t", 3, "x.y.*", "missing"),
       encode_set_global_scalar("tag", "level", 11),
       encode_commit_txn(),
       encode_remove_rule_named("t", 99),
@@ -507,7 +544,7 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
   FlowClassifierRule flow;
   flow.dst_port = 80;
   const auto create = encode_create_table("t");
-  const auto add = encode_add_rule_named("t", "*", "f");
+  const auto add = encode_add_rule_named("t", 1, "*", "f");
   const auto scalar = encode_set_global_scalar("f", "g", 7);
   const BatchElement batch[] = {{create, 3}, {add, 4}, {scalar, 0}};
 
@@ -524,10 +561,10 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
       encode_commit_txn(),
       encode_abort_txn(),
       encode_reset_state(),
-      encode_add_rule_named("t", "*", "f"),
       encode_remove_rule_named("t", 1),
       encode_get_telemetry_delta(1, 2),
       encode_batch(batch),
+      encode_add_rule_named("t", 1, "*", "f"),
   };
 
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {
@@ -562,8 +599,8 @@ TEST_F(WireTest, RetiredCommandsAnswerBadRequest) {
   const Response t = send(encode_create_table("t"));
   ASSERT_EQ(t.status, Status::ok);
   const auto table = static_cast<TableId>(t.value);
-  const Response rule = send(encode_add_rule_named("t", "*", "tag"));
-  ASSERT_EQ(rule.status, Status::ok);
+  ASSERT_EQ(send(encode_add_rule_named("t", 1, "*", "tag")).status,
+            Status::ok);
 
   using Body = std::function<void(util::ByteWriter&)>;
   const std::vector<std::pair<std::uint8_t, Body>> retired = {
@@ -577,7 +614,7 @@ TEST_F(WireTest, RetiredCommandsAnswerBadRequest) {
       {6,
        [&](util::ByteWriter& w) {  // remove a rule by table id
          w.u32(table);
-         w.u64(rule.value);
+         w.u64(1);
        }},
       {11,
        [](util::ByteWriter& w) {  // read a global scalar
@@ -599,6 +636,12 @@ TEST_F(WireTest, RetiredCommandsAnswerBadRequest) {
        [](util::ByteWriter& w) {  // remove a stage rule
          w.str("rs");
          w.u64(1);
+       }},
+      {21,
+       [](util::ByteWriter& w) {  // add a rule under an enclave-chosen id
+         w.str("t");
+         w.str("*");
+         w.str("tag");
        }},
       {23, [](util::ByteWriter&) {}},  // rule-set version
   };
@@ -661,7 +704,7 @@ class WireDeltaTest : public ::testing::Test {
     ASSERT_EQ(send(encode_install_action("mark", program, {})).status,
               Status::ok);
     ASSERT_EQ(send(encode_create_table("main")).status, Status::ok);
-    ASSERT_EQ(send(encode_add_rule_named("main", "*", "mark")).status,
+    ASSERT_EQ(send(encode_add_rule_named("main", 1, "*", "mark")).status,
               Status::ok);
     drive(packets);
   }
