@@ -46,8 +46,8 @@ struct ProgramFixture {
       : schema(core::make_enclave_schema(fn.global_fields())) {
     lang::CompileOptions options;
     options.tail_call_optimization = tco;
-    options.opt_level = level;
-    program = lang::compile_source(fn.source(), schema, options, fn.name());
+    program = lang::optimize(
+        lang::compile_source(fn.source(), schema, options, fn.name()), level);
     packet = lang::StateBlock::from_schema(schema, lang::Scope::packet);
     message = lang::StateBlock::from_schema(schema, lang::Scope::message);
     global = lang::StateBlock::from_schema(schema, lang::Scope::global);
@@ -58,14 +58,13 @@ void BM_Interpret_ArithmeticLoop(benchmark::State& state) {
   // Pure dispatch cost: a counted loop of arithmetic, no state access.
   // The benchmark argument is the optimization level.
   lang::StateSchema schema;
-  lang::CompileOptions options;
-  options.opt_level = state.range(0) == 0 ? lang::OptLevel::O0
-                                          : lang::OptLevel::O1;
-  const auto program = lang::compile_source(R"(fun(p) ->
+  const auto program = lang::optimize(
+      lang::compile_source(R"(fun(p) ->
       let i = 0 in
       let acc = 0 in
       (while i < 100 do acc <- acc + i * 3 - 1; i <- i + 1 done; acc))",
-                                            schema, options);
+                           schema),
+      state.range(0) == 0 ? lang::OptLevel::O0 : lang::OptLevel::O1);
   lang::Interpreter interp;
   for (auto _ : state) {
     auto r = interp.execute(program, nullptr, nullptr, nullptr);

@@ -20,14 +20,19 @@ using telemetry::Hop;
 namespace {
 std::atomic<std::uint64_t> g_next_boot_id{1};
 
+// Reconnect delays spread +-20% around the nominal backoff.
+constexpr double kBackoffJitter = 0.2;
+// Pipelining window, in request frames.
+constexpr std::size_t kMaxInflight = 64;
+
 telemetry::SpanCollector& spans() {
   return telemetry::SpanCollector::instance();
 }
 
-// Whether a command can reach the agent at all: alone, or as the one
-// element of a batch frame. A larger one would be rejected by the
-// agent's frame decoder, which closes the stream, and every resync
-// would replay it into the same frame.
+// Whether a command can reach the agent at all, as the one element of a
+// batch frame. A larger one would be rejected by the agent's frame
+// decoder, which closes the stream, and every resync would replay it
+// into the same frame.
 bool fits_a_frame(const std::vector<std::uint8_t>& command) {
   return core::wire::kBatchHeaderBytes + core::wire::kBatchElementMaxBytes +
              command.size() <=
@@ -98,25 +103,21 @@ void EnclaveAgent::on_bytes(std::span<const std::uint8_t> data) {
         }
         ++expected_request_id_;
         ++stats_.requests;
-        // Untraced requests pay exactly this branch. Traced ones time
-        // every command, the lone one or each element of a batch, and
-        // link it under the cp_send span it was sent under.
+        // Every request is a batch. Untraced ones pay exactly this
+        // branch; traced ones time each element and link it under the
+        // cp_send span it was sent under.
         Response response;
         std::int64_t apply_span = 0;
         if (frame.trace_id == 0) {
           response =
               core::wire::apply(enclave_, frame.payload, telemetry_encoder_);
-        } else if (core::wire::peek_command(frame.payload) ==
-                   core::wire::Command::batch) {
+        } else {
           response = core::wire::apply(
               enclave_, frame.payload, telemetry_encoder_,
               [&](const core::wire::BatchElement& e) {
                 return apply_traced(e.command, frame.trace_id, e.parent_span,
                                     apply_span);
               });
-        } else {
-          response = apply_traced(frame.payload, frame.trace_id,
-                                  frame.parent_span, apply_span);
         }
         transport_->send(encode_frame({FrameType::response, frame.id,
                                        core::wire::encode_response(response),
@@ -260,8 +261,7 @@ void EnclaveSession::schedule_reconnect() {
   nominal = std::min(nominal, config_.backoff_max_ns);
   // Jitter de-synchronizes a controller reconnecting to many enclaves
   // after a shared outage.
-  const double factor =
-      1.0 + config_.backoff_jitter * (2.0 * rng_.uniform() - 1.0);
+  const double factor = 1.0 + kBackoffJitter * (2.0 * rng_.uniform() - 1.0);
   const auto delay = static_cast<std::uint64_t>(
       static_cast<double>(nominal) * std::max(0.0, factor));
   next_connect_ns_ = clock_() + delay;
@@ -370,22 +370,19 @@ void EnclaveSession::handle_frame(const Frame& frame) {
       RequestFrame pending = std::move(inflight_.front());
       inflight_.pop_front();
       rtt_.record(now - pending.sent_at_ns);
-      const Response response = core::wire::decode_response(frame.payload);
-      std::optional<std::vector<Response>> elements;
-      if (pending.batch) {
-        elements = core::wire::batch_responses(response);
-        if (!elements.has_value() ||
-            elements->size() != pending.requests.size()) {
-          // The agent could not read the batch, or answered another
-          // one: as with a mismatched id, the stream is corrupt.
-          ++stats_.corrupt_streams;
-          teardown("bad batch response");
-          return;
-        }
+      const std::optional<std::vector<Response>> answers =
+          core::wire::batch_responses(
+              core::wire::decode_response(frame.payload));
+      if (!answers.has_value() || answers->size() != pending.requests.size()) {
+        // The agent could not read the batch, or answered another one:
+        // as with a mismatched id, the stream is corrupt.
+        ++stats_.corrupt_streams;
+        teardown("bad batch response");
+        return;
       }
       for (std::size_t i = 0; i < pending.requests.size(); ++i) {
         Request& request = pending.requests[i];
-        const Response& answer = pending.batch ? (*elements)[i] : response;
+        const Response& answer = (*answers)[i];
         if (request.trace_id != 0) {
           // Round-trip slice under the cp_send span; agent-side spans
           // for the same command hang off that same parent, so the tree
@@ -443,7 +440,6 @@ void EnclaveSession::send_batch() {
         core::wire::kBatchElementMaxBytes + request.command.size();
     if (frame == nullptr || bytes + size > kMaxFramePayload) {
       frame = &outbox_.emplace_back();
-      frame->batch = true;
       bytes = core::wire::kBatchHeaderBytes;
     }
     bytes += size;
@@ -455,7 +451,7 @@ void EnclaveSession::send_batch() {
 
 void EnclaveSession::pump_outbox() {
   while (transport_ != nullptr && transport_->connected() &&
-         inflight_.size() < config_.max_inflight && !outbox_.empty()) {
+         inflight_.size() < kMaxInflight && !outbox_.empty()) {
     RequestFrame& out = inflight_.emplace_back(std::move(outbox_.front()));
     outbox_.pop_front();
     out.id = next_request_id_++;
@@ -476,19 +472,15 @@ void EnclaveSession::pump_outbox() {
         frame.parent_span = request.span_id;
       }
     }
-    if (out.batch) {
-      std::vector<core::wire::BatchElement> elements;
-      elements.reserve(out.requests.size());
-      for (const Request& request : out.requests) {
-        elements.push_back(
-            {request.command,
-             request.trace_id == frame.trace_id ? request.span_id : 0});
-      }
-      frame.payload = core::wire::encode_batch(elements);
-      for (Request& request : out.requests) request.command = {};
-    } else {
-      frame.payload = std::move(out.requests.front().command);
+    std::vector<core::wire::BatchElement> elements;
+    elements.reserve(out.requests.size());
+    for (const Request& request : out.requests) {
+      elements.push_back(
+          {request.command,
+           request.trace_id == frame.trace_id ? request.span_id : 0});
     }
+    frame.payload = core::wire::encode_batch(elements);
+    for (Request& request : out.requests) request.command = {};
     if (frame.trace_id == 0) {
       transport_->send(encode_frame(frame));
     } else {
@@ -548,11 +540,10 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
   // The committed state the enclave converges to: the whole journal, or
   // — with a client transaction open across the reconnect — only its
   // pre-transaction snapshot, so the staged mutations stay invisible.
-  // Like a client transaction, the begin leaves alone and the rest
-  // leaves with the commit as one batch.
+  // Like a client transaction, it leaves whole as one batch.
   const bool txn_open = txn_snapshot_ != nullptr;
   const Journal& base = txn_open ? *txn_snapshot_ : journal_;
-  send_request(core::wire::encode_begin_txn(), {});
+  stage(core::wire::encode_begin_txn(), {});
   stage(core::wire::encode_reset_state(), {});
   replay_journal(base);
   stage(core::wire::encode_commit_txn(), [this](const Response& response) {
@@ -561,20 +552,20 @@ void EnclaveSession::start_resync(const AgentGreeting& /*greeting*/) {
     // was folded into this resync across a reconnect.
     finish_trace_unless_txn_open();
   });
-  std::uint64_t commands = 1 + staged_.size();
+  std::uint64_t commands = staged_.size();
   send_batch();
 
   if (txn_open) {
-    // Re-open the interrupted transaction on the fresh connection and
-    // re-stage its effects by replaying the full desired journal on
-    // top of a staged wipe. They wait in the session like any staged
-    // mutation: the client's eventual commit_txn sends them, abort_txn
-    // drops them, so the transaction still lands (or vanishes)
-    // atomically despite the disconnect.
-    send_request(core::wire::encode_begin_txn(), {});
+    // Re-open the interrupted transaction and re-stage its effects by
+    // replaying the full desired journal on top of a staged wipe. They
+    // wait in the session like any staged mutation: the client's
+    // eventual commit_txn sends them, abort_txn drops them, so the
+    // transaction still lands (or vanishes) atomically despite the
+    // disconnect.
+    stage(core::wire::encode_begin_txn(), {});
     stage(core::wire::encode_reset_state(), {});
     replay_journal(journal_);
-    commands += 1 + staged_.size();
+    commands += staged_.size();
   }
 
   stats_.last_resync_commands = commands;
@@ -761,11 +752,9 @@ void EnclaveSession::begin_txn() {
           spans().record_linked(id, Hop::cp_txn_begin, 0, spans().now_ns());
     }
   }
-  // The begin leaves at once, so the enclave holds the staged copy; the
-  // mutations after it are staged here until the commit.
-  if (state_ == State::ready) {
-    send_request(core::wire::encode_begin_txn(), {});
-  }
+  // The begin waits here with the mutations after it, and all of them
+  // leave with the commit.
+  if (state_ == State::ready) stage(core::wire::encode_begin_txn(), {});
 }
 
 void EnclaveSession::commit_txn() {
@@ -798,20 +787,12 @@ void EnclaveSession::abort_txn() {
   if (txn_snapshot_ == nullptr) return;
   journal_ = std::move(*txn_snapshot_);
   txn_snapshot_.reset();
-  staged_.clear();  // the staged mutations never leave
+  staged_.clear();  // nothing of the transaction has left the session
   ++stats_.txns_aborted;
   FlightRecorder::instance().record(FlightEventType::txn_abort, name_);
-  const bool owned = trace_.owner == TraceOwner::txn;
-  if (owned) {
+  if (trace_.owner == TraceOwner::txn) {
     spans().record_linked(trace_.id, Hop::cp_txn_abort, trace_.root,
                           spans().now_ns());
-  }
-  if (state_ == State::ready) {
-    send_request(core::wire::encode_abort_txn(),
-                 [this, owned](const Response&) {
-                   if (owned) trace_ = ActiveTrace{};
-                 });
-  } else if (owned) {
     trace_ = ActiveTrace{};
   }
 }

@@ -113,9 +113,7 @@ struct SessionConfig {
   std::uint64_t request_timeout_ns = 250'000'000;     // 250 ms
   std::uint64_t backoff_initial_ns = 10'000'000;      // 10 ms
   std::uint64_t backoff_max_ns = 1'000'000'000;       // 1 s
-  double backoff_jitter = 0.2;  // +-20% around the nominal delay
-  std::uint64_t seed = 1;       // jitter rng
-  std::size_t max_inflight = 64;  // pipelining window, in request frames
+  std::uint64_t seed = 1;                             // jitter rng
 };
 
 // Point-in-time counters for one session; the raw material for the
@@ -180,17 +178,18 @@ class EnclaveSession {
   void clear_flow_rules();
 
   // --- Transactions -------------------------------------------------
-  // Mutations between begin_txn and commit_txn are staged on the
-  // enclave and published in one atomic rule-set swap. begin_txn goes
-  // out at once; the mutations after it wait in the session and leave
-  // with commit_txn as one batch frame (several when they would exceed
-  // kMaxFramePayload). abort_txn drops them unsent and rolls the
-  // journal back to the begin_txn snapshot. A transaction
-  // interrupted by a disconnect is aborted enclave-side; the next
-  // resync commits the pre-transaction snapshot as the converged base
-  // state, then re-opens the transaction on the fresh connection and
-  // re-stages its effects, so the client's eventual commit_txn /
-  // abort_txn keeps its atomic meaning across the reconnect.
+  // Mutations between begin_txn and commit_txn are published on the
+  // enclave in one atomic rule-set swap. The begin and every mutation
+  // after it wait in the session and leave with commit_txn as one batch
+  // frame (several when they would exceed kMaxFramePayload), so the
+  // enclave opens the transaction only when the commit is on its way.
+  // abort_txn drops them unsent, sends nothing, and rolls the journal
+  // back to the begin_txn snapshot. A transaction split across frames
+  // and interrupted by a disconnect is aborted enclave-side. With a
+  // transaction open across a reconnect, the resync commits the
+  // pre-transaction snapshot as the converged base state, then re-stages
+  // the transaction's begin and effects in the session, so the client's
+  // eventual commit_txn / abort_txn keeps its atomic meaning.
   void begin_txn();
   void commit_txn();
   void abort_txn();
@@ -218,7 +217,7 @@ class EnclaveSession {
   // table, the Prometheus eden_session_* series).
   telemetry::SessionTelemetry telemetry() const;
   std::uint64_t agent_boot_id() const { return agent_boot_id_; }
-  // Request frames (a lone command or a batch) awaiting a response.
+  // Request frames (each a batch) awaiting a response.
   std::size_t inflight() const { return inflight_.size(); }
   std::uint64_t journal_size() const;
 
@@ -270,12 +269,11 @@ class EnclaveSession {
     std::int64_t span_id = 0;
     std::int64_t sent_span_ns = 0;
   };
-  // One request frame: a lone command, or a batch of them. `id` and
-  // `sent_at_ns` are set when it leaves the outbox.
+  // One request frame, a batch of commands. `id` and `sent_at_ns` are
+  // set when it leaves the outbox.
   struct RequestFrame {
     std::uint64_t id = 0;
     std::uint64_t sent_at_ns = 0;
-    bool batch = false;
     std::vector<Request> requests;
   };
 
@@ -298,14 +296,15 @@ class EnclaveSession {
   void schedule_reconnect();
   void try_connect();
   void start_resync(const AgentGreeting& greeting);
-  // Queues one command in a request frame of its own; frames leave the
-  // outbox as the pipelining window (max_inflight) allows, FIFO. Only
-  // valid while connected.
+  // Queues one command as a batch frame of its own; frames leave the
+  // outbox as the pipelining window allows, FIFO. Only valid while
+  // connected.
   void send_request(std::vector<std::uint8_t> command, Completion done);
   // Adds one command to the open transaction's staged batch.
   void stage(std::vector<std::uint8_t> command, Completion done);
   // Sends a journaled mutation when ready (else the resync replays it):
-  // staged inside a client transaction, alone outside one.
+  // staged inside a client transaction, in a batch of its own outside
+  // one.
   void send_mutation(std::vector<std::uint8_t> command);
   // Queues the staged commands as batch frames, in order, each under
   // kMaxFramePayload.
@@ -336,7 +335,7 @@ class EnclaveSession {
   std::uint64_t next_request_id_ = 1;
   std::deque<RequestFrame> outbox_;
   std::deque<RequestFrame> inflight_;
-  // The open transaction's mutations, waiting for its commit.
+  // The open transaction's begin and mutations, waiting for its commit.
   std::vector<Request> staged_;
   std::map<std::uint64_t, std::uint64_t> heartbeat_sent_at_;
   std::uint64_t last_rx_ns_ = 0;

@@ -28,27 +28,17 @@ struct Enclave::RuleState {
   std::vector<std::shared_ptr<ActionEntry>> actions;
 };
 
-// One staged transaction: mutations land in `state` (a shadow copy of
-// the committed snapshot) and become visible only at commit_txn.
-// Global-state writes to actions that pre-date the transaction cannot
-// go to the shared entry directly (they would be visible immediately),
-// so they are buffered here and applied at commit.
-struct Enclave::Txn {
-  std::uint64_t id = 0;
-  std::shared_ptr<RuleState> state;
-  // Actions with index >= base_actions were installed inside this
-  // transaction: they are invisible to the data path until commit, so
-  // their global state may be written in place.
-  std::size_t base_actions = 0;
-  struct GlobalWrite {
-    std::shared_ptr<ActionEntry> entry;
-    std::uint16_t slot = 0;
-    bool is_array = false;
-    std::int64_t scalar = 0;
-    std::vector<std::int64_t> data;
-    std::uint16_t stride = 1;
-  };
-  std::vector<GlobalWrite> writes;
+// A controller write to an action's global state. ActionEntry objects
+// are shared with the published snapshot, so a write cannot land on the
+// entry at once (the data path would see it mid-transaction): it waits
+// here, and publish_locked applies it just before the next swap.
+struct Enclave::GlobalWrite {
+  std::shared_ptr<ActionEntry> entry;
+  std::uint16_t slot = 0;
+  bool is_array = false;
+  std::int64_t scalar = 0;
+  std::vector<std::int64_t> data;
+  std::uint16_t stride = 1;
 };
 
 namespace detail {
@@ -379,7 +369,7 @@ std::shared_ptr<const Enclave::RuleState> Enclave::committed() const {
 }
 
 const Enclave::RuleState& Enclave::control_view_locked() const {
-  if (txn_ != nullptr) return *txn_->state;
+  if (txn_ != nullptr) return *txn_;
   // control_mutex_ is held, so no publish can race this read.
   return *rules_;
 }
@@ -388,7 +378,7 @@ const Enclave::RuleState& Enclave::control_view_locked() const {
 // copy when one is open (changes stay staged), or a fresh copy of the
 // committed snapshot otherwise.
 std::shared_ptr<Enclave::RuleState> Enclave::begin_mutation_locked() {
-  if (txn_ != nullptr) return txn_->state;
+  if (txn_ != nullptr) return txn_;
   return std::make_shared<RuleState>(*committed());
 }
 
@@ -412,6 +402,29 @@ void Enclave::Table::build_index() {
 }
 
 std::uint64_t Enclave::publish_locked(std::shared_ptr<RuleState> next) {
+  // The pending global writes land first, grouped so each action's lock
+  // is taken once: the data path sees each action flip its globals
+  // atomically, and any *new* rules referencing those actions only
+  // appear with the swap below, i.e. after their state is in place.
+  auto& writes = pending_writes_;
+  std::stable_sort(writes.begin(), writes.end(),
+                   [](const GlobalWrite& a, const GlobalWrite& b) {
+                     return a.entry.get() < b.entry.get();
+                   });
+  for (std::size_t i = 0; i < writes.size();) {
+    ActionEntry* entry = writes[i].entry.get();
+    std::unique_lock glock(entry->global_mutex);
+    for (; i < writes.size() && writes[i].entry.get() == entry; ++i) {
+      GlobalWrite& w = writes[i];
+      if (w.is_array) {
+        entry->global_state.arrays[w.slot].stride = w.stride;
+        entry->global_state.arrays[w.slot].data = std::move(w.data);
+      } else {
+        entry->global_state.scalars[w.slot] = w.scalar;
+      }
+    }
+  }
+  writes.clear();
   for (Table& table : next->tables) table.build_index();
   next->version = next_version_++;
   std::shared_ptr<const RuleState> published = std::move(next);
@@ -426,50 +439,22 @@ std::uint64_t Enclave::publish_locked(std::shared_ptr<RuleState> next) {
 
 // --- Transactions ---------------------------------------------------------
 
-std::uint64_t Enclave::begin_txn() {
+void Enclave::begin_txn() {
   std::lock_guard lock(control_mutex_);
   if (txn_ != nullptr) throw std::invalid_argument("transaction already open");
-  txn_ = std::make_unique<Txn>();
-  txn_->id = next_txn_id_++;
-  txn_->state = std::make_shared<RuleState>(*committed());
-  txn_->base_actions = txn_->state->actions.size();
-  return txn_->id;
+  txn_ = std::make_shared<RuleState>(*committed());
 }
 
 std::uint64_t Enclave::commit_txn() {
   std::lock_guard lock(control_mutex_);
   if (txn_ == nullptr) throw std::invalid_argument("no open transaction");
-  // Apply the buffered global writes first, grouped so each action's
-  // lock is taken once: the data path sees every pre-existing action
-  // flip its globals atomically, and any *new* rules referencing those
-  // actions only appear with the snapshot swap below, i.e. after their
-  // state is in place.
-  auto& writes = txn_->writes;
-  std::stable_sort(writes.begin(), writes.end(),
-                   [](const Txn::GlobalWrite& a, const Txn::GlobalWrite& b) {
-                     return a.entry.get() < b.entry.get();
-                   });
-  for (std::size_t i = 0; i < writes.size();) {
-    ActionEntry* entry = writes[i].entry.get();
-    std::unique_lock glock(entry->global_mutex);
-    for (; i < writes.size() && writes[i].entry.get() == entry; ++i) {
-      Txn::GlobalWrite& w = writes[i];
-      if (w.is_array) {
-        entry->global_state.arrays[w.slot].stride = w.stride;
-        entry->global_state.arrays[w.slot].data = std::move(w.data);
-      } else {
-        entry->global_state.scalars[w.slot] = w.scalar;
-      }
-    }
-  }
-  std::shared_ptr<RuleState> next = std::move(txn_->state);
-  txn_.reset();
-  return publish_locked(std::move(next));
+  return publish_locked(std::move(txn_));
 }
 
 void Enclave::abort_txn() {
   std::lock_guard lock(control_mutex_);
   txn_.reset();
+  pending_writes_.clear();
 }
 
 bool Enclave::txn_open() const {
@@ -487,12 +472,7 @@ void Enclave::clear_all() {
   state->actions.clear();
   state->tables.clear();
   state->flow_rules.clear();
-  if (txn_ != nullptr) {
-    // Everything installed from here on is transaction-fresh, and any
-    // buffered writes targeted state that just got wiped.
-    txn_->base_actions = 0;
-    txn_->writes.clear();
-  }
+  pending_writes_.clear();  // they target state that just got wiped
   end_mutation_locked(std::move(state));
 }
 
@@ -544,13 +524,10 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
     state->actions.push_back(std::move(entry));
   } else {
     state->actions[slot] = std::move(entry);
-    if (txn_ != nullptr) {
-      // Writes staged against the replaced entry would land on a dead
-      // object at commit; the new program starts from schema defaults.
-      std::erase_if(txn_->writes, [&](const Txn::GlobalWrite& w) {
-        return w.entry == replaced;
-      });
-    }
+    // Writes pending against the replaced entry would land on a dead
+    // object at commit; the new program starts from schema defaults.
+    std::erase_if(pending_writes_,
+                  [&](const GlobalWrite& w) { return w.entry == replaced; });
   }
   end_mutation_locked(std::move(state));
   return id;
@@ -742,33 +719,20 @@ void Enclave::clear_flow_rules() {
 void Enclave::set_global_scalar(ActionId id, const std::string& field,
                                 std::int64_t value) {
   std::lock_guard lock(control_mutex_);
-  const RuleState& view = control_view_locked();
-  if (id >= view.actions.size() || view.actions[id] == nullptr) {
-    throw std::invalid_argument("no such action");
-  }
-  const std::shared_ptr<ActionEntry>& entry = view.actions[id];
+  std::shared_ptr<ActionEntry> entry = checked_entry_locked(id);
   const auto slot = entry->schema.find(lang::Scope::global, field);
   if (!slot || slot->kind != lang::FieldKind::scalar) {
     throw std::invalid_argument("no global scalar '" + field + "'");
   }
-  if (txn_ != nullptr && id < txn_->base_actions) {
-    // Pre-existing action: stage the write; commit applies it.
-    txn_->writes.push_back(
-        Txn::GlobalWrite{entry, slot->slot, false, value, {}, 1});
-    return;
-  }
-  std::unique_lock glock(entry->global_mutex);
-  entry->global_state.scalars[slot->slot] = value;
+  pending_writes_.push_back(
+      GlobalWrite{std::move(entry), slot->slot, false, value, {}, 1});
+  end_mutation_locked(begin_mutation_locked());
 }
 
 void Enclave::set_global_array(ActionId id, const std::string& field,
                                std::vector<std::int64_t> data) {
   std::lock_guard lock(control_mutex_);
-  const RuleState& view = control_view_locked();
-  if (id >= view.actions.size() || view.actions[id] == nullptr) {
-    throw std::invalid_argument("no such action");
-  }
-  const std::shared_ptr<ActionEntry>& entry = view.actions[id];
+  std::shared_ptr<ActionEntry> entry = checked_entry_locked(id);
   const auto slot = entry->schema.find(lang::Scope::global, field);
   if (!slot || slot->kind == lang::FieldKind::scalar) {
     throw std::invalid_argument("no global array '" + field + "'");
@@ -777,14 +741,9 @@ void Enclave::set_global_array(ActionId id, const std::string& field,
     throw std::invalid_argument("array data for '" + field +
                                 "' is not a whole number of records");
   }
-  if (txn_ != nullptr && id < txn_->base_actions) {
-    txn_->writes.push_back(Txn::GlobalWrite{entry, slot->slot, true, 0,
-                                            std::move(data), slot->stride});
-    return;
-  }
-  std::unique_lock glock(entry->global_mutex);
-  entry->global_state.arrays[slot->slot].stride = slot->stride;
-  entry->global_state.arrays[slot->slot].data = std::move(data);
+  pending_writes_.push_back(GlobalWrite{std::move(entry), slot->slot, true, 0,
+                                        std::move(data), slot->stride});
+  end_mutation_locked(begin_mutation_locked());
 }
 
 std::int64_t Enclave::read_global_scalar(ActionId id,
@@ -801,6 +760,11 @@ std::int64_t Enclave::read_global_scalar(ActionId id,
 std::shared_ptr<Enclave::ActionEntry> Enclave::checked_entry(
     ActionId id) const {
   std::lock_guard lock(control_mutex_);
+  return checked_entry_locked(id);
+}
+
+std::shared_ptr<Enclave::ActionEntry> Enclave::checked_entry_locked(
+    ActionId id) const {
   const RuleState& view = control_view_locked();
   if (id >= view.actions.size() || view.actions[id] == nullptr) {
     throw std::invalid_argument("no such action");

@@ -218,17 +218,17 @@ class Enclave {
 
   // --- Transactions -------------------------------------------------------
   //
-  // Control-plane mutations normally publish a fresh rule-set snapshot
-  // one by one. A transaction stages every mutation between begin and
-  // commit in a shadow copy and publishes them with one atomic swap, so
-  // the data path never observes a partial rule batch or a half-updated
-  // action set (the controller's WCMP weight or rule updates land
-  // all-or-nothing). One transaction may be open at a time; begin_txn
-  // throws std::invalid_argument when one already is. abort_txn is
-  // idempotent. Global-state writes to actions that existed before the
-  // transaction are buffered and applied at commit under the action's
-  // global lock, so each action's view also flips atomically.
-  std::uint64_t begin_txn();
+  // Every control-plane mutation, global writes included, takes one
+  // path: it edits a copy of the rule-set snapshot and a publish swaps
+  // the copy in. Alone, each mutation publishes at once. A transaction
+  // stages every mutation between begin and commit in one shadow copy
+  // and the commit is that copy's publish, so the data path never
+  // observes a partial rule batch or a half-updated action set (the
+  // controller's WCMP weight or rule updates land all-or-nothing). One
+  // transaction may be open at a time; begin_txn throws
+  // std::invalid_argument when one already is. abort_txn drops the copy
+  // and the pending global writes, and is idempotent.
+  void begin_txn();
   std::uint64_t commit_txn();  // returns the committed rule-set version
   void abort_txn();
   bool txn_open() const;
@@ -240,9 +240,12 @@ class Enclave {
   // an enclave of unknown state back to a blank slate before replay.
   void clear_all();
 
-  // Global state of an action, addressed by schema field name. Writes
-  // take the action's global lock, so they are safe against the data
-  // path mid-run.
+  // Global state of an action, addressed by schema field name. A write
+  // waits for the next publish (its own, or the commit's inside a
+  // transaction), which applies it under the action's global lock just
+  // before the swap, so each action's globals flip atomically against
+  // the data path mid-run. Throws std::invalid_argument, changing
+  // nothing, for an unknown action or field or a partial record.
   void set_global_scalar(ActionId id, const std::string& field,
                          std::int64_t value);
   void set_global_array(ActionId id, const std::string& field,
@@ -437,7 +440,7 @@ class Enclave {
   // publish (RCU style). Defined in enclave.cpp; the header only ever
   // holds it through a shared_ptr.
   struct RuleState;
-  struct Txn;
+  struct GlobalWrite;
   friend struct detail::ThreadState;
   friend struct wire::AgentAccess;
 
@@ -479,6 +482,7 @@ class Enclave {
   void end_mutation_locked(std::shared_ptr<RuleState> next);
   std::uint64_t publish_locked(std::shared_ptr<RuleState> next);
   std::shared_ptr<ActionEntry> checked_entry(ActionId id) const;
+  std::shared_ptr<ActionEntry> checked_entry_locked(ActionId id) const;
   ActionId install_entry(std::shared_ptr<ActionEntry> entry);
   // The one rule add, under `id`: a fresh enclave id (add_rule) or the
   // rule handle a remote controller's session chose (the wire agent's
@@ -507,8 +511,10 @@ class Enclave {
   std::shared_ptr<const RuleState> rules_;
   std::atomic<std::uint64_t> rules_epoch_{0};
   std::uint64_t next_version_ = 1;
-  std::unique_ptr<Txn> txn_;
-  std::uint64_t next_txn_id_ = 1;
+  // The open transaction's staged snapshot; null when none is open.
+  std::shared_ptr<RuleState> txn_;
+  // Global writes the next publish applies, in call order.
+  std::vector<GlobalWrite> pending_writes_;
   // Above every id a table holds, so add_rule never meets a live one.
   MatchRuleId next_rule_id_ = 1;
   TableId next_table_id_ = 0;

@@ -70,7 +70,6 @@ bool is_command(std::uint8_t op) {
     case Command::get_spans:
     case Command::begin_txn:
     case Command::commit_txn:
-    case Command::abort_txn:
     case Command::reset_state:
     case Command::remove_rule_named:
     case Command::get_telemetry_delta:
@@ -186,10 +185,6 @@ std::vector<std::uint8_t> encode_begin_txn() {
 
 std::vector<std::uint8_t> encode_commit_txn() {
   return header(Command::commit_txn).take();
-}
-
-std::vector<std::uint8_t> encode_abort_txn() {
-  return header(Command::abort_txn).take();
 }
 
 std::vector<std::uint8_t> encode_reset_state() {
@@ -402,20 +397,10 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       return resp;
     }
     case Command::begin_txn:
-      try {
-        return ok(enclave.begin_txn());
-      } catch (const std::invalid_argument& e) {
-        return fail(Status::rejected, e.what());
-      }
-    case Command::commit_txn:
-      try {
-        return ok(enclave.commit_txn());
-      } catch (const std::invalid_argument& e) {
-        return fail(Status::rejected, e.what());
-      }
-    case Command::abort_txn:
-      enclave.abort_txn();
+      enclave.begin_txn();
       return ok();
+    case Command::commit_txn:
+      return ok(enclave.commit_txn());
     case Command::reset_state:
       enclave.clear_all();
       return ok();

@@ -25,10 +25,11 @@ class DeltaEncoder;
 namespace eden::core::wire {
 
 // The command numbers are part of the frame format. The gaps (4-6,
-// 11-15, 21 and 23) are retired commands that no client sends any more;
-// 21 added a rule whose id the enclave chose. The agent answers them
-// bad_request and they are never reused, so a frame from another build
-// can never decode as a different command.
+// 11-15, 19, 21 and 23) are retired commands that no client sends any
+// more; 19 aborted a transaction, and 21 added a rule whose id the
+// enclave chose. The agent answers them bad_request and they are never
+// reused, so a frame from another build can never decode as a different
+// command.
 enum class Command : std::uint8_t {
   install_action = 1,
   remove_action = 2,
@@ -42,10 +43,11 @@ enum class Command : std::uint8_t {
   // Response::payload.
   get_spans = 16,
   // Control-plane session commands (src/controlplane): transactional
-  // rule-set updates and the resync protocol.
-  begin_txn = 17,   // value = transaction id
+  // rule-set updates and the resync protocol. A session sends a
+  // transaction whole, begin to commit, in one batch frame (several only
+  // past kMaxFramePayload), so an abort never needs to cross the wire.
+  begin_txn = 17,
   commit_txn = 18,  // value = committed rule-set version
-  abort_txn = 19,
   // Wipes actions, tables, rules and flow rules (staged when a
   // transaction is open). Resync replays the journal on a blank slate.
   reset_state = 20,
@@ -60,7 +62,8 @@ enum class Command : std::uint8_t {
   // state, a full snapshot under a fresh epoch otherwise.
   get_telemetry_delta = 24,
   // Commands applied one by one as if each came in its own frame (see
-  // encode_batch() and apply()): a transaction's staged mutations.
+  // encode_batch() and apply()). Every session request is one: a
+  // transaction, or a single read or mutation.
   batch = 25,
   // Adds a rule under the session's id (see remove_rule_named). Answers
   // rejected, changing nothing, when the table already holds that id.
@@ -102,7 +105,6 @@ std::vector<std::uint8_t> encode_clear_flow_rules();
 std::vector<std::uint8_t> encode_get_spans();
 std::vector<std::uint8_t> encode_begin_txn();
 std::vector<std::uint8_t> encode_commit_txn();
-std::vector<std::uint8_t> encode_abort_txn();
 std::vector<std::uint8_t> encode_reset_state();
 std::vector<std::uint8_t> encode_add_rule_named(const std::string& table_name,
                                                 MatchRuleId rule,

@@ -9,6 +9,10 @@ namespace eden::hoststack {
 
 namespace {
 
+// How often (sim time) the stack polls the data plane for completions
+// while packets are in flight.
+constexpr netsim::SimTime kDataplanePollNs = 1000;
+
 std::int64_t scheduler_clock(void* ctx) {
   return static_cast<netsim::Scheduler*>(ctx)->now();
 }
@@ -120,9 +124,7 @@ void HostStack::pump_dataplane() {
 void HostStack::arm_dataplane_poll() {
   if (dataplane_poll_armed_ || dataplane_->pending() == 0) return;
   dataplane_poll_armed_ = true;
-  const netsim::SimTime delay =
-      config_.dataplane_poll_ns > 0 ? config_.dataplane_poll_ns : 1;
-  network_.scheduler().after(delay, [this] {
+  network_.scheduler().after(kDataplanePollNs, [this] {
     dataplane_poll_armed_ = false;
     const std::uint64_t before = dataplane_->pending();
     pump_dataplane();

@@ -46,12 +46,10 @@ struct HostStackConfig {
   // inside transmit() on the simulator thread, bit-identical to the
   // pre-data-plane stack. workers > 0 steers egress packets to that many
   // enclave worker threads; completions re-enter the simulator via a
-  // polling event (below), so packet-to-NIC timing becomes real-time
-  // dependent — use for scaling/stress runs, not figure reproduction.
+  // polling event every 1 us of sim time while packets are in flight, so
+  // packet-to-NIC timing becomes real-time dependent — use for
+  // scaling/stress runs, not figure reproduction.
   DataPlaneConfig dataplane;
-  // How often (sim time) the stack polls the data plane for completions
-  // while packets are in flight.
-  netsim::SimTime dataplane_poll_ns = 1000;
 };
 
 struct FlowInfo {

@@ -8,7 +8,6 @@
 #include <set>
 #include <utility>
 
-#include "lang/optimizer.h"
 #include "lang/parser.h"
 
 namespace eden::lang {
@@ -870,7 +869,7 @@ CompiledProgram compile(const Program& program, const StateSchema& schema,
                         const CompileOptions& options,
                         std::string source_name) {
   Compiler compiler(program, schema, options, std::move(source_name));
-  return optimize(compiler.run(), options.opt_level);
+  return compiler.run();
 }
 
 CompiledProgram compile_source(std::string_view source,

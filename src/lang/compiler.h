@@ -20,15 +20,13 @@ struct CompileOptions {
   // Compile self tail calls to jumps (the paper's optimization). Exposed
   // so the ablation benchmark can measure its effect.
   bool tail_call_optimization = true;
-  // O1 runs the post-compile bytecode optimizer (lang/optimizer.h).
-  // Defaults to O0 here so the raw translation stays inspectable; the
-  // enclave install path optimizes at its own (default O1) level.
-  OptLevel opt_level = OptLevel::O0;
 };
 
 // Compiles a parsed program against a state schema. Throws LangError on
 // any semantic error: unknown fields, writes to read-only state, unbound
-// variables, arity mismatches, malformed array accesses.
+// variables, arity mismatches, malformed array accesses. The result is
+// the raw translation: lang::optimize lowers it, and the enclave's
+// install path always does so at O1.
 CompiledProgram compile(const Program& program, const StateSchema& schema,
                         const CompileOptions& options = {},
                         std::string source_name = {});

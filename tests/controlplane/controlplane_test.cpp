@@ -503,9 +503,10 @@ TEST_F(SessionTest, TxnStagedMutationsInvisibleUntilCommit) {
   session_->remove_rule("t", old_rule);
   session_->add_rule("t", "*", "p1");
   ASSERT_TRUE(settle());
-  // Everything staged on the enclave, nothing published.
+  // Everything staged in the session: the enclave holds no open
+  // transaction, and nothing is published.
   EXPECT_EQ(processed_priority(), 7);
-  EXPECT_TRUE(enclave_.txn_open());
+  EXPECT_FALSE(enclave_.txn_open());
   EXPECT_EQ(enclave_.ruleset_version(), version_before);
 
   session_->commit_txn();
@@ -570,17 +571,18 @@ TEST_F(SessionTest, TxnOpenAcrossReconnectCommitsAtomically) {
   session_->remove_rule("t", old_rule);
   session_->add_rule("t", "*", "p1");
   ASSERT_TRUE(settle());
-  ASSERT_TRUE(enclave_.txn_open());
+  // The transaction waits in the session, not on the enclave.
+  ASSERT_FALSE(enclave_.txn_open());
 
-  // The link dies mid-transaction; the agent aborts its staged copy.
+  // The link dies mid-transaction.
   agent_->detach();
   ASSERT_TRUE(settle());
   EXPECT_GE(session_->stats().resyncs, 2u);
   // The resync committed only the pre-transaction snapshot and
-  // re-opened the transaction on the fresh connection: the staged
-  // mutations are still invisible to the data path.
+  // re-staged the transaction in the session: the staged mutations are
+  // still invisible to the data path.
   EXPECT_TRUE(session_->txn_open());
-  EXPECT_TRUE(enclave_.txn_open());
+  EXPECT_FALSE(enclave_.txn_open());
   EXPECT_EQ(processed_priority(), 7);
 
   session_->commit_txn();
@@ -661,20 +663,19 @@ TEST_F(SessionTest, RemoveInTxnOfUnansweredAddLandsWithTheCommit) {
   ASSERT_TRUE(table.has_value());
   ASSERT_EQ(enclave_.rule_count(*table), 1u);
 
+  const std::uint64_t version = enclave_.ruleset_version();
   const auto handle =
       session_->add_rule("egress", "memcached.egress.c70", "p7");
   session_->begin_txn();
   session_->remove_rule("egress", handle);
   session_->commit_txn();
-  // One delivery at a time: once the commit has published (the enclave
-  // opened the transaction and closed it again), the removed rule is
-  // never live.
-  bool opened = false;
+  // One delivery at a time: the add publishes one version and the
+  // commit the next. Once the commit's version is live, the removed
+  // rule is never live.
   bool committed = false;
   std::size_t step = 0;
   do {
-    if (enclave_.txn_open()) opened = true;
-    if (opened && !enclave_.txn_open()) committed = true;
+    if (enclave_.ruleset_version() >= version + 2) committed = true;
     if (committed) {
       EXPECT_EQ(enclave_.rule_count(*table), 1u) << "after step " << step;
     }
@@ -817,7 +818,7 @@ TEST_F(SessionTest, RuleAddedAndRemovedInOneTxnIsNeverPublished) {
   EXPECT_EQ(session_->stats().responses_error, 0u);
 }
 
-TEST_F(SessionTest, RepointTxnLeavesAsTwoRequestFrames) {
+TEST_F(SessionTest, RepointTxnLeavesAsOneRequestFrame) {
   make_session();
   lang::FieldDef level;
   level.name = "level";
@@ -850,8 +851,8 @@ TEST_F(SessionTest, RepointTxnLeavesAsTwoRequestFrames) {
   session_->commit_txn();
   ASSERT_TRUE(settle());
 
-  // begin alone, then everything else and the commit in one batch.
-  EXPECT_EQ(agent_->stats().requests - requests, 2u);
+  // The begin, every mutation and the commit in one batch.
+  EXPECT_EQ(agent_->stats().requests - requests, 1u);
   // The session still counts commands, not frames.
   const std::uint64_t commands = 1 + 2 * kRules + 1 + 1;
   EXPECT_EQ(session_->stats().requests_sent - before.requests_sent, commands);
@@ -866,7 +867,7 @@ TEST_F(SessionTest, RepointTxnLeavesAsTwoRequestFrames) {
   EXPECT_EQ(packet.priority, 3);
 
   // The new rules are named by their handles: the next re-point removes
-  // them by handle, again in two frames.
+  // them by handle, again in one frame.
   session_->begin_txn();
   for (int i = 0; i < kRules; ++i) {
     session_->remove_rule("egress", rules[static_cast<std::size_t>(i)]);
@@ -875,18 +876,19 @@ TEST_F(SessionTest, RepointTxnLeavesAsTwoRequestFrames) {
   }
   session_->commit_txn();
   ASSERT_TRUE(settle());
-  EXPECT_EQ(agent_->stats().requests - requests, 4u);
+  EXPECT_EQ(agent_->stats().requests - requests, 2u);
   EXPECT_EQ(enclave_.rule_count(*enclave_.find_table_id("egress")),
             static_cast<std::size_t>(kRules));
   EXPECT_EQ(session_->stats().responses_error, 0u);
 }
 
-TEST_F(SessionTest, AbortBeforeCommitSendsOnlyBeginAndAbort) {
+TEST_F(SessionTest, AbortBeforeCommitSendsNothing) {
   make_session();
   session_->install_action("p7", priority_program("p7", 7), {});
   const auto rule = session_->add_rule("t", "*", "p7");
   ASSERT_TRUE(settle());
   const auto requests = agent_->stats().requests;
+  const std::uint64_t sent = session_->stats().requests_sent;
   const std::uint64_t version = enclave_.ruleset_version();
 
   session_->begin_txn();
@@ -896,7 +898,8 @@ TEST_F(SessionTest, AbortBeforeCommitSendsOnlyBeginAndAbort) {
   session_->abort_txn();
   ASSERT_TRUE(settle());
 
-  EXPECT_EQ(agent_->stats().requests - requests, 2u);
+  EXPECT_EQ(agent_->stats().requests - requests, 0u);
+  EXPECT_EQ(session_->stats().requests_sent - sent, 0u);
   EXPECT_FALSE(enclave_.txn_open());
   EXPECT_EQ(enclave_.ruleset_version(), version);
   EXPECT_EQ(enclave_.rule_count(*enclave_.find_table_id("t")), 1u);
@@ -945,8 +948,8 @@ TEST_F(SessionTest, TxnLargerThanAFrameLeavesAsSeveralBatchesAtomically) {
   } while (pump_.step());
   ASSERT_TRUE(settle());
 
-  // begin, then at least two batch frames.
-  EXPECT_GE(agent_->stats().requests - requests, 3u);
+  // At least two batch frames, the begin riding in the first.
+  EXPECT_GE(agent_->stats().requests - requests, 2u);
   EXPECT_EQ(agent_->stats().corrupt_streams, 0u);
   EXPECT_EQ(session_->stats().teardowns, 0u);
   EXPECT_EQ(session_->stats().responses_error, 0u);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <optional>
 #include <thread>
@@ -419,6 +420,226 @@ TEST_F(EnclaveTest, GlobalArrayValidation) {
                std::invalid_argument);
   EXPECT_THROW(enclave_.set_global_scalar(action, "recs", 1),
                std::invalid_argument);
+}
+
+// --- Controller global writes: one publish path ---------------------------
+
+lang::FieldDef scalar_field(const char* name) {
+  lang::FieldDef f;
+  f.name = name;
+  return f;
+}
+
+lang::FieldDef array_field(const char* name) {
+  lang::FieldDef f;
+  f.name = name;
+  f.kind = lang::FieldKind::array;
+  return f;
+}
+
+// A write outside a transaction publishes like any other standalone
+// mutation: one version step, and the very next packet sees it.
+TEST_F(EnclaveTest, GlobalWriteStandaloneStepsTheVersionOnce) {
+  const ActionId action = install_with_rule("lvl", R"(fun(p, m, g) ->
+      p.priority <- g.level;
+      p.path <- g.pair[1])",
+                                            {scalar_field("level"),
+                                             array_field("pair")});
+  const std::uint64_t version = enclave_.ruleset_version();
+
+  enclave_.set_global_array(action, "pair", {8, 9});
+  EXPECT_EQ(enclave_.ruleset_version(), version + 1);
+  netsim::Packet first = tcp_packet();
+  enclave_.process(first);
+  EXPECT_EQ(first.path_label, 9);
+  EXPECT_EQ(first.priority, 0);
+
+  enclave_.set_global_scalar(action, "level", 5);
+  EXPECT_EQ(enclave_.ruleset_version(), version + 2);
+  EXPECT_EQ(enclave_.read_global_scalar(action, "level"), 5);
+  netsim::Packet second = tcp_packet();
+  enclave_.process(second);
+  EXPECT_EQ(second.priority, 5);
+  EXPECT_EQ(second.path_label, 9);
+}
+
+// A rejected write throws before it is recorded: no version step, no
+// value change, and nothing left for a later publish to apply.
+TEST_F(EnclaveTest, GlobalWriteRejectedChangesNothing) {
+  lang::FieldDef recs;
+  recs.name = "recs";
+  recs.kind = lang::FieldKind::record_array;
+  recs.record_fields = {"a", "b"};
+  const ActionId action = install_with_rule("lvl", R"(fun(p, m, g) ->
+      p.priority <- g.level;
+      p.path <- g.recs[0].b)",
+                                            {scalar_field("level"), recs});
+  enclave_.set_global_scalar(action, "level", 3);
+  enclave_.set_global_array(action, "recs", {1, 2});
+  const std::uint64_t version = enclave_.ruleset_version();
+
+  EXPECT_THROW(enclave_.set_global_scalar(action, "nope", 6),
+               std::invalid_argument);
+  EXPECT_THROW(enclave_.set_global_array(action, "nope", {6, 6}),
+               std::invalid_argument);
+  EXPECT_THROW(enclave_.set_global_array(action, "recs", {6, 6, 6}),
+               std::invalid_argument);  // a partial record
+  EXPECT_THROW(enclave_.set_global_scalar(action + 1, "level", 6),
+               std::invalid_argument);
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+
+  enclave_.create_table("later");  // the next publish finds no write
+  EXPECT_EQ(enclave_.read_global_scalar(action, "level"), 3);
+  netsim::Packet packet = tcp_packet();
+  enclave_.process(packet);
+  EXPECT_EQ(packet.priority, 3);
+  EXPECT_EQ(packet.path_label, 2);
+}
+
+// A write to an action reinstalled later in the same transaction is
+// dropped with the old program; a write after the reinstall lands.
+TEST_F(EnclaveTest, GlobalWriteInTxnToReinstalledActionIsDropped) {
+  const char* source = "fun(p, m, g) -> p.priority <- g.level + g.bump";
+  const std::vector<lang::FieldDef> globals = {scalar_field("level"),
+                                               scalar_field("bump")};
+  const ActionId action = install_with_rule("lvl", source, globals);
+  enclave_.set_global_scalar(action, "level", 2);
+
+  enclave_.begin_txn();
+  enclave_.set_global_scalar(action, "level", 6);
+  ASSERT_EQ(install("lvl", source, globals), action);
+  enclave_.set_global_scalar(action, "bump", 1);
+  netsim::Packet staged = tcp_packet();
+  enclave_.process(staged);
+  EXPECT_EQ(staged.priority, 2);
+  enclave_.commit_txn();
+
+  EXPECT_EQ(enclave_.read_global_scalar(action, "level"), 0);
+  EXPECT_EQ(enclave_.read_global_scalar(action, "bump"), 1);
+  netsim::Packet packet = tcp_packet();
+  enclave_.process(packet);
+  EXPECT_EQ(packet.priority, 1);
+}
+
+// clear_all inside a transaction drops the writes staged before it: the
+// action reinstalled after the wipe starts from schema defaults.
+TEST_F(EnclaveTest, GlobalWriteInTxnBeforeClearAllIsDropped) {
+  const char* source = "fun(p, m, g) -> p.priority <- g.level + 1";
+  const std::vector<lang::FieldDef> globals = {scalar_field("level")};
+  install_with_rule("lvl", source, globals);
+  const std::uint64_t version = enclave_.ruleset_version();
+
+  enclave_.begin_txn();
+  enclave_.set_global_scalar(*enclave_.find_action("lvl"), "level", 6);
+  enclave_.clear_all();
+  const ActionId fresh = install_with_rule("lvl", source, globals);
+  enclave_.commit_txn();
+
+  EXPECT_EQ(enclave_.ruleset_version(), version + 1);
+  EXPECT_EQ(enclave_.read_global_scalar(fresh, "level"), 0);
+  netsim::Packet packet = tcp_packet();
+  enclave_.process(packet);
+  EXPECT_EQ(packet.priority, 1);
+}
+
+// abort_txn drops the pending writes with the staged snapshot, so no
+// later publish applies them.
+TEST_F(EnclaveTest, GlobalWriteInTxnDroppedByAbort) {
+  const ActionId action = install_with_rule(
+      "lvl", "fun(p, m, g) -> p.priority <- g.level + g.pair[0]",
+      {scalar_field("level"), array_field("pair")});
+  enclave_.set_global_scalar(action, "level", 2);
+  enclave_.set_global_array(action, "pair", {1});
+  const std::uint64_t version = enclave_.ruleset_version();
+
+  enclave_.begin_txn();
+  enclave_.set_global_scalar(action, "level", 5);
+  enclave_.set_global_array(action, "pair", {2});
+  enclave_.abort_txn();
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+
+  enclave_.create_table("later");
+  EXPECT_EQ(enclave_.read_global_scalar(action, "level"), 2);
+  netsim::Packet packet = tcp_packet();
+  enclave_.process(packet);
+  EXPECT_EQ(packet.priority, 3);
+}
+
+// A write to an action installed in the same transaction lands at the
+// commit, together with the action and the rule that reaches it.
+TEST_F(EnclaveTest, GlobalWriteInTxnToFreshActionLandsAtCommit) {
+  const std::uint64_t version = enclave_.ruleset_version();
+  enclave_.begin_txn();
+  const ActionId action = install_with_rule(
+      "lvl", "fun(p, m, g) -> p.priority <- g.level",
+      {scalar_field("level")});
+  enclave_.set_global_scalar(action, "level", 4);
+  netsim::Packet staged = tcp_packet();
+  enclave_.process(staged);
+  EXPECT_EQ(staged.priority, 0);
+  EXPECT_EQ(enclave_.ruleset_version(), version);
+  enclave_.commit_txn();
+
+  EXPECT_EQ(enclave_.ruleset_version(), version + 1);
+  EXPECT_EQ(enclave_.read_global_scalar(action, "level"), 4);
+  netsim::Packet packet = tcp_packet();
+  enclave_.process(packet);
+  EXPECT_EQ(packet.priority, 4);
+}
+
+// Workers batch packets through a parallel action while the control
+// thread rewrites two scalars in one transaction and a two-element array
+// standalone: every execution sees each pair equal, never half-written.
+TEST_F(EnclaveTest, GlobalWritePairsFlipWholeUnderConcurrentBatches) {
+  const ActionId action = install_with_rule("pairs", R"(fun(p, m, g) ->
+      p.path <- (if (g.x = g.y) && (g.pair[0] = g.pair[1]) then 1 else 0))",
+                                            {scalar_field("x"),
+                                             scalar_field("y"),
+                                             array_field("pair")});
+  enclave_.set_global_array(action, "pair", {0, 0});
+
+  constexpr int kWorkers = 3;
+  constexpr int kBatch = 16;
+  constexpr std::int64_t kRounds = 200;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> seen{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<netsim::PacketPtr> batch;
+      while (!stop.load(std::memory_order_relaxed)) {
+        batch.clear();
+        for (int i = 0; i < kBatch; ++i) {
+          auto p = netsim::make_packet();
+          *p = tcp_packet(1 + t * kBatch + i);
+          batch.push_back(std::move(p));
+        }
+        enclave_.process_batch(batch);
+        for (const netsim::PacketPtr& p : batch) {
+          if (p->path_label != 1) torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        seen.fetch_add(kBatch, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Start writing once every worker could have run a batch.
+  while (seen.load() < kWorkers * kBatch) std::this_thread::yield();
+  for (std::int64_t i = 1; i <= kRounds; ++i) {
+    enclave_.begin_txn();
+    enclave_.set_global_scalar(action, "x", i);
+    enclave_.set_global_scalar(action, "y", i);
+    enclave_.commit_txn();
+    enclave_.set_global_array(action, "pair", {i, i});
+  }
+  const std::uint64_t during = seen.load();
+  while (seen.load() < during + kWorkers * kBatch) std::this_thread::yield();
+  stop = true;
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(enclave_.read_global_scalar(action, "x"), kRounds);
+  EXPECT_EQ(enclave_.read_global_scalar(action, "y"), kRounds);
 }
 
 TEST_F(EnclaveTest, FaultyActionIsIsolated) {

@@ -342,9 +342,11 @@ TEST_F(WireTest, TransactionCommandsOverTheWire) {
   enclave_.process(committed);
   EXPECT_EQ(committed.priority, 3);
 
-  // Commit without an open transaction is rejected; abort is idempotent.
+  // Commit without an open transaction is rejected. The agent's abort
+  // of a stale transaction is idempotent.
   EXPECT_EQ(send(encode_commit_txn()).status, Status::rejected);
-  EXPECT_EQ(send(encode_abort_txn()).status, Status::ok);
+  enclave_.abort_txn();
+  EXPECT_FALSE(enclave_.txn_open());
 
   // reset_state wipes everything in one atomic swap.
   ASSERT_EQ(send(encode_reset_state()).status, Status::ok);
@@ -363,7 +365,8 @@ TEST_F(WireTest, AbortDropsStagedMutations) {
 
   ASSERT_EQ(send(encode_begin_txn()).status, Status::ok);
   ASSERT_EQ(send(encode_reset_state()).status, Status::ok);
-  ASSERT_EQ(send(encode_abort_txn()).status, Status::ok);
+  // No command aborts: the agent drops a stale transaction itself.
+  enclave_.abort_txn();
 
   // The staged wipe never published.
   netsim::Packet p;
@@ -559,7 +562,6 @@ TEST_F(WireTest, EveryCommandSurvivesTruncationAndByteFlips) {
       encode_get_spans(),
       encode_begin_txn(),
       encode_commit_txn(),
-      encode_abort_txn(),
       encode_reset_state(),
       encode_remove_rule_named("t", 1),
       encode_get_telemetry_delta(1, 2),
@@ -643,9 +645,13 @@ TEST_F(WireTest, RetiredCommandsAnswerBadRequest) {
          w.str("*");
          w.str("tag");
        }},
+      {19, [](util::ByteWriter&) {}},  // abort the open transaction
       {23, [](util::ByteWriter&) {}},  // rule-set version
   };
 
+  // A transaction is open throughout, so a retired abort that still
+  // worked would show.
+  ASSERT_EQ(send(encode_begin_txn()).status, Status::ok);
   const std::uint64_t version = enclave_.ruleset_version();
   const std::size_t classes = registry_.size();
   for (const auto& [op, body] : retired) {
@@ -663,6 +669,7 @@ TEST_F(WireTest, RetiredCommandsAnswerBadRequest) {
     EXPECT_EQ(enclave_.find_table_id("t"), table) << "opcode " << int{op};
     EXPECT_EQ(enclave_.rule_count(table), 1u) << "opcode " << int{op};
     EXPECT_EQ(registry_.size(), classes) << "opcode " << int{op};
+    EXPECT_TRUE(enclave_.txn_open()) << "opcode " << int{op};
   }
 }
 

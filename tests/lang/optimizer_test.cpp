@@ -246,20 +246,6 @@ TEST(OptimizerDiff, OptimizedAgreesWithAstEval) {
   }
 }
 
-// CompileOptions::opt_level runs the same pipeline inside compile().
-TEST(Optimizer, CompileOptionsOptLevel) {
-  StateSchema schema;
-  CompileOptions o1;
-  o1.opt_level = OptLevel::O1;
-  const CompiledProgram direct =
-      compile_source("fun(p) -> 1 + 2 * 3", schema);
-  const CompiledProgram optimized =
-      compile_source("fun(p) -> 1 + 2 * 3", schema, o1);
-  EXPECT_LT(optimized.code.size(), direct.code.size());
-  Interpreter interp;
-  EXPECT_EQ(interp.execute(optimized, nullptr, nullptr, nullptr).value, 7);
-}
-
 // --- Structural checks on the individual passes -------------------------
 
 TEST(Optimizer, FoldsConstantExpressions) {
