@@ -103,12 +103,16 @@ void EnclaveAgent::on_bytes(std::span<const std::uint8_t> data) {
         }
         ++expected_request_id_;
         ++stats_.requests;
-        // Every request is a batch. Untraced ones pay exactly this
-        // branch; traced ones time each element and link it under the
-        // cp_send span it was sent under.
+        // Every request is a batch: anything else answers bad_request
+        // and applies nothing. A traced batch times each element and
+        // links it under the cp_send span it was sent under.
         Response response;
         std::int64_t apply_span = 0;
-        if (frame.trace_id == 0) {
+        if (core::wire::peek_command(frame.payload) !=
+            core::wire::Command::batch) {
+          response.status = Status::bad_request;
+          response.error = "request is not a batch";
+        } else if (frame.trace_id == 0) {
           response =
               core::wire::apply(enclave_, frame.payload, telemetry_encoder_);
         } else {

@@ -10,7 +10,6 @@
 
 #include "lang/disasm.h"
 #include "lang/optimizer.h"
-#include "util/hash.h"
 #include "util/prefetch.h"
 
 namespace eden::core {
@@ -188,22 +187,6 @@ constexpr std::size_t kMaxClasses = 1024;
 constexpr std::uint32_t kProfileCycleSampleEvery = 64;
 
 static_assert(kInvalidClass == telemetry::kNoSpanClass);
-
-// Key-sharded global serialization is sound exactly when the schema
-// proves every global write disjoint by message key: all read_write
-// global fields are key_partitioned arrays (a writable scalar or an
-// unpartitioned array forces full serialization). Requires at least
-// one writable field — otherwise the action would not be serialized on
-// globals' account in the first place.
-bool global_writes_key_disjoint(const lang::StateSchema& schema) {
-  bool any_writable = false;
-  for (const lang::FieldDef& f : schema.fields(lang::Scope::global)) {
-    if (f.access != lang::Access::read_write) continue;
-    if (f.kind == lang::FieldKind::scalar || !f.key_partitioned) return false;
-    any_writable = true;
-  }
-  return any_writable;
-}
 
 // The message scope is MessageSlot::count_ scalars, carried inline in
 // each FlowStore entry and copied whole in and out of the scratch block.
@@ -493,12 +476,6 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
     fc.sink.expired = &counters_.message_entries_expired;
     fc.sink.evicted = &counters_.message_entries_evicted;
     entry->messages = std::make_unique<state::FlowStore>(fc);
-  }
-  if (entry->mode == lang::ConcurrencyMode::serialized &&
-      global_writes_key_disjoint(entry->schema)) {
-    entry->global_sharded = true;
-    entry->global_stripes =
-        std::make_unique<std::array<std::mutex, ActionEntry::kGlobalStripes>>();
   }
   std::lock_guard lock(control_mutex_);
   auto state = begin_mutation_locked();
@@ -1036,12 +1013,7 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     } else {
       ++matched;
     }
-    // global_sharded actions group by key even without message state:
-    // the stripe lock is per message key, so batching same-key packets
-    // amortizes it exactly like the message lock.
-    const std::int64_t key = entry->touches_message || entry->global_sharded
-                                 ? message_key(*p)
-                                 : 0;
+    const std::int64_t key = entry->touches_message ? message_key(*p) : 0;
     ts.group_packet(entry, key, p.get(), cls);
   }
   if (matched != 0) {
@@ -1134,27 +1106,11 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
   // serializes; writable message state serializes per message; otherwise
   // executions proceed in parallel. Readers always take the global lock
   // shared so controller updates stay atomic with respect to a run.
-  //
-  // Refinement: when the schema proves global writes disjoint by
-  // message key (global_sharded), "fully serialized" degrades to
-  // "serialized per key stripe" — the group takes its key's stripe
-  // exclusively plus the global lock SHARED, so different-key groups
-  // run concurrently while whole-state controller writers (which take
-  // the global lock exclusively) still exclude every execution.
   std::shared_lock<std::shared_mutex> global_shared;
   std::unique_lock<std::shared_mutex> global_unique;
-  std::unique_lock<std::mutex> stripe_lock;
   std::unique_lock<std::mutex> msg_lock;
   if (entry.mode == lang::ConcurrencyMode::serialized) {
-    if (entry.global_sharded) {
-      const auto key = static_cast<std::uint64_t>(message_key(*packets[0]));
-      stripe_lock = std::unique_lock(
-          (*entry.global_stripes)[util::mix64(key) &
-                                  (ActionEntry::kGlobalStripes - 1)]);
-      global_shared = std::shared_lock(entry.global_mutex);
-    } else {
-      global_unique = std::unique_lock(entry.global_mutex);
-    }
+    global_unique = std::unique_lock(entry.global_mutex);
   } else {
     global_shared = std::shared_lock(entry.global_mutex);
     if (entry.mode == lang::ConcurrencyMode::per_message &&
@@ -1300,10 +1256,6 @@ EnclaveStats Enclave::stats() const {
     }
   }
   return s;
-}
-
-bool Enclave::action_global_sharded(ActionId id) const {
-  return checked_entry(id)->global_sharded;
 }
 
 state::FlowStoreStats Enclave::message_store_stats(ActionId id) const {

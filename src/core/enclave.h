@@ -304,11 +304,6 @@ class Enclave {
   EnclaveStats stats() const;
   ActionStats action_stats(ActionId id) const;
 
-  // True when the action runs with key-sharded global serialization
-  // (mode == serialized, and every writable global field is a
-  // key_partitioned array — see lang::FieldDef::key_partitioned).
-  bool action_global_sharded(ActionId id) const;
-
   // Per-action FlowStore statistics (live/created/expired/evicted/
   // resizes + probe-length histogram); zeros when the action holds no
   // message state.
@@ -369,6 +364,9 @@ class Enclave {
     bool touches_message = false;
     lang::StateSchema schema;  // base + action-specific global fields
     lang::StateBlock global_state;
+    // Held exclusively by a serialized action's executions and by
+    // publishes of global writes, shared by every other execution
+    // (Section 3.4.4).
     mutable std::shared_mutex global_mutex;
     // Per-message state: sharded open-addressing FlowStore with
     // epoch-reclaimed entries and timer-wheel idle expiry
@@ -377,17 +375,6 @@ class Enclave {
     // the message block inline; init_message_state writes a new one
     // from the message's first packet.
     std::unique_ptr<state::FlowStore> messages;
-    // Key-sharded global writes (Section 3.4.4 refinement): when every
-    // writable global field is a key_partitioned array, "fully
-    // serialized" degrades to "serialized per message-key stripe".
-    // Executions then take their stripe exclusively plus global_mutex
-    // SHARED (excluding whole-state controller writers, which keep
-    // taking global_mutex exclusively); different stripes run
-    // concurrently because the schema promises their write sets are
-    // disjoint by message key.
-    bool global_sharded = false;
-    static constexpr std::size_t kGlobalStripes = 16;
-    std::unique_ptr<std::array<std::mutex, kGlobalStripes>> global_stripes;
     ActionCounters counters;
     // Set at install time when config.telemetry histograms are on;
     // instruments live in metrics_, so raw pointers stay valid.

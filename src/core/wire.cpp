@@ -29,7 +29,6 @@ void write_field_def(ByteWriter& w, const lang::FieldDef& f) {
   for (const auto& rf : f.record_fields) w.str(rf);
   w.str(f.header_map);
   w.i64(f.default_value);
-  w.u8(f.key_partitioned ? 1 : 0);
 }
 
 lang::FieldDef read_field_def(ByteReader& r) {
@@ -51,7 +50,6 @@ lang::FieldDef read_field_def(ByteReader& r) {
   for (std::uint32_t i = 0; i < nrec; ++i) f.record_fields.push_back(r.str());
   f.header_map = r.str();
   f.default_value = r.i64();
-  f.key_partitioned = r.u8() != 0;
   return f;
 }
 

@@ -146,21 +146,25 @@ Table1Info ConntrackFunction::table1() const {
 void push_conntrack_config(core::Enclave& enclave, core::ActionId action,
                            std::int64_t self_host,
                            std::span<const std::int64_t> open_ports) {
-  enclave.set_global_scalar(action, "self", self_host);
-  enclave.set_global_array(
-      action, "open_ports",
-      std::vector<std::int64_t>(open_ports.begin(), open_ports.end()));
+  in_one_txn(enclave, [&] {
+    enclave.set_global_scalar(action, "self", self_host);
+    enclave.set_global_array(
+        action, "open_ports",
+        std::vector<std::int64_t>(open_ports.begin(), open_ports.end()));
+  });
 }
 
 void push_knock_config(core::Enclave& enclave, core::ActionId action,
                        std::span<const std::int64_t> knock_sequence,
                        std::int64_t open_port, bool strict) {
-  enclave.set_global_array(
-      action, "knock_seq",
-      std::vector<std::int64_t>(knock_sequence.begin(),
-                                knock_sequence.end()));
-  enclave.set_global_scalar(action, "open_port", open_port);
-  enclave.set_global_scalar(action, "strict", strict ? 1 : 0);
+  in_one_txn(enclave, [&] {
+    enclave.set_global_array(
+        action, "knock_seq",
+        std::vector<std::int64_t>(knock_sequence.begin(),
+                                  knock_sequence.end()));
+    enclave.set_global_scalar(action, "open_port", open_port);
+    enclave.set_global_scalar(action, "strict", strict ? 1 : 0);
+  });
 }
 
 }  // namespace eden::functions

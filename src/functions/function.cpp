@@ -21,4 +21,15 @@ core::ActionId NetworkFunction::install(core::Enclave& enclave,
   return enclave.install_action(name(), compile(), global_fields());
 }
 
+void in_one_txn(core::Enclave& enclave, const std::function<void()>& writes) {
+  enclave.begin_txn();
+  try {
+    writes();
+  } catch (...) {
+    enclave.abort_txn();
+    throw;
+  }
+  enclave.commit_txn();
+}
+
 }  // namespace eden::functions

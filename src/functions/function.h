@@ -9,6 +9,7 @@
 // metadata for the taxonomy harness.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,5 +44,11 @@ class NetworkFunction {
   // Installs the interpreted (Eden) or native variant into an enclave.
   core::ActionId install(core::Enclave& enclave, bool use_native) const;
 };
+
+// Runs `writes` inside one enclave transaction, so a config helper's
+// global writes land in a single publish and a live data path never
+// runs the action half-configured. A write that throws aborts the
+// transaction and the exception propagates.
+void in_one_txn(core::Enclave& enclave, const std::function<void()>& writes);
 
 }  // namespace eden::functions

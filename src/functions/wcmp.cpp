@@ -188,10 +188,12 @@ Table1Info VipLbFunction::table1() const {
 void push_vip_config(core::Enclave& enclave, core::ActionId action,
                      std::int64_t vip,
                      std::span<const std::int64_t> backend_labels) {
-  enclave.set_global_scalar(action, "vip", vip);
-  enclave.set_global_array(action, "backend_labels",
-                           std::vector<std::int64_t>(backend_labels.begin(),
-                                                     backend_labels.end()));
+  in_one_txn(enclave, [&] {
+    enclave.set_global_scalar(action, "vip", vip);
+    enclave.set_global_array(action, "backend_labels",
+                             std::vector<std::int64_t>(backend_labels.begin(),
+                                                       backend_labels.end()));
+  });
 }
 
 std::vector<std::int64_t> flatten_path_table(

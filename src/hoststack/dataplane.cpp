@@ -36,6 +36,17 @@ std::uint64_t thread_cpu_ns() {
 #endif
 }
 
+// Empty-ring polls before a worker yields the core (keeps latency low
+// on dedicated cores without starving oversubscribed ones).
+constexpr std::uint32_t kIdleSpins = 256;
+
+// Worker i advances stripe i of every message store's timer wheels
+// (Enclave::advance_message_expiry(i, workers)) once per this many
+// batches, and on every idle yield, so idle-message expiry makes
+// progress even when that worker's shard of the traffic goes quiet.
+// Only meaningful when the enclave's message_idle_timeout_ns is set.
+constexpr std::uint32_t kExpiryEveryBatches = 64;
+
 inline void cpu_pause() {
 #if defined(__x86_64__) || defined(_M_X64)
   _mm_pause();
@@ -225,7 +236,6 @@ void DataPlane::worker_main(Worker& w) {
   // the stripe count equals the worker count, so the whole wheel is
   // covered with no two workers contending on a shard.
   const auto advance_expiry = [&] {
-    if (config_.expiry_every_batches == 0) return;
     enclave_.advance_message_expiry(w.id, workers_.size());
     batches_since_expiry = 0;
   };
@@ -233,7 +243,7 @@ void DataPlane::worker_main(Worker& w) {
     const std::size_t n = w.in.pop_bulk(batch.data(), config_.max_batch);
     if (n == 0) {
       if (stop_.load(std::memory_order_acquire) && w.in.empty()) break;
-      if (++idle >= config_.idle_spins) {
+      if (++idle >= kIdleSpins) {
         idle = 0;
         advance_expiry();  // quiet shards still age their messages out
         std::this_thread::yield();
@@ -243,10 +253,7 @@ void DataPlane::worker_main(Worker& w) {
       continue;
     }
     idle = 0;
-    if (++batches_since_expiry >= config_.expiry_every_batches &&
-        config_.expiry_every_batches != 0) {
-      advance_expiry();
-    }
+    if (++batches_since_expiry >= kExpiryEveryBatches) advance_expiry();
 
     // Warm the front of the batch before process_batch touches it; the
     // enclave's own loop prefetches the rest ahead of itself.
@@ -274,9 +281,9 @@ void DataPlane::worker_main(Worker& w) {
     if (n != kept) w.dropped_ctr->inc(n - kept);
 
     // Dropped packets travel the completion ring too (drop_mark set) so
-    // the producer's accounting — and the HostStack's drop counter —
-    // never depends on racing a worker counter. One bulk transfer per
-    // batch; the egress ring is sized to make a stall here rare.
+    // the producer's accounting never depends on racing a worker
+    // counter. One bulk transfer per batch; the egress ring is sized to
+    // make a stall here rare.
     std::size_t pushed = 0;
     while (pushed < n) {
       pushed += w.out.push_bulk(batch.data() + pushed, n - pushed);

@@ -41,30 +41,17 @@
 namespace eden::hoststack {
 
 struct DataPlaneConfig {
-  // Worker thread count. 0 means "no data plane" to embedders such as
-  // HostStack (which then keeps its deterministic inline path); the
-  // DataPlane constructor itself clamps it to at least 1.
-  std::size_t workers = 0;
+  // Worker thread count; the constructor clamps it to at least 1.
+  std::size_t workers = 1;
   // Per-worker ingress ring capacity (rounded up to a power of two).
   // submit() reports backpressure when a shard's ring is full.
   std::size_t ring_capacity = 1024;
   // Upper bound on packets per process_batch drain.
   std::size_t max_batch = 64;
-  // Empty-ring polls before a worker yields the core (keeps latency low
-  // on dedicated cores without starving oversubscribed ones).
-  std::uint32_t idle_spins = 256;
   // Packet pool whose eden_pool_* stats this data plane mirrors into
   // its metrics registry (stats() syncs them). nullptr = the process-
   // wide default pool behind make_packet().
   netsim::PacketPool* pool = nullptr;
-  // Worker i advances stripe i of every message store's timer wheels
-  // (Enclave::advance_message_expiry(i, workers)) once per this many
-  // batches, and on every idle yield — so idle-message expiry makes
-  // progress even when that worker's shard of the traffic goes quiet.
-  // 0 disables the per-worker advance (the enclave's own per-thread
-  // packet pacing still runs). Only meaningful when the enclave's
-  // message_idle_timeout_ns is set.
-  std::uint32_t expiry_every_batches = 64;
 };
 
 struct DataPlaneWorkerStats {
@@ -141,8 +128,7 @@ class DataPlane {
   DataPlaneStats stats() const;
 
   // eden_dataplane_* series (per-worker counters, ring-depth gauges,
-  // batch-size histograms) plus anything embedders bind into the same
-  // registry (e.g. the NIC's eden_nic_bad_queue_total).
+  // batch-size histograms) and the mirrored eden_pool_* series.
   telemetry::MetricsRegistry& metrics() { return metrics_; }
 
  private:

@@ -1,17 +1,10 @@
 #include "hoststack/host_stack.h"
 
-#include <span>
-#include <thread>
-
 #include "telemetry/span.h"
 
 namespace eden::hoststack {
 
 namespace {
-
-// How often (sim time) the stack polls the data plane for completions
-// while packets are in flight.
-constexpr netsim::SimTime kDataplanePollNs = 1000;
 
 std::int64_t scheduler_clock(void* ctx) {
   return static_cast<netsim::Scheduler*>(ctx)->now();
@@ -32,19 +25,6 @@ HostStack::HostStack(netsim::Network& network, netsim::HostNode& host,
   telemetry::SpanCollector::instance().set_clock(&scheduler_clock,
                                                  &network_.scheduler());
   host_.set_deliver([this](netsim::PacketPtr p) { deliver(std::move(p)); });
-  if (config_.dataplane.workers > 0) {
-    dataplane_ = std::make_unique<DataPlane>(enclave_, config_.dataplane);
-    nic_.bind_metrics(dataplane_->metrics());
-  }
-}
-
-HostStack::~HostStack() {
-  if (dataplane_ != nullptr) {
-    // Finish in-flight packets through the normal completion path while
-    // every downstream object (NIC, scheduler) is still alive.
-    dataplane_->stop(
-        [this](netsim::PacketPtr p) { complete_egress(std::move(p)); });
-  }
 }
 
 void HostStack::transmit(netsim::PacketPtr packet) {
@@ -52,17 +32,6 @@ void HostStack::transmit(netsim::PacketPtr packet) {
     telemetry::SpanCollector::instance().record_now(
         packet->meta.trace_id, telemetry::Hop::host_enqueue,
         static_cast<std::int64_t>(packet->size_bytes));
-  }
-  if (dataplane_ != nullptr) {
-    // Sharded path: steer to the shard's ring; on backpressure, drain
-    // completions (which frees ring slots as the workers catch up) and
-    // retry. Completions come back via the poll event armed below.
-    while (!dataplane_->submit(packet)) {
-      pump_dataplane();
-      std::this_thread::yield();
-    }
-    arm_dataplane_poll();
-    return;
   }
   if (!enclave_.process(*packet)) {
     ++enclave_drops_;
@@ -78,62 +47,6 @@ void HostStack::transmit(netsim::PacketPtr packet) {
     return;
   }
   forward_to_nic(std::move(packet));
-}
-
-void HostStack::complete_egress(netsim::PacketPtr packet) {
-  if (packet->drop_mark) {
-    ++enclave_drops_;
-    return;
-  }
-  if (config_.post_enclave) config_.post_enclave(*packet);
-  forward_to_nic(std::move(packet));
-}
-
-void HostStack::pump_dataplane() {
-  // Collect the whole drain first, then complete it as one burst: the
-  // per-packet steps (drop accounting, post_enclave, span hop) run in
-  // completion order, and the survivors reach the NIC via send_burst so
-  // each rate-limited queue drains once per pump instead of once per
-  // packet.
-  completions_scratch_.clear();
-  dataplane_->drain_completions([this](netsim::PacketPtr p) {
-    completions_scratch_.push_back(std::move(p));
-  });
-  if (completions_scratch_.empty()) return;
-  for (netsim::PacketPtr& p : completions_scratch_) {
-    if (p->drop_mark) {
-      ++enclave_drops_;
-      p.reset();
-      continue;
-    }
-    if (config_.post_enclave) config_.post_enclave(*p);
-    if (p->meta.trace_id != 0) {
-      telemetry::SpanCollector::instance().record_now(
-          p->meta.trace_id, telemetry::Hop::host_dequeue,
-          static_cast<std::int64_t>(p->rl_queue));
-    }
-  }
-  nic_.send_burst(std::span(completions_scratch_));
-  completions_scratch_.clear();
-}
-
-// Keeps a zero-weight event circulating while packets are in the data
-// plane: each firing drains completions and re-arms itself if work is
-// still outstanding, so Scheduler::run() cannot terminate with packets
-// stranded in worker rings.
-void HostStack::arm_dataplane_poll() {
-  if (dataplane_poll_armed_ || dataplane_->pending() == 0) return;
-  dataplane_poll_armed_ = true;
-  network_.scheduler().after(kDataplanePollNs, [this] {
-    dataplane_poll_armed_ = false;
-    const std::uint64_t before = dataplane_->pending();
-    pump_dataplane();
-    // An empty poll means the workers have not had the core yet (the
-    // simulator thread outruns them on small machines): give it up
-    // rather than burning sim time on empty polls.
-    if (dataplane_->pending() == before) std::this_thread::yield();
-    arm_dataplane_poll();
-  });
 }
 
 void HostStack::forward_to_nic(netsim::PacketPtr packet) {

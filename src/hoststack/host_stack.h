@@ -5,6 +5,10 @@
 //               -> enclave match-action -> NIC rate-limited queues -> wire.
 // Ingress path: wire -> flow demux -> TCP endpoints / raw handlers.
 //
+// The enclave runs inline on the simulator thread, inside transmit(), so
+// a simulated run is deterministic. The multi-core engine
+// (hoststack/dataplane.h) is driven directly, not through this stack.
+//
 // The message-oriented send API (Section 4.2's extended socket) is
 // send_message(): the application passes a stage, the message attributes
 // and the payload size; the stack classifies the message once and stamps
@@ -15,11 +19,9 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "core/enclave.h"
 #include "core/stage.h"
-#include "hoststack/dataplane.h"
 #include "hoststack/nic.h"
 #include "netsim/network.h"
 #include "transport/tcp.h"
@@ -30,8 +32,6 @@ struct HostStackConfig {
   transport::TcpConfig tcp;
   // Models the enclave's per-packet processing latency (e.g. a slower
   // NIC-resident interpreter). 0 = instantaneous, the default.
-  // Ignored when the sharded data plane is on (queueing delay is then
-  // real, not modelled).
   netsim::SimTime enclave_delay = 0;
   // Run the enclave on received packets too (off by default; the paper's
   // case studies act on egress).
@@ -41,15 +41,6 @@ struct HostStackConfig {
   // interpreter output before transmission (Section 5.1) — the harness
   // models that by squashing the fields the enclave wrote.
   std::function<void(netsim::Packet&)> post_enclave;
-  // Sharded egress data plane (dataplane.h). workers == 0 (the default)
-  // keeps the deterministic inline path: enclave runs synchronously
-  // inside transmit() on the simulator thread, bit-identical to the
-  // pre-data-plane stack. workers > 0 steers egress packets to that many
-  // enclave worker threads; completions re-enter the simulator via a
-  // polling event every 1 us of sim time while packets are in flight, so
-  // packet-to-NIC timing becomes real-time dependent — use for
-  // scaling/stress runs, not figure reproduction.
-  DataPlaneConfig dataplane;
 };
 
 struct FlowInfo {
@@ -70,7 +61,6 @@ class HostStack {
 
   HostStack(netsim::Network& network, netsim::HostNode& host,
             core::Enclave& enclave, HostStackConfig config = {});
-  ~HostStack();
 
   // --- Egress ------------------------------------------------------------
 
@@ -117,20 +107,9 @@ class HostStack {
   netsim::HostId id() const { return host_.id(); }
   std::uint64_t enclave_drops() const { return enclave_drops_; }
 
-  // The sharded data plane, or nullptr when config.dataplane.workers == 0.
-  DataPlane* dataplane() { return dataplane_.get(); }
-
  private:
   void deliver(netsim::PacketPtr packet);
   void forward_to_nic(netsim::PacketPtr packet);
-  // Completion path shared by the inline and data-plane routes: drop
-  // accounting, post_enclave, NIC hand-off.
-  void complete_egress(netsim::PacketPtr packet);
-  // Burst completion path: drains the data plane into a reusable
-  // scratch, applies the per-packet completion steps, then hands the
-  // survivors to the NIC as one tx burst.
-  void pump_dataplane();
-  void arm_dataplane_poll();
 
   netsim::Network& network_;
   netsim::HostNode& host_;
@@ -148,11 +127,6 @@ class HostStack {
   std::uint32_t next_flow_seq_ = 1;
   std::uint16_t next_src_port_ = 10000;
   std::uint64_t enclave_drops_ = 0;
-
-  std::unique_ptr<DataPlane> dataplane_;
-  bool dataplane_poll_armed_ = false;
-  // pump_dataplane burst staging; keeps its capacity across pumps.
-  std::vector<netsim::PacketPtr> completions_scratch_;
 };
 
 }  // namespace eden::hoststack

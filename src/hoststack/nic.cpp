@@ -24,8 +24,6 @@ int Nic::create_queue(std::uint64_t rate_bps, std::uint64_t burst_bytes) {
         record_tx(*p);
         host_.transmit(std::move(p));
       }));
-  queue_touched_.push_back(0);
-  touched_queues_.reserve(queues_.size());
   return static_cast<int>(queues_.size()) - 1;
 }
 
@@ -48,52 +46,10 @@ void Nic::send(netsim::PacketPtr packet) {
   // Any other id names no queue. Forwarding here would skip the rate
   // limiter the action asked for, so the packet is dropped instead.
   ++bad_queue_drops_;
-  if (bad_queue_ctr_ != nullptr) bad_queue_ctr_->inc();
   if (packet->meta.trace_id != 0) {
     telemetry::SpanCollector::instance().record_now(
         packet->meta.trace_id, telemetry::Hop::nic_drop, queue);
   }
-}
-
-void Nic::send_burst(std::span<netsim::PacketPtr> burst) {
-  for (netsim::PacketPtr& packet : burst) {
-    if (!packet) continue;
-    const int queue = packet->rl_queue;
-    if (queue >= 0 && queue < static_cast<int>(queues_.size())) {
-      const auto idx = static_cast<std::size_t>(queue);
-      queues_[idx]->submit_deferred(std::move(packet));
-      if (queue_touched_[idx] == 0) {
-        queue_touched_[idx] = 1;
-        touched_queues_.push_back(queue);
-      }
-      continue;
-    }
-    if (queue == -1) {
-      record_tx(*packet);
-      host_.transmit(std::move(packet));
-      continue;
-    }
-    ++bad_queue_drops_;
-    if (bad_queue_ctr_ != nullptr) bad_queue_ctr_->inc();
-    if (packet->meta.trace_id != 0) {
-      telemetry::SpanCollector::instance().record_now(
-          packet->meta.trace_id, telemetry::Hop::nic_drop, queue);
-    }
-    packet.reset();
-  }
-  // One drain per touched queue: the burst's whole backlog sees a
-  // single refill and at most one wake-up reschedule.
-  for (const int queue : touched_queues_) {
-    const auto idx = static_cast<std::size_t>(queue);
-    queue_touched_[idx] = 0;
-    queues_[idx]->pump();
-  }
-  touched_queues_.clear();
-}
-
-void Nic::bind_metrics(telemetry::MetricsRegistry& registry) {
-  bad_queue_ctr_ = &registry.counter("eden_nic_bad_queue_total");
-  if (bad_queue_drops_ != 0) bad_queue_ctr_->inc(bad_queue_drops_);
 }
 
 }  // namespace eden::hoststack

@@ -6,12 +6,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "hoststack/token_bucket.h"
 #include "netsim/host_node.h"
-#include "telemetry/metrics.h"
 
 namespace eden::hoststack {
 
@@ -30,16 +28,9 @@ class Nic {
   // straight to the wire for the explicit bypass value -1, or — for any
   // other queue id — drops the packet. An action that steers to a queue
   // the controller never created must not silently skip its rate
-  // limiter; the drop is counted in bad_queue_drops() /
-  // eden_nic_bad_queue_total and recorded as a nic_drop span hop.
+  // limiter; the drop is counted in bad_queue_drops() and recorded as
+  // a nic_drop span hop.
   void send(netsim::PacketPtr packet);
-
-  // Tx burst: routes every packet of `burst` exactly as send() would
-  // (null entries skipped), but rate-limited queues are drained once
-  // per touched queue instead of once per packet, so a 64-packet burst
-  // to one Pulsar queue costs one refill/wake-up computation. Entries
-  // are consumed (reset to nullptr).
-  void send_burst(std::span<netsim::PacketPtr> burst);
 
   // Backlog of `queue`, or 0 for ids that name no queue.
   std::size_t queue_backlog(int queue) const {
@@ -51,20 +42,11 @@ class Nic {
 
   std::uint64_t bad_queue_drops() const { return bad_queue_drops_; }
 
-  // Exposes the bad-queue drop counter as eden_nic_bad_queue_total in
-  // `registry` (the HostStack binds the data plane's registry here).
-  void bind_metrics(telemetry::MetricsRegistry& registry);
-
  private:
   netsim::Scheduler& scheduler_;
   netsim::HostNode& host_;
   std::vector<std::unique_ptr<TokenBucket>> queues_;
   std::uint64_t bad_queue_drops_ = 0;
-  telemetry::Counter* bad_queue_ctr_ = nullptr;
-  // send_burst scratch: per-queue touched flags plus the list of
-  // touched ids (kept alongside queues_ by create_queue).
-  std::vector<std::uint8_t> queue_touched_;
-  std::vector<int> touched_queues_;
 };
 
 }  // namespace eden::hoststack

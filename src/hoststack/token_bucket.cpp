@@ -35,16 +35,12 @@ void TokenBucket::refill() {
 }
 
 void TokenBucket::submit(netsim::PacketPtr packet) {
-  submit_deferred(std::move(packet));
-  drain();
-}
-
-void TokenBucket::submit_deferred(netsim::PacketPtr packet) {
   std::int64_t enq_ns = 0;
   if (packet->meta.trace_id != 0) {
     enq_ns = telemetry::SpanCollector::instance().now_ns();
   }
   backlog_.push_back(Queued{std::move(packet), enq_ns});
+  drain();
 }
 
 void TokenBucket::drain() {

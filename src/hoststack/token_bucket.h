@@ -26,13 +26,6 @@ class TokenBucket {
   // charge_bytes of 0 means "charge the wire size".
   void submit(netsim::PacketPtr packet);
 
-  // Burst variant, split in two: submit_deferred() only appends to the
-  // backlog; pump() runs one drain (refill arithmetic, releases, wake-up
-  // scheduling) for the whole burst. The NIC's tx path queues every
-  // packet of a burst bound for this queue, then pumps once.
-  void submit_deferred(netsim::PacketPtr packet);
-  void pump() { drain(); }
-
   void set_rate(std::uint64_t rate_bps);
   std::uint64_t rate_bps() const { return rate_bps_; }
   std::size_t backlog() const { return backlog_.size(); }

@@ -45,16 +45,6 @@ struct FieldDef {
   // uses it when marshalling packets in and out of action functions.
   std::string header_map;
   std::int64_t default_value = 0;
-  // Declares that writes to this global-scope array are disjoint by
-  // message key: an execution for message key K only writes elements
-  // it derives from K (e.g. indexed by K modulo the array length).
-  // When every writable global field of a `serialized` action carries
-  // this promise, the enclave degrades "fully serialized" to
-  // "serialized per key stripe" — executions for different message
-  // keys run concurrently (Section 3.4.4 refinement). Meaningless on
-  // packet/message scope and on scalars (a scalar write can never be
-  // key-disjoint), and ignored there.
-  bool key_partitioned = false;
 };
 
 // Resolved location of a field, as used by the compiler.

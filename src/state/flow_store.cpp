@@ -22,6 +22,8 @@ constexpr std::size_t kGroup = 16;       // slots probed per group
 constexpr std::size_t kSlabEntries = 256;
 constexpr std::size_t kReclaimBatch = 64;
 constexpr std::size_t kEvictScan = 32;   // oldest-cohort sample size
+// acquire() records one in this many probe lengths (hits and inserts).
+constexpr std::uint32_t kProbeSampleEvery = 64;
 
 std::uint8_t tag_of(std::uint64_t h) {
   return static_cast<std::uint8_t>(0x80u | (h >> 57));
@@ -268,7 +270,7 @@ FlowStore::Entry* FlowStore::acquire(const EpochDomain::Guard&,
     Entry* e = probe_find(*t, h, key, &probe_len);
     if (e != nullptr) {
       e->last_touch_ns.store(now_ns, std::memory_order_relaxed);
-      if (telemetry::sample_1_in(config_.probe_sample_every)) {
+      if (telemetry::sample_1_in(kProbeSampleEvery)) {
         probe_hist_.record(probe_len);
       }
       return e;
@@ -348,7 +350,7 @@ FlowStore::Entry* FlowStore::insert_locked(Shard& sh, std::uint64_t hash,
   if (config_.sink.created != nullptr) {
     config_.sink.created->fetch_add(1, std::memory_order_relaxed);
   }
-  if (telemetry::sample_1_in(config_.probe_sample_every)) {
+  if (telemetry::sample_1_in(kProbeSampleEvery)) {
     probe_hist_.record(probe_len);
   }
 

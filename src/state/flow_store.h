@@ -68,7 +68,6 @@ struct FlowStoreConfig {
   std::size_t max_entries = 0;        // total live cap; 0 = unlimited
   std::int64_t idle_timeout_ns = 0;   // 0 = idle expiry disabled
   std::int64_t wheel_tick_ns = 1'000'000;  // 1 ms
-  std::uint32_t probe_sample_every = 64;   // find-path histogram sampling
   FlowStoreSink sink;
 };
 

@@ -207,6 +207,57 @@ TEST(FaultyTransportTest, SameSeedSameFaultsSameBytes) {
   EXPECT_NE(first.received, other.received);
 }
 
+// --- Agent request shape -------------------------------------------------
+
+// Every request a session sends is a batch frame. The agent answers any
+// other request bad_request without applying it, traced or not, and
+// keeps serving the connection.
+TEST(EnclaveAgentTest, LoneCommandRequestAnswersBadRequest) {
+  using core::wire::Status;
+  core::ClassRegistry registry;
+  core::Enclave enclave("agent", registry);
+  EnclaveAgent agent(enclave);
+  PipePump pump;
+  auto [near, far] = make_pipe(pump);
+  agent.attach(std::move(far));
+  FrameDecoder decoder;
+  std::vector<Frame> answers;
+  near->set_on_bytes([&](std::span<const std::uint8_t> data) {
+    EXPECT_TRUE(decoder.feed(data, answers));
+  });
+  const auto answer = [&](Frame request) {
+    answers.clear();
+    near->send(encode_frame(request));
+    pump.run();
+    EXPECT_EQ(answers.size(), 1u);
+    return answers.empty() ? core::wire::Response{}
+                           : core::wire::decode_response(answers[0].payload);
+  };
+
+  const core::wire::Response lone = answer(
+      {FrameType::request, 1, core::wire::encode_create_table("lone")});
+  EXPECT_EQ(lone.status, Status::bad_request);
+  const core::wire::Response traced = answer(
+      {FrameType::request, 2, core::wire::encode_create_table("traced"), 9});
+  EXPECT_EQ(traced.status, Status::bad_request);
+  EXPECT_FALSE(enclave.find_table_id("lone").has_value());
+  EXPECT_FALSE(enclave.find_table_id("traced").has_value());
+
+  const std::vector<std::uint8_t> create =
+      core::wire::encode_create_table("batched");
+  const core::wire::BatchElement element{create};
+  const core::wire::Response batched = answer(
+      {FrameType::request, 3, core::wire::encode_batch({&element, 1})});
+  EXPECT_EQ(batched.status, Status::ok);
+  const auto elements = core::wire::batch_responses(batched);
+  ASSERT_TRUE(elements.has_value());
+  ASSERT_EQ(elements->size(), 1u);
+  EXPECT_EQ((*elements)[0].status, Status::ok);
+  EXPECT_TRUE(enclave.find_table_id("batched").has_value());
+  EXPECT_EQ(agent.stats().requests, 3u);
+  EXPECT_EQ(agent.stats().corrupt_streams, 0u);
+}
+
 // --- Session protocol ---------------------------------------------------
 
 // Forwards everything, but can swallow request frames (never heartbeats)

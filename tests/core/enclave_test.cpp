@@ -901,10 +901,10 @@ TEST_F(EnclaveTest, EmptyBatchIsFine) {
 
 // The grouped path against process() packet by packet, over batches of
 // 1-300 packets interleaving 48 messages across six actions behind one
-// table: parallel, dropping, per_message, fully serialized, key-sharded
-// serialized, and one that faults on some inputs. Every output, every
-// message-state slot and every counter must agree, with per-class
-// telemetry off and on.
+// table: parallel, dropping, per_message, two fully serialized (a scalar
+// and an array writer), and one that faults on some inputs. Every
+// output, every message-state slot and every counter must agree, with
+// per-class telemetry off and on.
 TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
   constexpr std::int64_t kMessages = 48;
   lang::FieldDef total;
@@ -914,7 +914,6 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
   counts.name = "counts";
   counts.kind = lang::FieldKind::array;
   counts.access = lang::Access::read_write;
-  counts.key_partitioned = true;
   lang::FieldDef xs;
   xs.name = "xs";
   xs.kind = lang::FieldKind::array;
@@ -937,7 +936,7 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
        "fun(p, m, g) -> g.total <- g.total + p.size; "
        "p.path <- g.total % 1000",
        {total}},
-      {"sharded",
+      {"serial_array",
        "fun(p, m, g) -> g.counts[p.msg_id] <- g.counts[p.msg_id] + p.size; "
        "p.path <- g.counts[p.msg_id] % 1000",
        {counts}},
@@ -981,7 +980,6 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
                             std::vector<std::int64_t>(kMessages + 1, 0));
         e->set_global_array(actions[5], "xs", {5, 6, 7});
       }
-      ASSERT_TRUE(batched.action_global_sharded(actions[4]));
       for (std::size_t a = 0; a < specs.size(); ++a) {
         classes.push_back(registry.intern(std::string("t.c.") + specs[a].name));
       }
@@ -1120,69 +1118,22 @@ TEST_F(EnclaveTest, SerializedActionIsThreadSafe) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(enclave_.read_global_scalar(action, "packets"),
             kThreads * kPerThread);
-  // A writable global scalar can never be key-disjoint: this action
-  // must run fully serialized, not key-sharded.
-  EXPECT_FALSE(enclave_.action_global_sharded(action));
 }
 
-// --- Key-sharded global serialization ------------------------------------
-
-TEST_F(EnclaveTest, GlobalShardingRequiresKeyPartitionedWrites) {
-  // Eligible: serialized mode, and the only writable global field is a
-  // key_partitioned array (writes provably disjoint by message key).
+TEST_F(EnclaveTest, SerializedArrayWritesAreExactUnderContention) {
+  // Global array increments from racing threads: the exclusive global
+  // lock must serialize every writer, and no update may be lost. The
+  // action also reads its own slot back, so a final packet per key
+  // observes the exact total.
   lang::FieldDef counts;
   counts.name = "counts";
   counts.kind = lang::FieldKind::array;
   counts.access = lang::Access::read_write;
-  counts.key_partitioned = true;
-  const ActionId sharded = install_with_rule(
-      "sharded", "fun(p, m, g) -> g.counts[p.msg_id] <- g.counts[p.msg_id] + 1",
-      {counts});
-  EXPECT_TRUE(enclave_.action_global_sharded(sharded));
-
-  // Not eligible: same shape without the key_partitioned declaration.
-  lang::FieldDef plain = counts;
-  plain.key_partitioned = false;
-  const ActionId serial = install(
-      "serial", "fun(p, m, g) -> g.counts[p.msg_id] <- g.counts[p.msg_id] + 1",
-      {plain});
-  EXPECT_FALSE(enclave_.action_global_sharded(serial));
-
-  // Not eligible: a writable scalar rides along, even though the array
-  // is partitioned (the scalar write would race across stripes).
-  lang::FieldDef total;
-  total.name = "total";
-  total.access = lang::Access::read_write;
-  const ActionId mixed = install(
-      "mixed", "fun(p, m, g) -> g.total <- g.total + 1", {counts, total});
-  EXPECT_FALSE(enclave_.action_global_sharded(mixed));
-
-  // Read-only scalars are fine next to the partitioned array.
-  lang::FieldDef limit;
-  limit.name = "limit";
-  limit.access = lang::Access::read_only;
-  const ActionId with_ro = install(
-      "with_ro", "fun(p, m, g) -> g.counts[p.msg_id] <- g.limit",
-      {counts, limit});
-  EXPECT_TRUE(enclave_.action_global_sharded(with_ro));
-}
-
-TEST_F(EnclaveTest, ShardedGlobalWritesAreExactUnderContention) {
-  // Key-partitioned global increments from racing threads: stripe
-  // locking must serialize same-key writers while different keys run in
-  // parallel, and no update may be lost. The action also reads its own
-  // slot back, so a final packet per key observes the exact total.
-  lang::FieldDef counts;
-  counts.name = "counts";
-  counts.kind = lang::FieldKind::array;
-  counts.access = lang::Access::read_write;
-  counts.key_partitioned = true;
-  const ActionId action = install_with_rule("shard_count", R"(fun(p, m, g) ->
+  const ActionId action = install_with_rule("array_count", R"(fun(p, m, g) ->
       g.counts[p.msg_id] <- g.counts[p.msg_id] + 1;
       p.path <- g.counts[p.msg_id])",
                                             {counts});
   enclave_.set_global_array(action, "counts", std::vector<std::int64_t>(8, 0));
-  ASSERT_TRUE(enclave_.action_global_sharded(action));
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
@@ -1190,8 +1141,7 @@ TEST_F(EnclaveTest, ShardedGlobalWritesAreExactUnderContention) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        // Two threads share key 1, two share key 2: same-key writes
-        // contend on one stripe, cross-key writes run concurrently.
+        // Two threads share key 1, two share key 2.
         netsim::Packet packet = tcp_packet(1 + (t % 2));
         enclave_.process(packet);
       }
@@ -1204,22 +1154,6 @@ TEST_F(EnclaveTest, ShardedGlobalWritesAreExactUnderContention) {
     enclave_.process(probe);
     EXPECT_EQ(probe.path_label, 2 * kPerThread + 1) << "key " << key;
   }
-}
-
-TEST_F(EnclaveTest, ShardedGlobalStateVisibleToControllerWrites) {
-  // Controller writes keep the exclusive global lock, so a
-  // set_global_array lands atomically even against sharded executions.
-  lang::FieldDef counts;
-  counts.name = "counts";
-  counts.kind = lang::FieldKind::array;
-  counts.access = lang::Access::read_write;
-  counts.key_partitioned = true;
-  const ActionId action = install_with_rule(
-      "reset_me", "fun(p, m, g) -> p.path <- g.counts[p.msg_id]", {counts});
-  enclave_.set_global_array(action, "counts", {7, 8, 9, 10});
-  netsim::Packet packet = tcp_packet(2);
-  enclave_.process(packet);
-  EXPECT_EQ(packet.path_label, 9);
 }
 
 TEST_F(EnclaveTest, PerMessageActionIsThreadSafePerMessage) {
@@ -1602,7 +1536,7 @@ class MatchScript {
       } else if (op == 7) {
         registry_.intern(kClasses[rng_.below(kClasses.size())]);
       }
-      send_burst();
+      check_mixed_batch();
       if (::testing::Test::HasFailure()) return;
     }
   }
@@ -1717,7 +1651,7 @@ class MatchScript {
 
   // Packets carrying 0-4 interned classes (repeats allowed), through
   // both paths and the reference.
-  void send_burst() {
+  void check_mixed_batch() {
     std::vector<netsim::PacketPtr> batch;
     std::vector<std::int32_t> want;
     for (int n = 0; n < 12; ++n) {

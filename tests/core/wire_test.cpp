@@ -116,24 +116,6 @@ TEST_F(WireTest, GlobalArrayRoundTrip) {
             Status::rejected);
 }
 
-TEST_F(WireTest, KeyPartitionedFlagSurvivesTheWire) {
-  // key_partitioned is what makes an action eligible for key-sharded
-  // global serialization; dropping it on the wire would silently
-  // de-shard remotely installed actions.
-  lang::FieldDef counts;
-  counts.name = "counts";
-  counts.kind = lang::FieldKind::array;
-  counts.access = lang::Access::read_write;
-  counts.key_partitioned = true;
-  const auto program = controller_.compile(
-      "sharded", "fun(p, m, g) -> g.counts[p.msg_id] <- 1", {{counts}});
-  ASSERT_EQ(send(encode_install_action("sharded", program, {{counts}})).status,
-            Status::ok);
-  const auto id = enclave_.find_action("sharded");
-  ASSERT_TRUE(id.has_value());
-  EXPECT_TRUE(enclave_.action_global_sharded(*id));
-}
-
 TEST_F(WireTest, UnknownActionReported) {
   EXPECT_EQ(send(encode_set_global_scalar("ghost", "x", 1)).status,
             Status::unknown_action);

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 
 #include "core/enclave.h"
@@ -468,6 +469,68 @@ TEST(VipLb, SpreadsConnectionsAcrossBackends) {
   for (const auto& [label, count] : hits) {
     EXPECT_NEAR(count, 100, 45) << label;
   }
+}
+
+// ---- Config helpers --------------------------------------------------------------
+
+// Each helper lands all of its global writes in one publish, so a live
+// data path never runs the action half-configured.
+TEST(ConfigHelpers, EachHelperPublishesOnce) {
+  core::ClassRegistry registry;
+  core::Enclave enclave("cfg", registry);
+  const core::ActionId conntrack = ConntrackFunction().install(enclave, false);
+  const core::ActionId knock = PortKnockFunction().install(enclave, false);
+  const core::ActionId vip = VipLbFunction().install(enclave, false);
+  const std::int64_t values[] = {80, 443};
+
+  std::uint64_t version = enclave.ruleset_version();
+  push_conntrack_config(enclave, conntrack, /*self_host=*/1, values);
+  EXPECT_EQ(enclave.ruleset_version(), version + 1);
+  EXPECT_EQ(enclave.read_global_scalar(conntrack, "self"), 1);
+
+  version = enclave.ruleset_version();
+  push_knock_config(enclave, knock, values, /*open_port=*/2222,
+                    /*strict=*/true);
+  EXPECT_EQ(enclave.ruleset_version(), version + 1);
+  EXPECT_EQ(enclave.read_global_scalar(knock, "open_port"), 2222);
+  EXPECT_EQ(enclave.read_global_scalar(knock, "strict"), 1);
+
+  version = enclave.ruleset_version();
+  push_vip_config(enclave, vip, /*vip=*/42, values);
+  EXPECT_EQ(enclave.ruleset_version(), version + 1);
+  EXPECT_EQ(enclave.read_global_scalar(vip, "vip"), 42);
+  EXPECT_FALSE(enclave.txn_open());
+}
+
+// A write that throws aborts the helper's transaction: the writes
+// staged before it are dropped and nothing is published.
+TEST(ConfigHelpers, FailedWriteAbortsTheWholeConfig) {
+  core::ClassRegistry registry;
+  core::Controller controller(registry);
+  core::Enclave enclave("cfg", registry);
+  // Declares push_vip_config's first field but not its second.
+  lang::FieldDef vip_field;
+  vip_field.name = "vip";
+  const std::vector<lang::FieldDef> fields = {vip_field};
+  const core::ActionId half = enclave.install_action(
+      "half", controller.compile("half", "fun(p, m, g) -> p.path <- g.vip",
+                                 fields),
+      fields);
+  const core::ActionId conntrack = ConntrackFunction().install(enclave, false);
+  const std::int64_t values[] = {80, 443};
+
+  const std::uint64_t version = enclave.ruleset_version();
+  EXPECT_THROW(push_vip_config(enclave, half, /*vip=*/42, values),
+               std::invalid_argument);
+  EXPECT_FALSE(enclave.txn_open());
+  EXPECT_EQ(enclave.ruleset_version(), version);
+  EXPECT_EQ(enclave.read_global_scalar(half, "vip"), 0);
+
+  // The conntrack action has neither of the knock helper's fields.
+  EXPECT_THROW(push_knock_config(enclave, conntrack, values, 2222, false),
+               std::invalid_argument);
+  EXPECT_FALSE(enclave.txn_open());
+  EXPECT_EQ(enclave.ruleset_version(), version);
 }
 
 // ---- QJump / replica select / counter ---------------------------------------

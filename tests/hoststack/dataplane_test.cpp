@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/controller.h"
-#include "experiments/testbed.h"
 #include "hoststack/spsc_ring.h"
 
 namespace eden::hoststack {
@@ -517,61 +516,6 @@ TEST_F(DataPlaneOrderingTest, BurstSubmitManyUniformMessages) {
     keys.push_back(static_cast<std::int64_t>(x % 1000000) + 1);
   }
   check_ordering(keys, 25, /*bursts=*/true);
-}
-
-// --- HostStack integration ------------------------------------------------
-
-TEST(DataPlaneHostStackTest, FlowCompletesWithWorkersOn) {
-  hoststack::HostStackConfig cfg;
-  cfg.dataplane.workers = 2;
-  experiments::Testbed bed(cfg);
-  auto& a = bed.add_host("a");
-  auto& b = bed.add_host("b");
-  bed.connect(a, b, 1000ULL * 1000 * 1000, 1000);
-  bed.routing().install_dest_routes();
-  bed.finalize();
-  auto* alice = bed.host_by_name("a");
-  auto* bob = bed.host_by_name("b");
-  ASSERT_NE(alice->stack->dataplane(), nullptr);
-  EXPECT_EQ(alice->stack->dataplane()->worker_count(), 2u);
-
-  bool done = false;
-  bob->stack->listen(5000,
-                     [&](transport::TcpReceiver& r, const FlowInfo&) {
-                       r.expect(100000);
-                       r.on_complete = [&] { done = true; };
-                     });
-  alice->stack->open_flow(b.id(), 5000).start(100000);
-  bed.run_for(netsim::kSecond);
-  EXPECT_TRUE(done);
-  EXPECT_EQ(alice->stack->dataplane()->pending(), 0u);
-  EXPECT_GT(alice->stack->dataplane()->stats().submitted, 0u);
-}
-
-TEST(DataPlaneHostStackTest, EnclaveDropsCountedThroughDataPlane) {
-  hoststack::HostStackConfig cfg;
-  cfg.dataplane.workers = 2;
-  experiments::Testbed bed(cfg);
-  auto& a = bed.add_host("a");
-  auto& b = bed.add_host("b");
-  bed.connect(a, b, 1000ULL * 1000 * 1000, 1000);
-  bed.routing().install_dest_routes();
-  bed.finalize();
-  auto* alice = bed.host_by_name("a");
-  auto* bob = bed.host_by_name("b");
-
-  const auto program =
-      bed.controller().compile("drop", "fun(p, m, g) -> p.drop <- 1", {});
-  const core::ActionId action =
-      alice->enclave->install_action("drop", program, {});
-  const core::TableId table = alice->enclave->create_table("t");
-  alice->enclave->add_rule(table, core::ClassPattern("*"), action);
-
-  auto& sender = alice->stack->open_flow(b.id(), 5000);
-  sender.start(10000);
-  bed.run_for(50 * netsim::kMillisecond);
-  EXPECT_GT(alice->stack->enclave_drops(), 0u);
-  EXPECT_EQ(bob->node->rx_packets(), 0u);
 }
 
 }  // namespace

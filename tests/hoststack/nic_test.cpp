@@ -101,17 +101,5 @@ TEST_F(NicTest, BacklogQueryIsBoundsChecked) {
   EXPECT_EQ(nic.queue_backlog(q + 1), 0u);
 }
 
-TEST_F(NicTest, BindMetricsExportsDropCounter) {
-  Nic& nic = alice_->stack->nic();
-  nic.send(raw_packet(42));  // drop before binding
-  telemetry::MetricsRegistry registry;
-  nic.bind_metrics(registry);  // folds the pre-bind drop in
-  nic.send(raw_packet(42));
-  const std::string text = registry.text_exposition();
-  EXPECT_NE(text.find("eden_nic_bad_queue_total"), std::string::npos);
-  EXPECT_NE(text.find(" 2"), std::string::npos);
-  EXPECT_EQ(nic.bad_queue_drops(), 2u);
-}
-
 }  // namespace
 }  // namespace eden::hoststack

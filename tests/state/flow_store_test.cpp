@@ -256,7 +256,6 @@ TEST(FlowStore, SinkMirrorsCounters) {
 
 TEST(FlowStore, ProbeLengthHistogramRecords) {
   FlowStoreConfig config;
-  config.probe_sample_every = 1;
   FlowStore store(config);
   EpochDomain::Guard guard(store.domain());
   for (std::int64_t k = 0; k < 1000; ++k) acquire(store, guard, k, k);
@@ -266,11 +265,10 @@ TEST(FlowStore, ProbeLengthHistogramRecords) {
   EXPECT_GE(s.probe_len.p50(), 1u);
 }
 
-// The probe-length histogram samples inserts at the same 1-in-N rate
-// as hits, so fresh keys alone record about creations / N samples.
+// The probe-length histogram samples inserts at the same 1-in-64 rate
+// as hits, so fresh keys alone record about creations / 64 samples.
 TEST(FlowStore, ProbeHistogramSamplesInserts) {
   FlowStoreConfig config;
-  config.probe_sample_every = 64;
   FlowStore store(config);
   EpochDomain::Guard guard(store.domain());
   for (std::int64_t k = 0; k < 6400; ++k) acquire(store, guard, k, k);
