@@ -84,6 +84,9 @@ struct ThreadState {
     std::int64_t key;
     std::uint32_t head;
     std::uint32_t tail;
+    // The message key's lookup, begun and scanned by process_batch's
+    // waves and consumed by the group's acquire.
+    state::FlowStore::Probe probe;
   };
   struct GroupSlot {
     std::uint32_t stamp = 0;
@@ -145,7 +148,7 @@ struct ThreadState {
         if (slot.stamp != group_stamp) {
           g = static_cast<std::uint32_t>(batch_groups.size());
           slot = GroupSlot{group_stamp, g};
-          batch_groups.push_back(BatchGroup{entry, key, kNoItem, kNoItem});
+          batch_groups.push_back(BatchGroup{entry, key, kNoItem, kNoItem, {}});
           break;
         }
         const BatchGroup& seen = batch_groups[slot.group];
@@ -789,14 +792,6 @@ void init_message_payload(void* packet, std::int64_t* payload) {
 }
 }  // namespace
 
-state::FlowStore::Entry* Enclave::message_entry(
-    const state::EpochDomain::Guard& guard, ActionEntry& entry,
-    const netsim::Packet& p) {
-  return entry.messages->acquire(guard, message_key(p), now_ns(),
-                                 &init_message_payload,
-                                 const_cast<netsim::Packet*>(&p));
-}
-
 // Opportunistic idle expiry: every thread on the data path advances the
 // timer wheels (and reclaims epoch-retired memory) once per
 // kExpiryPacePackets packets. Workers that want tighter expiry latency
@@ -1021,23 +1016,24 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
   }
   if (ts.batch_items.empty()) return batch.size();
   {
-    // One epoch pin for the whole batch: the guard each group takes in
-    // run_action_batch nests inside it, so the groups skip the pin's
-    // seq_cst store and fence.
+    // One epoch pin for the whole batch: it keeps every group's probe
+    // valid from its first wave to its acquire, and the guard each
+    // group takes in run_action_batch nests inside it, so the groups
+    // skip the pin's seq_cst store and fence.
     state::EpochDomain::Guard guard(state::EpochDomain::instance());
-    // Overlap the message-store misses across the whole batch: the
-    // first wave warms each group's table lines, the second chases the
-    // slot pointers and pulls both entry lines write-intent, so the
-    // acquire and the payload copy inside run_action_batch hit cache
-    // even at millions of live messages.
-    const auto has_store = [](const ThreadState::BatchGroup& g) {
-      return g.entry->touches_message && g.entry->messages != nullptr;
-    };
-    for (const ThreadState::BatchGroup& g : ts.batch_groups) {
-      if (has_store(g)) g.entry->messages->prefetch(guard, g.key);
+    // Overlap the message-store misses across the whole batch with one
+    // probe per message: the first wave hashes each group's key and
+    // warms its table lines, the second scans them and pulls the
+    // candidate entry's lines write-intent, and the acquire inside
+    // run_action_batch takes that candidate, so the lookup and the
+    // payload copy hit cache even at millions of live messages.
+    for (ThreadState::BatchGroup& g : ts.batch_groups) {
+      if (g.entry->touches_message) {
+        g.probe = g.entry->messages->begin(guard, g.key);
+      }
     }
-    for (const ThreadState::BatchGroup& g : ts.batch_groups) {
-      if (has_store(g)) g.entry->messages->prefetch_entry(guard, g.key);
+    for (ThreadState::BatchGroup& g : ts.batch_groups) {
+      if (g.entry->touches_message) g.entry->messages->scan(g.probe);
     }
     for (std::size_t gi = 0; gi < ts.batch_groups.size(); ++gi) {
       const ThreadState::BatchGroup& group = ts.batch_groups[gi];
@@ -1050,7 +1046,7 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
       if (gi + 1 < ts.batch_groups.size()) {
         util::prefetch_write(ts.batch_items[ts.batch_groups[gi + 1].head].pkt);
       }
-      run_action_batch(ts, *group.entry, ts.batch_group);
+      run_action_batch(ts, *group.entry, ts.batch_group, &group.probe);
     }
   }
 
@@ -1080,15 +1076,19 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
 void Enclave::run_action(detail::ThreadState& ts, ActionEntry& entry,
                          netsim::Packet& packet) {
   netsim::Packet* one = &packet;
-  run_action_batch(ts, entry, std::span<netsim::Packet* const>(&one, 1));
+  run_action_batch(ts, entry, std::span<netsim::Packet* const>(&one, 1),
+                   nullptr);
 }
 
 // Executes the action for every packet of one message (all packets in
 // `packets` share the message key, or the action does not touch message
 // state). Locking and the message-state copy happen once for the whole
-// group; each packet still commits or rolls back independently.
+// group; each packet still commits or rolls back independently. A
+// non-null `probe` is the group's message key, begun and scanned under
+// a guard the caller still holds.
 void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
-                               std::span<netsim::Packet* const> packets) {
+                               std::span<netsim::Packet* const> packets,
+                               const state::FlowStore::Probe* probe) {
   if (packets.empty()) return;
 
   // Message-state entries are epoch-protected: the guard keeps
@@ -1099,7 +1099,14 @@ void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
   state::EpochDomain::Guard guard(state::EpochDomain::instance());
   state::FlowStore::Entry* msg_entry = nullptr;
   if (entry.touches_message) {
-    msg_entry = message_entry(guard, entry, *packets[0]);
+    // The init callback fills a new entry from the group's first packet.
+    netsim::Packet* first = packets[0];
+    msg_entry =
+        probe != nullptr
+            ? entry.messages->acquire(guard, *probe, now_ns(),
+                                      &init_message_payload, first)
+            : entry.messages->acquire(guard, message_key(*first), now_ns(),
+                                      &init_message_payload, first);
   }
 
   // Concurrency model of Section 3.4.4: writable global state fully

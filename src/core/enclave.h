@@ -436,20 +436,14 @@ class Enclave {
   void run_action(detail::ThreadState& ts, ActionEntry& entry,
                   netsim::Packet& packet);
   void run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
-                        std::span<netsim::Packet* const> packets);
+                        std::span<netsim::Packet* const> packets,
+                        const state::FlowStore::Probe* probe);
   TableMatch match_in_table(const Table& table,
                             const netsim::Packet& packet) const;
   ClassCounters* class_counter(ClassId cls);
   std::string class_display_name(ClassId cls) const;
   void attach_instruments(ActionEntry& entry);
   void classify_flow(const RuleState& rules, netsim::Packet& packet) const;
-  // Find-or-create the FlowStore entry for p's message key. The caller
-  // must hold `guard` (and keep it alive while using the entry): the
-  // pointer stays valid under concurrent expiry/eviction/resize until
-  // the guard drops.
-  state::FlowStore::Entry* message_entry(const state::EpochDomain::Guard& guard,
-                                         ActionEntry& entry,
-                                         const netsim::Packet& p);
   std::int64_t now_ns() const;
   void maybe_advance_expiry(detail::ThreadState& ts, const RuleState& rules);
   static std::int64_t message_key(const netsim::Packet& p);

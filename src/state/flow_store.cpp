@@ -150,146 +150,123 @@ FlowStore::Entry* FlowStore::probe_find(const Table& t, std::uint64_t hash,
   return nullptr;
 }
 
-FlowStore::Entry* FlowStore::find(const EpochDomain::Guard&,
+FlowStore::Probe FlowStore::begin(const EpochDomain::Guard&,
                                   std::int64_t key) const {
-  const std::uint64_t h = util::mix64(static_cast<std::uint64_t>(key));
-  const Shard& sh = shard_for(h);
-  const Table* t = sh.table.load(std::memory_order_acquire);
-  if (t == nullptr) return nullptr;
-  return probe_find(*t, h, key);
+  Probe p;
+  p.key_ = key;
+  p.hash_ = util::mix64(static_cast<std::uint64_t>(key));
+  p.table_ = shard_for(p.hash_).table.load(std::memory_order_acquire);
+  if (p.table_ != nullptr) {
+    const std::size_t base = (p.hash_ >> shard_bits_) & p.table_->mask;
+    __builtin_prefetch(&p.table_->ctrl[base], 0, 3);
+    __builtin_prefetch(&p.table_->slots[base], 0, 3);
+  }
+  return p;
 }
 
-void FlowStore::prefetch(const EpochDomain::Guard&,
-                         std::int64_t key) const {
-  const std::uint64_t h = util::mix64(static_cast<std::uint64_t>(key));
-  const Shard& sh = shard_for(h);
-  const Table* t = sh.table.load(std::memory_order_acquire);
-  if (t == nullptr) return;
-  const std::size_t base = (h >> shard_bits_) & t->mask;
-  __builtin_prefetch(&t->ctrl[base], 0, 3);
-  __builtin_prefetch(&t->slots[base], 0, 3);
-}
-
-void FlowStore::prefetch_entry(const EpochDomain::Guard&,
-                               std::int64_t key) const {
-  const std::uint64_t h = util::mix64(static_cast<std::uint64_t>(key));
-  const Shard& sh = shard_for(h);
-  const Table* t = sh.table.load(std::memory_order_acquire);
-  if (t == nullptr) return;
-  const std::uint8_t tag = tag_of(h);
+void FlowStore::scan(Probe& p) const {
+  const Table* t = p.table_;
+  if (t == nullptr) {
+    p.saw_empty_ = true;
+    return;
+  }
+  const std::uint8_t tag = tag_of(p.hash_);
   const std::size_t mask = t->mask;
-  const std::size_t base = (h >> shard_bits_) & mask;
+  const std::size_t base = (p.hash_ >> shard_bits_) & mask;
   // First probe group only: with the fill capped at 7/8 and tombstone
-  // rehashing, nearly every present key resolves here. Prefetch every
-  // tag-matching candidate; verifying the key would BE the miss this
-  // call exists to overlap.
+  // rehashing, nearly every key resolves here, and the rest fall back
+  // to the full probe. Verifying the candidate's key would BE the miss
+  // this wave exists to overlap, so a tag match is enough.
   for (std::size_t j = 0; j < kGroup; ++j) {
     const std::size_t i = (base + j) & mask;
     const std::uint8_t c = t->ctrl[i].load(std::memory_order_acquire);
     if (c == tag) {
-      const Entry* e = t->slots[i].load(std::memory_order_acquire);
-      // Write-intent on both lines: the acquire that follows stamps
-      // last_touch_ns and takes the entry lock, and the action commits
-      // the payload, so pull them exclusive and skip the RFO upgrade.
+      Entry* e = t->slots[i].load(std::memory_order_acquire);
       if (e != nullptr) {
         __builtin_prefetch(e, 1, 3);
         __builtin_prefetch(e->payload, 1, 3);
+        p.candidate_ = e;
+        p.slot_ = static_cast<std::uint32_t>(i);
+        p.probe_len_ = static_cast<std::uint32_t>(j + 1);
+        return;
       }
     } else if (c == kEmpty) {
+      p.saw_empty_ = true;
       return;
     }
   }
 }
 
-void FlowStore::find_batch(const EpochDomain::Guard& guard,
-                           const std::int64_t* keys, std::size_t n,
-                           Entry** out) const {
-  std::uint64_t hashes[kMaxFindBatch];
-  const Table* tables[kMaxFindBatch];
-  if (n > kMaxFindBatch) n = kMaxFindBatch;
+// The scanned candidate, if it is still linked in `current` (the
+// shard's table now) under the probe's key. An erased entry keeps its
+// key while a guard pins it, so the key alone does not say it is
+// linked; the same table and slot do, because nothing the guard pins
+// is reclaimed and reused.
+FlowStore::Entry* FlowStore::linked_candidate(const Probe& p,
+                                              const Table* current) {
+  Entry* e = p.candidate_;
+  if (e == nullptr || p.table_ != current ||
+      current->slots[p.slot_].load(std::memory_order_acquire) != e ||
+      e->key != p.key_) {
+    return nullptr;
+  }
+  return e;
+}
 
-  // Wave 1: one pass of independent prefetches — by the time the last
-  // key's request is issued, the first key's lines are arriving.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t h =
-        util::mix64(static_cast<std::uint64_t>(keys[i]));
-    hashes[i] = h;
-    const Table* t = shard_for(h).table.load(std::memory_order_acquire);
-    tables[i] = t;
-    if (t == nullptr) continue;
-    const std::size_t base = (h >> shard_bits_) & t->mask;
-    __builtin_prefetch(&t->ctrl[base], 0, 3);
-    __builtin_prefetch(&t->slots[base], 0, 3);
-  }
-  // Wave 2: probe the warm table lines; remember the first candidate
-  // per key and start its entry line on its way. Tag collisions within
-  // a group are rare enough that wave 3's fallback re-probe never
-  // shows up in a profile.
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = nullptr;
-    const Table* t = tables[i];
-    if (t == nullptr) continue;
-    const std::uint8_t tag = tag_of(hashes[i]);
-    const std::size_t mask = t->mask;
-    const std::size_t base = (hashes[i] >> shard_bits_) & mask;
-    for (std::size_t j = 0; j < kGroup; ++j) {
-      const std::size_t s = (base + j) & mask;
-      const std::uint8_t c = t->ctrl[s].load(std::memory_order_acquire);
-      if (c == tag) {
-        Entry* e = t->slots[s].load(std::memory_order_acquire);
-        if (e != nullptr) {
-          __builtin_prefetch(e, 0, 3);
-          out[i] = e;
-          break;
-        }
-      } else if (c == kEmpty) {
-        break;
-      }
-    }
-  }
-  // Wave 3: validate candidates against warm entry lines; fall back to
-  // the full probe for tag collisions and overflow chains.
-  for (std::size_t i = 0; i < n; ++i) {
-    Entry* e = out[i];
-    if (e != nullptr && e->key == keys[i]) continue;
-    const Table* t = tables[i];
-    out[i] = t == nullptr ? nullptr : probe_find(*t, hashes[i], keys[i]);
-  }
-  (void)guard;
+FlowStore::Entry* FlowStore::find(const EpochDomain::Guard&,
+                                  const Probe& p) const {
+  const Table* t = shard_for(p.hash_).table.load(std::memory_order_acquire);
+  if (Entry* e = linked_candidate(p, t)) return e;
+  return t == nullptr ? nullptr : probe_find(*t, p.hash_, p.key_);
+}
+
+FlowStore::Entry* FlowStore::find(const EpochDomain::Guard& guard,
+                                  std::int64_t key) const {
+  Probe p = begin(guard, key);
+  scan(p);
+  return find(guard, p);
+}
+
+FlowStore::Entry* FlowStore::acquire(const EpochDomain::Guard& guard,
+                                     std::int64_t key, std::int64_t now_ns,
+                                     InitFn init, void* ctx, bool* created) {
+  Probe p = begin(guard, key);
+  scan(p);
+  return acquire(guard, p, now_ns, init, ctx, created);
 }
 
 FlowStore::Entry* FlowStore::acquire(const EpochDomain::Guard&,
-                                     std::int64_t key, std::int64_t now_ns,
+                                     const Probe& p, std::int64_t now_ns,
                                      InitFn init, void* ctx, bool* created) {
   if (created != nullptr) *created = false;
-  const std::uint64_t h = util::mix64(static_cast<std::uint64_t>(key));
-  Shard& sh = shard_for(h);
-  Table* t = sh.table.load(std::memory_order_acquire);
-  if (t != nullptr) {
-    std::size_t probe_len = 0;
-    Entry* e = probe_find(*t, h, key, &probe_len);
-    if (e != nullptr) {
-      e->last_touch_ns.store(now_ns, std::memory_order_relaxed);
-      if (telemetry::sample_1_in(kProbeSampleEvery)) {
-        probe_hist_.record(probe_len);
-      }
-      return e;
+  Shard& sh = shard_for(p.hash_);
+  const Table* t = sh.table.load(std::memory_order_acquire);
+  std::size_t probe_len = p.probe_len_;
+  Entry* e = linked_candidate(p, t);
+  if (e == nullptr && !p.saw_empty_ && t != nullptr) {
+    e = probe_find(*t, p.hash_, p.key_, &probe_len);
+  }
+  if (e != nullptr) {
+    e->last_touch_ns.store(now_ns, std::memory_order_relaxed);
+    if (telemetry::sample_1_in(kProbeSampleEvery)) {
+      probe_hist_.record(probe_len);
     }
+    return e;
   }
   // Probable miss: make room BEFORE taking our shard lock, so eviction
   // can lock sibling shards without ever holding two shard locks.
-  if (config_.max_entries != 0) ensure_capacity(h & shard_mask_, now_ns);
+  if (config_.max_entries != 0) ensure_capacity(p.hash_ & shard_mask_, now_ns);
   std::lock_guard<std::mutex> lock(sh.lock);
   t = sh.table.load(std::memory_order_relaxed);
   if (t != nullptr) {
-    Entry* e = probe_find(*t, h, key);
+    e = probe_find(*t, p.hash_, p.key_);
     if (e != nullptr) {
       e->last_touch_ns.store(now_ns, std::memory_order_relaxed);
       return e;
     }
   }
   if (created != nullptr) *created = true;
-  return insert_locked(sh, h, key, now_ns, init, ctx);
+  return insert_locked(sh, p.hash_, p.key_, now_ns, init, ctx);
 }
 
 FlowStore::Entry* FlowStore::insert_locked(Shard& sh, std::uint64_t hash,

@@ -23,6 +23,9 @@
 //     serialize on the shard mutex and retire unlinked memory through
 //     the epoch protocol (see epoch.h) so nothing is freed or reused
 //     while an in-flight execution can still touch it.
+//   * One lookup mechanism, the `Probe`: each key is hashed and probed
+//     once, in waves a batch runs over all its keys; `acquire(key)`
+//     and `find(key)` run the waves back to back for one key.
 //   * A per-shard hierarchical TimerWheel orders entries by idleness:
 //     every acquire stamps last_touch (touch-on-access, no wheel
 //     movement); advance() lazily cascades and either expires a fired
@@ -32,12 +35,12 @@
 //     first, hot long-lived flows survive. Expiry and capacity
 //     eviction are accounted separately.
 //
-// Concurrency contract: find/acquire may run from any thread with a
-// live EpochDomain::Guard; the returned Entry* (and everything hanging
-// off it) stays valid until the guard is released, even if the entry
-// is concurrently expired, evicted or the table resized. Mutating an
-// entry's payload requires holding entry->lock (per-message
-// exclusivity, unchanged from the old MessageEntry).
+// Concurrency contract: begin/scan/find/acquire may run from any
+// thread with a live EpochDomain::Guard; the returned Entry* (and
+// everything hanging off it) stays valid until the guard is released,
+// even if the entry is concurrently expired, evicted or the table
+// resized. Mutating an entry's payload requires holding entry->lock
+// (per-message exclusivity, unchanged from the old MessageEntry).
 #pragma once
 
 #include <atomic>
@@ -81,6 +84,9 @@ struct FlowStoreStats {
 };
 
 class FlowStore {
+  struct Table;
+  struct Shard;
+
  public:
   // Words of state each entry carries inline.
   static constexpr std::size_t kPayloadWords = 8;
@@ -111,11 +117,49 @@ class FlowStore {
   FlowStore(const FlowStore&) = delete;
   FlowStore& operator=(const FlowStore&) = delete;
 
+  // One key's lookup, carried through a batch's waves so the key is
+  // hashed and probed once. At large populations a lookup pays two
+  // dependent cache misses (the table lines, then the entry's two
+  // lines); running `begin` over a whole batch, then `scan`, then
+  // `acquire`/`find` overlaps those misses across the batch instead of
+  // serializing them per lookup:
+  //   * `begin` hashes the key, reads the shard's table and prefetches
+  //     the key's probe group;
+  //   * `scan` reads that group (warm by now), keeps the first
+  //     tag-matching entry as the candidate and prefetches both of its
+  //     lines write-intent, since the acquire that follows stamps the
+  //     entry and the action commits its payload;
+  //   * `acquire`/`find` take the candidate only while it is still
+  //     linked in the shard's current table under the key, and probe
+  //     the current table in full otherwise.
+  // The guard given to `begin` must stay held until the probe's last
+  // use: it keeps the scanned table and candidate from being reclaimed.
+  class Probe {
+   private:
+    friend class FlowStore;
+    std::int64_t key_ = 0;
+    std::uint64_t hash_ = 0;
+    const Table* table_ = nullptr;  // the shard's table at `begin`
+    Entry* candidate_ = nullptr;    // first tag match `scan` found
+    std::uint32_t slot_ = 0;        // candidate_'s slot in table_
+    std::uint32_t probe_len_ = 0;   // slots scanned to reach it
+    bool saw_empty_ = false;        // scan met an empty slot first
+  };
+
+  Probe begin(const EpochDomain::Guard& guard, std::int64_t key) const;
+  void scan(Probe& probe) const;
+
   // Lock-free lookup; does NOT touch (peek semantics).
+  Entry* find(const EpochDomain::Guard& guard, const Probe& probe) const;
   Entry* find(const EpochDomain::Guard& guard, std::int64_t key) const;
 
   // Find-or-create; stamps last_touch either way. `init`/`ctx` run only
-  // on creation. Sets *created when the entry is new.
+  // on creation. Sets *created when the entry is new. A probe whose
+  // scan met an empty slot before any candidate goes straight to the
+  // locked insert, which probes again under the shard lock.
+  Entry* acquire(const EpochDomain::Guard& guard, const Probe& probe,
+                 std::int64_t now_ns, InitFn init, void* ctx,
+                 bool* created = nullptr);
   Entry* acquire(const EpochDomain::Guard& guard, std::int64_t key,
                  std::int64_t now_ns, InitFn init, void* ctx,
                  bool* created = nullptr);
@@ -124,31 +168,6 @@ class FlowStore {
   // expired nor the evicted counter: the caller asked for the removal
   // and accounts for it.
   bool erase(std::int64_t key);
-
-  // Batch warm-up for the hit path. Lookups at large populations pay
-  // two dependent cache misses (the table lines, then the entry's two
-  // lines); issuing `prefetch` for every key in a batch and then
-  // `prefetch_entry` for the same keys overlaps those misses across
-  // the whole batch instead of serializing them per lookup. Both are
-  // hints: they never fault, never touch stats, and are safe for keys
-  // that are absent. `prefetch_entry` assumes the table lines are
-  // already warm (i.e. `prefetch` ran earlier in the same batch).
-  void prefetch(const EpochDomain::Guard& guard, std::int64_t key) const;
-  void prefetch_entry(const EpochDomain::Guard& guard,
-                      std::int64_t key) const;
-
-  // Batched peek: looks up `n` keys (n <= kMaxFindBatch) and writes
-  // out[i] = entry or nullptr. Equivalent to n find() calls but runs
-  // the prefetch waves internally, hashing and probing each key once:
-  // wave 1 issues the table-line prefetches for every key, wave 2
-  // probes (now-warm lines) and prefetches each candidate entry, wave
-  // 3 validates candidates against the (now-warm) entry lines. At
-  // large populations this overlaps the dependent misses of the whole
-  // batch instead of serializing three per lookup.
-  static constexpr std::size_t kMaxFindBatch = 256;
-  void find_batch(const EpochDomain::Guard& guard,
-                  const std::int64_t* keys, std::size_t n,
-                  Entry** out) const;
 
   // Expires idle entries whose shard index falls in the given stripe
   // and reclaims retired memory. `advance` covers every shard.
@@ -165,14 +184,12 @@ class FlowStore {
   const FlowStoreConfig& config() const { return config_; }
 
  private:
-  struct Table;
-  struct Shard;
-
   static Entry* entry_of(TimerNode* node) {
     return reinterpret_cast<Entry*>(node);
   }
 
   Shard& shard_for(std::uint64_t hash) const;
+  static Entry* linked_candidate(const Probe& probe, const Table* current);
   Entry* probe_find(const Table& t, std::uint64_t hash, std::int64_t key,
                     std::size_t* probe_out = nullptr) const;
   Entry* insert_locked(Shard& sh, std::uint64_t hash, std::int64_t key,

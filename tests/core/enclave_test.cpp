@@ -899,6 +899,41 @@ TEST_F(EnclaveTest, EmptyBatchIsFine) {
   EXPECT_EQ(enclave_.process_batch(batch), 0u);
 }
 
+// Per-message actions the batch-vs-per-packet tests share: one that
+// accumulates message state, and one that writes it and then faults on
+// some inputs (an out-of-bounds read of the 3-element `xs`, a division
+// by zero), so the write must roll back.
+constexpr const char* kAccumSource =
+    "fun(p, m, g) -> m.size <- m.size + p.size; "
+    "m.packets <- m.packets + 1; "
+    "p.priority <- (if m.size > 6000 then 2 else 6); p.path <- m.packets";
+constexpr const char* kFaultySource =
+    "fun(p, m, g) -> m.state0 <- m.state0 + 1; "
+    "p.path <- m.state0 + g.xs[p.size % 4] / (p.size % 3)";
+
+// Runs `packets` through `per_packet` one at a time and through
+// `batched` as one batch: the kept count and every packet's outputs
+// must agree.
+void expect_batch_matches_per_packet(
+    Enclave& per_packet, Enclave& batched,
+    const std::vector<netsim::Packet>& packets) {
+  std::vector<netsim::PacketPtr> batch;
+  std::vector<netsim::Packet> expect = packets;
+  std::size_t expect_kept = 0;
+  for (netsim::Packet& p : expect) {
+    batch.push_back(netsim::make_packet());
+    *batch.back() = p;
+    if (per_packet.process(p)) ++expect_kept;
+  }
+  ASSERT_EQ(batched.process_batch(batch), expect_kept);
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_EQ(batch[i]->drop_mark, expect[i].drop_mark);
+    EXPECT_EQ(batch[i]->priority, expect[i].priority);
+    EXPECT_EQ(batch[i]->path_label, expect[i].path_label);
+  }
+}
+
 // The grouped path against process() packet by packet, over batches of
 // 1-300 packets interleaving 48 messages across six actions behind one
 // table: parallel, dropping, per_message, two fully serialized (a scalar
@@ -927,11 +962,7 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
       {"dropper",
        "fun(p, m, g) -> p.drop <- p.size % 5 = 0; p.path <- p.size % 7",
        {}},
-      {"accum",
-       "fun(p, m, g) -> m.size <- m.size + p.size; "
-       "m.packets <- m.packets + 1; "
-       "p.priority <- (if m.size > 6000 then 2 else 6); p.path <- m.packets",
-       {}},
+      {"accum", kAccumSource, {}},
       {"serial",
        "fun(p, m, g) -> g.total <- g.total + p.size; "
        "p.path <- g.total % 1000",
@@ -940,10 +971,7 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
        "fun(p, m, g) -> g.counts[p.msg_id] <- g.counts[p.msg_id] + p.size; "
        "p.path <- g.counts[p.msg_id] % 1000",
        {counts}},
-      {"faulty",
-       "fun(p, m, g) -> m.state0 <- m.state0 + 1; "
-       "p.path <- m.state0 + g.xs[p.size % 4] / (p.size % 3)",
-       {xs}},
+      {"faulty", kFaultySource, {xs}},
   };
   const lang::ConcurrencyMode modes[] = {
       lang::ConcurrencyMode::parallel,    lang::ConcurrencyMode::parallel,
@@ -989,9 +1017,7 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
       std::uint64_t matched = 0;
       for (int round = 0; round < 12; ++round) {
         const std::size_t n = 1 + rng.below(300);
-        std::vector<netsim::PacketPtr> batch;
-        std::vector<netsim::Packet> expect;
-        std::size_t expect_kept = 0;
+        std::vector<netsim::Packet> packets;
         for (std::size_t i = 0; i < n; ++i) {
           netsim::Packet p =
               tcp_packet(1 + static_cast<std::int64_t>(rng.below(kMessages)));
@@ -1004,19 +1030,10 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
             p.classes.add(other);
             ++matched;
           }  // else: no class, no rule matches
-          batch.push_back(netsim::make_packet());
-          *batch.back() = p;
-          if (per_packet.process(p)) ++expect_kept;
-          expect.push_back(p);
+          packets.push_back(p);
         }
-        ASSERT_EQ(batched.process_batch(batch), expect_kept) << "round " << round;
-        for (std::size_t i = 0; i < n; ++i) {
-          SCOPED_TRACE("round " + std::to_string(round) + " packet " +
-                       std::to_string(i));
-          EXPECT_EQ(batch[i]->drop_mark, expect[i].drop_mark);
-          EXPECT_EQ(batch[i]->priority, expect[i].priority);
-          EXPECT_EQ(batch[i]->path_label, expect[i].path_label);
-        }
+        SCOPED_TRACE("round " + std::to_string(round));
+        expect_batch_matches_per_packet(per_packet, batched, packets);
         if (HasFailure()) return;
       }
 
@@ -1051,6 +1068,76 @@ TEST_F(EnclaveTest, BatchMatchesPerPacketAcrossActionsAndMessages) {
       EXPECT_EQ(got.matched, want.matched);
       EXPECT_EQ(got.dropped_by_action, want.dropped_by_action);
       EXPECT_GT(want.dropped_by_action, 0u);
+    }
+  }
+}
+
+// process_batch begins and scans each group's FlowStore probe before
+// any group runs, so a group that creates a message can resize the
+// shard under the probes of the groups after it, which must then fall
+// back to the new table. One shard and a stream of fresh messages make
+// the resizes land inside batches; every packet and every message must
+// still match the per-packet twin.
+TEST_F(EnclaveTest, BatchProbeMatchesPerPacketAcrossShardResizes) {
+  constexpr std::int64_t kMessages = 2'000;
+  lang::FieldDef xs;
+  xs.name = "xs";
+  xs.kind = lang::FieldKind::array;
+  const std::vector<lang::FieldDef> globals = {xs};
+
+  EnclaveConfig config;
+  config.message_store_shards = 1;
+  config.max_messages_per_action = 0;
+  Enclave per_packet("per-packet", registry_, config);
+  Enclave batched("batched", registry_, config);
+  ActionId accum_id = 0;
+  ActionId faulty_id = 0;
+  for (Enclave* e : {&per_packet, &batched}) {
+    const TableId table = e->create_table("t");
+    accum_id = e->install_action(
+        "accum", controller_.compile("accum", kAccumSource, {}), {});
+    faulty_id = e->install_action(
+        "faulty", controller_.compile("faulty", kFaultySource, globals),
+        globals);
+    e->add_rule(table, ClassPattern("t.c.accum"), accum_id);
+    e->add_rule(table, ClassPattern("t.c.faulty"), faulty_id);
+    e->set_global_array(faulty_id, "xs", {5, 6, 7});
+  }
+  const ClassId classes[] = {registry_.intern("t.c.accum"),
+                             registry_.intern("t.c.faulty")};
+
+  util::Rng rng(99);
+  std::int64_t next_message = 1;
+  for (int round = 0; next_message <= kMessages; ++round) {
+    const std::size_t n = 1 + rng.below(300);
+    std::vector<netsim::Packet> packets;
+    for (std::size_t i = 0; i < n; ++i) {
+      // A third of the packets open a message; the rest revisit one.
+      const std::int64_t msg =
+          next_message == 1 || rng.below(3) == 0
+              ? next_message++
+              : 1 + static_cast<std::int64_t>(rng.below(
+                        static_cast<std::uint64_t>(next_message - 1)));
+      netsim::Packet p = tcp_packet(msg);
+      p.size_bytes = static_cast<std::uint32_t>(64 + rng.below(1451));
+      p.classes.add(classes[rng.below(2)]);
+      packets.push_back(p);
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_batch_matches_per_packet(per_packet, batched, packets);
+    if (HasFailure()) return;
+  }
+
+  for (const ActionId action : {accum_id, faulty_id}) {
+    EXPECT_GT(batched.message_store_stats(action).resizes, 0u);
+    EXPECT_EQ(batched.message_store_stats(action).live,
+              per_packet.message_store_stats(action).live);
+    for (std::int64_t key = 1; key < next_message; ++key) {
+      for (std::uint16_t slot = 0; slot < MessageSlot::count_; ++slot) {
+        ASSERT_EQ(batched.peek_message_state(action, key, slot),
+                  per_packet.peek_message_state(action, key, slot))
+            << "action " << action << " message " << key << " slot " << slot;
+      }
     }
   }
 }

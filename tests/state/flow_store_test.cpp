@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/state/epoch.h"
+#include "src/util/hash.h"
 
 namespace eden::state {
 namespace {
@@ -276,6 +277,143 @@ TEST(FlowStore, ProbeHistogramSamplesInserts) {
   EXPECT_EQ(s.created, 6400u);
   EXPECT_GE(s.probe_len.count, 99u);
   EXPECT_LE(s.probe_len.count, 101u);
+}
+
+// A probe's candidate is taken only while it is still linked: an
+// erased entry keeps its key while the guard pins it, so a key check
+// alone would hand back the retired entry. After a resize the scanned
+// table is retired but still holds the entry's slot, so the slot alone
+// does not prove it linked either.
+TEST(FlowStore, ProbeSkipsAnErasedCandidate) {
+  FlowStoreConfig config;
+  config.shards = 1;
+  config.initial_capacity = 16;
+  for (const bool resize_first : {false, true}) {
+    SCOPED_TRACE(resize_first ? "erased after a resize" : "erased");
+    FlowStore store(config);
+    EpochDomain::Guard guard(store.domain());
+    FlowStore::Entry* old = acquire(store, guard, 5, 100);
+    FlowStore::Probe probe = store.begin(guard, 5);
+    store.scan(probe);
+    if (resize_first) {
+      for (std::int64_t k = 100; k < 200; ++k) acquire(store, guard, k, k);
+      ASSERT_GT(store.stats().resizes, 0u);
+    }
+    ASSERT_TRUE(store.erase(5));
+    EXPECT_EQ(old->key, 5);
+    EXPECT_EQ(store.find(guard, probe), nullptr);
+
+    std::int64_t key = 5;
+    bool created = false;
+    FlowStore::Entry* fresh =
+        store.acquire(guard, probe, 200, &stamp_key, &key, &created);
+    EXPECT_TRUE(created);
+    EXPECT_NE(fresh, old);
+    EXPECT_EQ(fresh->key, 5);
+    EXPECT_EQ(store.live(), resize_first ? 101u : 1u);
+  }
+}
+
+// Probes scanned before the shard's table is replaced fall back to the
+// new table: residents come back as their own (never moved) entries and
+// each absent key is created exactly once.
+TEST(FlowStore, ProbeSurvivesAResizeBetweenScanAndAcquire) {
+  FlowStoreConfig config;
+  config.shards = 1;
+  config.initial_capacity = 16;
+  FlowStore store(config);
+  EpochDomain::Guard guard(store.domain());
+  std::vector<FlowStore::Entry*> residents;
+  for (std::int64_t k = 0; k < 10; ++k) {
+    residents.push_back(acquire(store, guard, k, k));
+  }
+  std::vector<FlowStore::Probe> probes;
+  for (std::int64_t k = 0; k < 20; ++k) probes.push_back(store.begin(guard, k));
+  for (FlowStore::Probe& p : probes) store.scan(p);
+  for (std::int64_t k = 1000; k < 1500; ++k) acquire(store, guard, k, k);
+  ASSERT_GT(store.stats().resizes, 0u);
+
+  for (std::int64_t k = 0; k < 20; ++k) {
+    std::int64_t key = k;
+    bool created = false;
+    FlowStore::Entry* e =
+        store.acquire(guard, probes[k], 2000, &stamp_key, &key, &created);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->key, k);
+    if (k < 10) {
+      EXPECT_EQ(e, residents[k]);
+      EXPECT_FALSE(created);
+    } else {
+      EXPECT_TRUE(created);
+      EXPECT_EQ(e->payload[0], k);
+    }
+    EXPECT_EQ(store.find(guard, probes[k]), e);
+  }
+  for (std::int64_t k = 10; k < 20; ++k) {
+    bool created = true;
+    acquire(store, guard, k, 3000, &created);
+    EXPECT_FALSE(created) << "key " << k << " created twice";
+  }
+  EXPECT_EQ(store.live(), 520u);
+  EXPECT_EQ(store.stats().created, 520u);
+}
+
+// Three keys sharing a tag and a home slot: scanning any of them meets
+// the first one's entry first, so the others resolve through the full
+// probe, and an absent one is created rather than aliased.
+TEST(FlowStore, ProbeResolvesTagCollisionsInOneGroup) {
+  FlowStoreConfig config;
+  config.shards = 1;
+  config.initial_capacity = 16;
+  FlowStore store(config);
+  // With one shard the home slot is the hash's low 4 bits and the tag
+  // its top 7: search for three keys that agree on both.
+  std::unordered_map<std::uint64_t, std::vector<std::int64_t>> by_bucket;
+  std::vector<std::int64_t> same;
+  for (std::int64_t k = 0; same.size() < 3; ++k) {
+    const std::uint64_t h = util::mix64(static_cast<std::uint64_t>(k));
+    std::vector<std::int64_t>& bucket = by_bucket[(h >> 57) << 4 | (h & 15)];
+    bucket.push_back(k);
+    if (bucket.size() == 3) same = bucket;
+  }
+  EpochDomain::Guard guard(store.domain());
+  FlowStore::Entry* first = acquire(store, guard, same[0], 1);
+  FlowStore::Entry* second = acquire(store, guard, same[1], 2);
+  ASSERT_NE(first, second);
+
+  for (std::size_t i = 0; i < 3; ++i) {
+    FlowStore::Probe probe = store.begin(guard, same[i]);
+    store.scan(probe);
+    FlowStore::Entry* found = store.find(guard, probe);
+    bool created = false;
+    FlowStore::Entry* e =
+        store.acquire(guard, probe, 10, &stamp_key, &same[i], &created);
+    EXPECT_EQ(e->key, same[i]);
+    EXPECT_EQ(created, i == 2);
+    EXPECT_EQ(found, i == 0 ? first : i == 1 ? second : nullptr);
+    if (i < 2) {
+      EXPECT_EQ(e, found);
+    }
+  }
+  EXPECT_EQ(store.live(), 3u);
+}
+
+// Hits through a probe sample their probe length at the 1-in-64 rate.
+TEST(FlowStore, ProbeHistogramSamplesProbeHits) {
+  FlowStore store(FlowStoreConfig{});
+  EpochDomain::Guard guard(store.domain());
+  for (std::int64_t k = 0; k < 100; ++k) acquire(store, guard, k, k);
+  const std::uint64_t before = store.stats().probe_len.count;
+  for (std::int64_t i = 0; i < 6400; ++i) {
+    std::int64_t key = i % 100;
+    FlowStore::Probe probe = store.begin(guard, key);
+    store.scan(probe);
+    store.acquire(guard, probe, 1000 + i, &stamp_key, &key);
+  }
+  const FlowStoreStats s = store.stats();
+  EXPECT_EQ(s.created, 100u);
+  EXPECT_GE(s.probe_len.count - before, 99u);
+  EXPECT_LE(s.probe_len.count - before, 101u);
 }
 
 // The ISSUE 9 differential property test: FlowStore against a plain

@@ -203,5 +203,89 @@ TEST(StateChurn, HotKeyAcquireRaceInitsOnce) {
   EXPECT_EQ(store.live(), 8u);
 }
 
+// A batch's probes are scanned before its acquires run, so another
+// thread can erase a scanned candidate, re-insert its key or replace
+// the shard's table in between. One thread probes a hot set the way
+// process_batch does (begin all, scan all, acquire each) while another
+// erases and re-creates hot keys and cycles cold keys through the same
+// shard, forcing growth and tombstone rehashes. Every acquire must
+// return an entry holding its own key, and the counters reconcile.
+TEST(StateChurn, ProbeRacesInsertEraseAndResize) {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  constexpr int kChurnOps = 2'000;
+#else
+  constexpr int kChurnOps = 8'000;
+#endif
+  constexpr std::int64_t kHot = 32;
+  constexpr std::int64_t kCold = 200;
+  FlowStoreConfig config;
+  config.shards = 1;
+  config.initial_capacity = 16;
+  FlowStore store(config);
+
+  std::atomic<bool> stop{false};
+  std::uint64_t prober_created = 0;
+  int rounds = 0;
+  // Probes until the churn is over, and for at least 100 rounds.
+  std::thread prober([&] {
+    FlowStore::Probe probes[kHot];
+    for (; rounds < 100 || !stop.load(std::memory_order_acquire); ++rounds) {
+      EpochDomain::Guard guard(store.domain());
+      for (std::int64_t k = 0; k < kHot; ++k) {
+        probes[k] = store.begin(guard, k);
+      }
+      for (FlowStore::Probe& p : probes) store.scan(p);
+      for (std::int64_t k = 0; k < kHot; ++k) {
+        std::int64_t key = k;
+        bool created = false;
+        FlowStore::Entry* e = store.acquire(guard, probes[k], rounds + 1,
+                                            &stamp_key, &key, &created);
+        ASSERT_NE(e, nullptr);
+        ASSERT_EQ(e->key, k);
+        ASSERT_EQ(e->payload[0], k);
+        if (created) ++prober_created;
+      }
+    }
+  });
+
+  std::mt19937_64 rng(0x5eed);
+  std::uint64_t churn_created = 0;
+  std::uint64_t erased = 0;
+  std::int64_t cold = 1'000;
+  for (int op = 0; op < kChurnOps; ++op) {
+    std::int64_t key = static_cast<std::int64_t>(rng() % kHot);
+    if (store.erase(key)) ++erased;
+    {
+      EpochDomain::Guard guard(store.domain());
+      bool created = false;
+      store.acquire(guard, key, 1, &stamp_key, &key, &created);
+      if (created) ++churn_created;
+    }
+    if (op % 64 == 0) {
+      // Cycle cold keys through the shard: growth, then tombstones
+      // that the next inserts rehash away.
+      EpochDomain::Guard guard(store.domain());
+      for (std::int64_t i = 0; i < kCold; ++i) {
+        std::int64_t c = cold + i;
+        store.acquire(guard, c, 1, &stamp_key, &c);
+        ++churn_created;
+      }
+      for (std::int64_t i = 0; i < kCold; ++i) {
+        if (store.erase(cold + i)) ++erased;
+      }
+      cold += kCold;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  prober.join();
+
+  const FlowStoreStats s = store.stats();
+  EXPECT_GT(s.resizes, 10u);
+  EXPECT_EQ(s.created, prober_created + churn_created);
+  EXPECT_EQ(s.created - erased, s.live);
+  EXPECT_EQ(s.live, static_cast<std::uint64_t>(kHot));
+  EXPECT_GE(rounds, 100);
+}
+
 }  // namespace
 }  // namespace eden::state
